@@ -28,7 +28,7 @@ from typing import Optional
 from .exactcore import QQ, BadPrime, PrimeField, rank
 from .groebner import DegreeCeilingExceeded, buchberger, projective_dimension, projective_empty
 from .mpoly import MPoly, format_poly, parse_poly
-from .slp import PoleHit, SlpMap
+from .slp import ChartVanishes, PoleHit, SlpMap
 
 SYMBOLIC_INPUT_LIMIT = 4
 SYMBOLIC_DEGREE_LIMIT = 60
@@ -219,7 +219,7 @@ def check_dominant(phi, target_dim, seed=0, tries=5):
               for _ in range(phi.in_arity)]
         try:
             r = rank(phi.jacobian(pt))
-        except (PoleHit, ZeroDivisionError):
+        except (PoleHit, ChartVanishes, ZeroDivisionError):
             continue
         if r > target_dim:
             raise ValueError("rank %d exceeds the target dimension %d: the "
@@ -309,19 +309,11 @@ def certify_smooth_mod_p(F, p, degree_ceiling=20):
     if not projective_empty(gb):
         raise NotEmptyModP(p, "singular locus has projective dimension %d"
                               % projective_dimension(gb))
-    pure = {}
-    for exp in gb.leading_exponents():
-        support = [i for i, e in enumerate(exp) if e]
-        if len(support) == 1:
-            v = support[0]
-            d = exp[v]
-            if v not in pure or d < pure[v]:
-                pure[v] = d
     stats = dict(gb.stats)
-    stats["basis_size"] = len(gb)
     return SmoothModPCert(p=p, F_text=format_poly(F), nvars=F.nvars,
                           partials_hash=_partials_fingerprint(parts),
-                          pure_powers=pure, basis_size=len(gb), stats=stats)
+                          pure_powers=dict(stats["pure_power_degrees"]),
+                          basis_size=len(gb), stats=stats)
 
 
 # -- positivity on a hyperplane -----------------------------------------------------
@@ -416,11 +408,9 @@ def _all_monomials(nvars, degree):
     return sorted(out)
 
 
-def _experiment_trial(params):
-    """One seeded trial: the projective dimension found, or None on a
-    ceiling abort.  Trials are seeded individually so a parallel batch
-    reproduces the sequential run exactly."""
-    d, N, k, p, seed, t, degree_ceiling = params
+def _trial_partials(d, N, k, p, seed, t):
+    """The partials mod p of trial t's quartic: the doubled quadric in P^N
+    plus seeded x_j-multiples of (d-1)-forms for the k new coordinates."""
     gf = PrimeField(p)
     n = N + k + 1
     q = sum((MPoly.variable(i, n, QQ) ** 2 for i in range(N)),
@@ -436,7 +426,15 @@ def _experiment_trial(params):
                 if cm:
                     terms[e] = Fraction(cm)
         F = F + MPoly.variable(j, n, QQ) * MPoly(n, QQ, terms)
-    parts = [_reduce_mod(F.partial_derivative(i), gf) for i in range(n)]
+    return [_reduce_mod(F.partial_derivative(i), gf) for i in range(n)]
+
+
+def _experiment_trial(params):
+    """One seeded trial: the projective dimension found, or None on a
+    ceiling abort.  Trials are seeded individually so a parallel batch
+    reproduces the sequential run exactly."""
+    d, N, k, p, seed, t, degree_ceiling = params
+    parts = _trial_partials(d, N, k, p, seed, t)
     try:
         gb = buchberger(parts, degree_ceiling=degree_ceiling,
                         stop_when_zero_dimensional=True)
@@ -537,6 +535,8 @@ def _replay_dominance(doc):
         r = rank(phi.jacobian(witness))
     except (PoleHit, ZeroDivisionError):
         raise ReplayRejected("witness hits a pole of the program")
+    except ChartVanishes:
+        raise ReplayRejected("the chart coordinate vanishes at the witness")
     if r != int(doc["rank"]):
         raise ReplayRejected("jacobian rank at the witness is %d, stored %d"
                              % (r, int(doc["rank"])))

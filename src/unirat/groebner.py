@@ -1,11 +1,25 @@
-"""Buchberger's algorithm over prime fields, with the two classical
-pair-skipping criteria, a degree ceiling, and combinatorial dimension
-readers on the leading-term ideal.
+"""Buchberger's algorithm over prime fields, with the Gebauer-Moller pair
+update, a degree ceiling, and combinatorial dimension readers on the
+leading-term ideal.
 
 Monomials are packed into single integers (7 bits per variable plus a top
-degree chunk) so comparison, divisibility and multiplication are a few
+degree chunk) so comparison, divisibility, lcm and multiplication are a few
 machine-int operations.  That keeps the inner reduction loop fast enough
 for the 9-variable Jacobian ideals the certification layer feeds in.
+
+Pairs are pruned once, when a new element h enters the basis (Gebauer and
+Moller, "On an installation of Buchberger's algorithm", J. Symb. Comp. 6,
+1988):
+
+- criterion B drops a queued pair (i, j) when lt(h) divides its lcm and
+  differs from both lcm(i, h) and lcm(j, h);
+- criteria M and F keep one new pair (i, h) per minimal lcm, and the
+  product criterion keeps none for an lcm that a pair with coprime leading
+  terms reaches.
+
+Reductions look their reducer up in a per-run memo: the first basis index
+whose leading term divides a monomial never changes, because the basis
+only grows and redundant elements stay reducers.
 
 Soundness convention used by callers: an empty projective fiber modulo one
 good prime certifies emptiness over the rationals for the screened data
@@ -45,6 +59,10 @@ class _Ring:
         for i in range(nvars + 1):
             g |= 1 << (CHUNK * i + CHUNK - 1)
         self.guard = g
+        self.low_guard = g & self.low_mask
+        # times `ones`, the top variable chunk holds the sum of all chunks
+        self.ones = sum(1 << (CHUNK * i) for i in range(nvars))
+        self.sum_shift = CHUNK * (nvars - 1)
 
     def pack(self, exp):
         e = 0
@@ -73,45 +91,60 @@ class _Ring:
         return ((b | self.guard) - a) & self.guard == self.guard
 
     def lcm(self, a, b):
-        out = 0
-        deg = 0
-        for i in range(self.nvars):
-            m = max(
-                (a >> (CHUNK * i)) & ((1 << CHUNK) - 1),
-                (b >> (CHUNK * i)) & ((1 << CHUNK) - 1),
-            )
-            out |= m << (CHUNK * i)
-            deg += m
-        return out | (deg << self.shift_deg)
+        """Chunkwise max without a loop.
+
+        The guard bit of a chunk survives (a | guard) - b exactly where
+        a_i >= b_i; spread to a 6-bit mask it selects the larger chunk.  The
+        degree is deg(a) plus the chunk sum of b's excess over a, exact
+        while that sum stays below 128, as it does whenever deg(b) < 128;
+        `divides` already needs degrees below 64.
+        """
+        low = self.low_mask
+        al = a & low
+        bl = b & low
+        wins = (((al | self.low_guard) - bl) & self.low_guard) >> (CHUNK - 1)
+        mask = wins * _CHUNK_MAX
+        top = (al & mask) | (bl & ~mask)
+        excess = ((top - al) * self.ones >> self.sum_shift) & ((1 << CHUNK) - 1)
+        return top | (((a >> self.shift_deg) + excess) << self.shift_deg)
 
 
 def _to_internal(p: MPoly, ring: _Ring):
     return {ring.pack(e): c.r for e, c in p.terms.items() if c.r}
 
 
-def _normal_form(terms, lts, tails, ring, p):
-    """Fully reduced normal form of `terms` against the monic basis."""
+def _normal_form(terms, lts, tails, ring, p, memo):
+    """Fully reduced normal form of `terms` against the monic basis.
+
+    The reducer of a monomial is the first basis element whose leading term
+    divides it.  `memo` maps a monomial to that index, or to ~n once
+    lts[:n] were scanned without a divisor; it stays valid for as long as
+    `lts` is only appended to.
+    """
     acc = dict(terms)
     heap = [(-ring.key(e), e) for e in acc]
     heapq.heapify(heap)
     out = {}
     guard = ring.guard
+    n = len(lts)
     while heap:
         _, e = heapq.heappop(heap)
-        c = acc.get(e)
+        c = acc.pop(e, None)
         if c is None:
             continue
-        del acc[e]
-        reducer = -1
-        eg = e | guard
-        for idx in range(len(lts)):
-            lt = lts[idx]
-            if (eg - lt) & guard == guard:
-                reducer = idx
-                break
+        reducer = memo.get(e, -1)
         if reducer < 0:
-            out[e] = c
-            continue
+            eg = e | guard
+            for idx in range(~reducer, n):
+                if (eg - lts[idx]) & guard == guard:
+                    reducer = idx
+                    break
+            else:
+                reducer = ~n
+            memo[e] = reducer
+            if reducer < 0:
+                out[e] = c
+                continue
         q = e - lts[reducer]
         for et, ct in tails[reducer]:
             e2 = et + q
@@ -164,10 +197,15 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of homogeneous generators over GF(p), grevlex.
 
-    Pairs are processed degree first with a deterministic tiebreak, the
-    product and chain criteria prune the queue, and any S-pair whose lcm
+    Pairs are processed degree first with a deterministic tiebreak, and the
+    Gebauer-Moller update (module docstring) prunes them as each basis
+    element is inserted.  `stats["s_pairs_skipped"]` counts a pair when the
+    criteria discard it, so processed + skipped is every pair formed, less
+    those still queued at an early stop.  Any surviving S-pair whose lcm
     degree exceeds `degree_ceiling` aborts the run with
-    DegreeCeilingExceeded.  Identical inputs yield identical bases.
+    DegreeCeilingExceeded.  Pairs the criteria discard never reach that
+    check, so a run may finish where a weaker pruning would abort; it never
+    returns a basis that is wrong.  Identical inputs yield identical bases.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -192,6 +230,7 @@ def buchberger(
     lts = []  # leading packed exponents, parallel to tails
     tails = []  # list of (packed, coeff) below the leading term, monic scale
     alive = []  # redundant elements stay as reducers but spawn no pairs
+    memo = {}  # reducer memo shared by every normal form of this run
 
     pure_power_vars = {}
     stats = {
@@ -202,8 +241,8 @@ def buchberger(
         "early_stop": False,
     }
 
-    pending = {}  # (i, j) -> heap entry marker
-    heap = []
+    pending = {}  # (i, j) -> lcm of the queued pairs
+    heap = []  # (degree, key, i, j); entries dropped from `pending` go stale
 
     def note_pure_power(lt):
         exp = ring.unpack(lt)
@@ -220,24 +259,47 @@ def buchberger(
         inv = pow(lc, p - 2, p)
         tail = [(e, c * inv % p) for e, c in items[1:]]
         idx = len(lts)
-        for i in range(len(lts)):
+        with_new = [ring.lcm(old, lt) for old in lts]
+        # criterion B on the queued pairs
+        dropped = [ij for ij, l in pending.items()
+                   if ring.divides(lt, l) and l != with_new[ij[0]]
+                   and l != with_new[ij[1]]]
+        for ij in dropped:
+            del pending[ij]
+        # criteria M and F: one pair per minimal lcm; -1 marks an lcm that a
+        # coprime pair reaches, which the product criterion discards
+        formed = sum(alive)
+        rep = {}
+        for i in range(idx):
+            if not alive[i]:
+                continue
+            l = with_new[i]
+            if l == lts[i] + lt:
+                rep[l] = -1
+            elif l not in rep:
+                rep[l] = i
+        minimal = []
+        kept = 0
+        for l in sorted(rep):  # degree is the top chunk: divisors come first
+            if any(ring.divides(m, l) for m in minimal):
+                continue
+            minimal.append(l)
+            i = rep[l]
+            if i >= 0:
+                pending[(i, idx)] = l
+                heapq.heappush(heap, (ring.degree(l), ring.key(l), i, idx))
+                kept += 1
+        stats["s_pairs_skipped"] += len(dropped) + formed - kept
+        for i in range(idx):
             if alive[i] and ring.divides(lt, lts[i]):
                 alive[i] = False
         lts.append(lt)
         tails.append(tail)
         alive.append(True)
         note_pure_power(lt)
-        for i in range(idx):
-            if not alive[i]:
-                continue
-            l = ring.lcm(lts[i], lt)
-            entry = (ring.degree(l), ring.key(l), i, idx)
-            pending[(i, idx)] = l
-            heapq.heappush(heap, entry)
-        return idx
 
     for terms in raw:
-        nf = _normal_form(terms, lts, tails, ring, p)
+        nf = _normal_form(terms, lts, tails, ring, p, memo)
         if nf:
             insert(nf)
 
@@ -249,30 +311,11 @@ def buchberger(
             stats["early_stop"] = True
             break
         deg, _, i, j = heapq.heappop(heap)
-        if (i, j) not in pending:
+        l = pending.pop((i, j), None)
+        if l is None:
             continue
-        l = pending.pop((i, j))
         if deg > degree_ceiling:
             raise DegreeCeilingExceeded(deg, degree_ceiling)
-        # product criterion: coprime leading terms reduce to zero
-        if l == lts[i] + lts[j]:
-            stats["s_pairs_skipped"] += 1
-            continue
-        # chain criterion: some third element divides the lcm and both
-        # side pairs were already handled
-        skipped = False
-        for k in range(len(lts)):
-            if k == i or k == j or not alive[k]:
-                continue
-            if ring.divides(lts[k], l):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a not in pending and b not in pending:
-                    skipped = True
-                    break
-        if skipped:
-            stats["s_pairs_skipped"] += 1
-            continue
         stats["s_pairs_processed"] += 1
         stats["max_degree"] = max(stats["max_degree"], deg)
         # S-polynomial of the monic pair
@@ -288,7 +331,7 @@ def buchberger(
                 terms[e2] = v
             else:
                 terms.pop(e2, None)
-        nf = _normal_form(terms, lts, tails, ring, p)
+        nf = _normal_form(terms, lts, tails, ring, p, memo)
         if nf:
             insert(nf)
         else:
@@ -307,7 +350,7 @@ def buchberger(
     for pos, k in enumerate(minimal):
         sub_lts = [red_lts[m] for m in range(len(minimal)) if m != pos]
         sub_tails = [tails[minimal[m]] for m in range(len(minimal)) if m != pos]
-        nf = _normal_form(dict(tails[k]), sub_lts, sub_tails, ring, p)
+        nf = _normal_form(dict(tails[k]), sub_lts, sub_tails, ring, p, {})
         red_tails.append(_sorted_terms(nf, ring))
 
     polys = []

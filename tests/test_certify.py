@@ -118,6 +118,24 @@ def test_dominant_constant_map_is_rank_deficient():
     assert err.value.rank == 0
 
 
+def test_dominant_skips_witnesses_where_the_chart_vanishes():
+    b = SlpBuilder(1)
+    x = b.inputs[0]
+    slp = b.finish([x - x, x], chart=0)  # the chart coordinate is always 0
+    with pytest.raises(RankDeficient):
+        check_dominant(slp, 1)
+
+
+def test_dominance_replay_names_a_vanishing_chart():
+    b = SlpBuilder(1)
+    x = b.inputs[0]
+    doc = check_dominant(b.finish([x, x * x + 1], chart=0), 1).to_json()
+    assert replay_certificate(doc) == "dominance"
+    doc["witness"] = ["0"]
+    with pytest.raises(ReplayRejected, match="chart coordinate vanishes"):
+        replay_certificate(doc)
+
+
 def test_dominant_rejects_an_overshooting_target():
     f, sph = sphere_slp()
     with pytest.raises(ValueError):

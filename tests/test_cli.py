@@ -171,6 +171,15 @@ def test_replay_accepts_then_rejects_after_tampering(p5_run, workdir, capsys):
     assert "replay rejected" in capsys.readouterr().out
 
 
+def test_parametrize_tries_the_next_witness_when_the_chart_vanishes(workdir):
+    # with seed 3 a dominance witness draw zeroes the chart coordinate
+    rep = workdir / "p5.seed3.report.json"
+    assert quiet(["parametrize", "--instance", str(INSTANCES / "reverse_p5.json"),
+                  "--seed", "3", "--out", str(workdir / "p5.seed3.slp.json"),
+                  "--report", str(rep)]) == 0
+    assert quiet(["replay", "--report", str(rep)]) == 0
+
+
 # -- parametrize: obstructions ----------------------------------------------------
 
 

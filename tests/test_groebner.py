@@ -1,11 +1,14 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from unirat.certify import _trial_partials
 from unirat.exactcore import PrimeField
 from unirat.groebner import (
     DegreeCeilingExceeded,
+    _Ring,
     buchberger,
     homogeneous_dimension,
     projective_dimension,
@@ -207,3 +210,96 @@ def test_monotone_projective_empty():
     assert not projective_empty(gb1)
     gb2 = buchberger(gens + [P("x2^2", 3)])
     assert projective_empty(gb2)
+
+
+# --- sympy as an independent oracle --------------------------------------------
+
+
+def as_dicts(polys):
+    """Monic polynomials as sorted {exponent: residue} dicts."""
+    return sorted(({e: c.r for e, c in g.terms.items()} for g in polys),
+                  key=lambda d: sorted(d))
+
+
+def sympy_basis(gens):
+    """The reduced grevlex basis of `gens` computed by sympy, in the same
+    shape as `as_dicts`."""
+    import sympy as sp
+
+    p = gens[0].field.p
+    xs = sp.symbols("x0:%d" % gens[0].nvars)
+    G = sp.groebner([sp.Poly.from_dict({e: c.r for e, c in g.terms.items()},
+                                       *xs, modulus=p) for g in gens],
+                    *xs, modulus=p, order="grevlex")
+    out = []
+    for P in G.polys:
+        inv = pow(int(P.LC(order="grevlex")) % p, p - 2, p)
+        out.append({e: int(c) * inv % p for e, c in P.terms()})
+    return sorted(out, key=lambda d: sorted(d))
+
+
+def test_fermat_cubic_partials_match_sympy():
+    f = P("x0^4+x1^4+x2^4+x3^4", 4)
+    gens = [f.partial_derivative(i) for i in range(4)]
+    gb = buchberger(gens)
+    assert as_dicts(gb.polys) == sympy_basis(gens)
+    # pure powers of distinct variables are coprime: no pair is processed
+    assert gb.stats["s_pairs_processed"] == 0
+
+
+def test_sphere_partials_match_sympy():
+    gens = sphere_partials()
+    assert as_dicts(buchberger(gens).polys) == sympy_basis(gens)
+
+
+def test_experiment_jacobian_matches_sympy_and_counts_every_pair():
+    gens = _trial_partials(4, 2, 1, 10007, 3, 0)  # (N, k) = (2, 1)
+    gb = buchberger(gens)
+    assert as_dicts(gb.polys) == sympy_basis(gens)
+    st = gb.stats
+    # a complete run processes or skips every pair among the inserted
+    # elements: the generators plus one per S-pair that did not reduce to 0
+    inserted = len(gens) + st["s_pairs_processed"] - st["reductions_to_zero"]
+    assert st["s_pairs_processed"] + st["s_pairs_skipped"] == math.comb(inserted, 2)
+
+
+def test_mixed_degree_ideal_matches_sympy():
+    # elements found later, at lower degree, have leading terms that divide
+    # the degree-5 generator's; the pair each forms with it must still be
+    # processed although the generator then stops spawning pairs
+    gens = [P("5601*x1^2 + 2118*x1*x2 + 775*x2^2", 3),
+            P("8029*x0^2*x1 + 985*x1*x2^2", 3),
+            P("7915*x0^3*x1^2*x2", 3)]
+    assert as_dicts(buchberger(gens, degree_ceiling=30).polys) == sympy_basis(gens)
+
+
+def test_criterion_b_spares_pairs_whose_lcm_a_new_pair_repeats():
+    # criterion B must keep a queued pair whose lcm equals that of one of the
+    # new pairs; dropping it loses an element of this basis
+    gens = [P("6774*x0*x2 + 9084*x1*x2", 3),
+            P("8823*x0*x1^3 + 7507*x1*x2^3", 3),
+            P("2904*x0^2 + 4183*x0*x2 + 2962*x2^2", 3)]
+    assert as_dicts(buchberger(gens, degree_ceiling=30).polys) == sympy_basis(gens)
+
+
+def test_packed_lcm_matches_unpacked_max():
+    rng = random.Random(5)
+    for nvars in range(1, 10):
+        ring = _Ring(nvars)
+        for _ in range(300):
+            a, b = ([0] * nvars for _ in range(2))
+            for exp in (a, b):
+                for _ in range(rng.randrange(64)):  # total degree <= 63
+                    exp[rng.randrange(nvars)] += 1
+            want = ring.pack([max(x, y) for x, y in zip(a, b)])
+            assert ring.lcm(ring.pack(a), ring.pack(b)) == want
+
+
+def test_early_stop_reports_the_complete_pure_powers():
+    gens = _trial_partials(4, 2, 2, 10007, 6, 0)  # a smooth (2, 2) trial
+    early = buchberger(gens, stop_when_zero_dimensional=True)
+    full = buchberger(gens)
+    assert early.stats["early_stop"] and not full.stats["early_stop"]
+    assert early.stats["s_pairs_processed"] < full.stats["s_pairs_processed"]
+    assert early.stats["pure_power_degrees"] == full.stats["pure_power_degrees"]
+    assert projective_empty(early) and projective_empty(full)
