@@ -35,26 +35,19 @@ from .certify import (
     replay_certificate,
     singular_dimension_experiment,
 )
-from .exactcore import QQ, BadPrime, PrimeField
-from .geom import ProjPoint
+from .exactcore import BadPrime, PrimeField
 from .groebner import DegreeCeilingExceeded
 from .mpoly import MPoly, format_poly, parse_poly
 from .pipeline import (
-    Ci23Instance,
-    ObstructionReport,
     build_real_example,
-    ci23_parametrize,
+    c1_on_conic,
     circle_conic,
-    decompose_cone,
+    flatten_params,
     load_instance,
-    parametrize_H4,
-    parametrize_Y4,
+    run_H4,
+    run_Y4,
     save_instance,
-    solve_quadric_system,
-    _cone_surface,
-    _compose_poly,
-    _conic_polys,
-    _univariate_coeffs,
+    unflatten_params,
 )
 from .slp import SlpMap
 
@@ -170,7 +163,7 @@ def cmd_certify(args):
         PrimeField(p)  # raises BadPrime before any work starts
     report = _new_report("certify", None, _instance_summary(inst))
     # positivity is a fast arithmetic pass; run it before the Groebner work
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         pos = certify_positive_on_hyperplane(inst.F, chart=chart)
     except AbsorptionFails as err:
@@ -181,20 +174,20 @@ def cmd_certify(args):
         print("positivity on {x%d = 0}: %s" % (chart, err))
         print("hint: rebuild the instance with a smaller --epsilon")
         return EX_CERTFAIL
-    report["timings"]["positivity_s"] = round(time.time() - t0, 3)
+    report["timings"]["positivity_s"] = round(time.perf_counter() - t0, 3)
     report["certificates"].append(pos.to_json())
     print("positivity on {x%d = 0}: certified, all diagonal margins positive"
           % chart)
     text = format_poly(inst.F)
     jobs = [(text, inst.F.nvars, p, args.ceiling) for p in primes]
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_smooth_job, jobs))
     else:
         results = [_smooth_job(job) for job in jobs]
-    report["timings"]["smooth_s"] = round(time.time() - t0, 3)
+    report["timings"]["smooth_s"] = round(time.perf_counter() - t0, 3)
     smooth_ok = False
     notes = []
     for p, (status, payload) in zip(primes, results):
@@ -224,75 +217,46 @@ def cmd_certify(args):
 # -- parametrize ---------------------------------------------------------------------
 
 
-def _obstruction_block(rep, extra=None):
-    doc = rep.to_json()
-    if extra:
-        doc.update(extra)
-    return doc
-
-
 def cmd_parametrize(args):
     inst = load_instance(args.instance)
     conic = _conic_from_spec(args.conic)
     report = _new_report("parametrize", args.seed, _instance_summary(inst))
+    timings = report["timings"]
     report_path = args.report or (args.out + ".report.json")
-    t0 = time.time()
-    if inst.n == 5:
-        rep = solve_quadric_system(inst, conic, seed=args.seed)
-        if not rep.feasible:
-            f6 = inst.f.extend_variables(6)
-            c1 = (inst.F - (f6 * f6).scale(inst.alpha)).exact_divide(
-                MPoly.variable(5, 6, QQ))
-            obs = ObstructionReport(
-                obstruction=rep.obstruction, vector_dim=rep.vector_dim,
-                proj_dim=rep.proj_dim, solution_dim=len(rep.solution_basis),
-                message="every quadric through the cone compatible with the "
-                        "conic degenerates (lambda = 0)")
-            report["outcome"] = "Obstruction"
-            report["obstruction"] = _obstruction_block(
-                obs, {"c1": format_poly(c1), "conic": conic.to_json()})
-            report["timings"]["solve_s"] = round(time.time() - t0, 3)
-            _write_json(report_path, report)
-            print("obstruction: nonzero restriction of the residual cubic "
-                  "to the conic")
-            print("report written to %s" % report_path)
-            return EX_OBSTRUCTION
-        split = decompose_cone(inst, rep.witness)
-        ci = Ci23Instance(q=rep.witness, c=split.c,
-                          surface=_cone_surface(conic),
-                          vertex=ProjPoint([0] * 6 + [1]), conic=conic)
-        phi = ci23_parametrize(ci, seed=args.seed)
-        psi = parametrize_Y4(inst, conic, seed=args.seed)
-        report["certificates"].append(
-            check_on_variety(phi, ci.q, seed=args.seed).to_json())
-        report["certificates"].append(
-            check_on_variety(phi, ci.c, seed=args.seed).to_json())
-        report["certificates"].append(
-            check_dominant(phi, 4, seed=args.seed).to_json())
-        report["certificates"].append(
-            check_on_variety(psi, inst.F, seed=args.seed).to_json())
-        report["certificates"].append(
-            check_dominant(psi, 4, seed=args.seed).to_json())
-        out_map = psi
-    else:
-        res = parametrize_H4(inst, conic, seed=args.seed)
-        if isinstance(res, ObstructionReport):
-            report["outcome"] = "Obstruction"
-            report["obstruction"] = _obstruction_block(
-                res, {"parameters": ["b%d" % i for i in range(6, inst.n + 1)],
-                      "conic": conic.to_json()})
-            report["timings"]["solve_s"] = round(time.time() - t0, 3)
-            _write_json(report_path, report)
+    t0 = time.perf_counter()
+    run = (run_Y4 if inst.n == 5 else run_H4)(inst, conic, seed=args.seed)
+    timings.update((k, round(v, 3)) for k, v in run.timings.items())
+    if run.obstruction is not None:
+        block = run.obstruction.to_json()
+        if run.params:
+            block["parameters"] = list(run.params)
+        block["c1"] = format_poly(flatten_params(run.solver.c1))
+        block["conic"] = conic.to_json()
+        report["outcome"] = "Obstruction"
+        report["obstruction"] = block
+        _write_json(report_path, report)
+        if run.params:
             print("obstruction: the residual cubic misses the conic for "
                   "every section parameter")
-            print("report written to %s" % report_path)
-            return EX_OBSTRUCTION
+        else:
+            print("obstruction: nonzero restriction of the residual cubic "
+                  "to the conic")
+        print("report written to %s" % report_path)
+        return EX_OBSTRUCTION
+    out_map = run.program
+    checks = []
+    if run.phi is not None:
+        checks += [(check_on_variety, run.phi, run.ci.q),
+                   (check_on_variety, run.phi, run.ci.c),
+                   (check_dominant, run.phi, 4)]
+    checks += [(check_on_variety, out_map, inst.F),
+               (check_dominant, out_map, inst.n - 1)]
+    for idx, (check, slp, target) in enumerate(checks, 1):
+        t1 = time.perf_counter()
         report["certificates"].append(
-            check_on_variety(res, inst.F, seed=args.seed).to_json())
-        report["certificates"].append(
-            check_dominant(res, inst.n - 1, seed=args.seed).to_json())
-        out_map = res
-    report["timings"]["total_s"] = round(time.time() - t0, 3)
+            check(slp, target, seed=args.seed).to_json())
+        timings["certificate_%d_s" % idx] = round(time.perf_counter() - t1, 3)
+    timings["total_s"] = round(time.perf_counter() - t0, 3)
     with open(args.out, "w") as fh:
         fh.write(out_map.serialize())
         fh.write("\n")
@@ -326,17 +290,28 @@ def cmd_verify(args):
 
 
 def _replay_obstruction(block):
-    """Recompute the stored obstruction coefficients when the report carries
-    the rational data (c1 and the conic) needed to do so."""
+    """Recompute the stored obstruction coefficients from the block's c1 and
+    conic when it carries them.
+
+    c1 is a QQ polynomial in x0..x5 followed by the section parameters
+    b6..bn (if any); each stored coefficient is a polynomial in the b_i.
+    """
     if "c1" not in block or "conic" not in block:
         return "structural"
+    params = tuple(block.get("parameters", ()))
+    nvars = 6 + len(params)
     conic = SlpMap.from_json(block["conic"])
-    c1 = parse_poly(block["c1"], nvars=6)
-    gamma = list(_conic_polys(conic)) + [MPoly.zero(1, QQ)]
-    comp = _compose_poly(c1, gamma)
-    coeffs = _univariate_coeffs(comp, 6)
-    if [QQ.format(c) for c in coeffs] != list(block["obstruction"]):
+    c1 = unflatten_params(parse_poly(block["c1"], nvars=nvars), params)
+    got = [MPoly.const(6, c, c1.field) for c in c1_on_conic(c1, conic)]
+    try:
+        stored = [unflatten_params(parse_poly(s, nvars=nvars, family="b"),
+                                   params) for s in block["obstruction"]]
+    except ValueError as err:
+        raise ReplayRejected("unreadable obstruction coefficient: %s" % err)
+    if got != stored:
         raise ReplayRejected("stored obstruction does not match c1 on the conic")
+    if all(g.is_zero() for g in got):
+        raise ReplayRejected("c1 vanishes on the conic, so nothing is obstructed")
     return "recomputed"
 
 

@@ -27,8 +27,10 @@ degenerates, and the instance is reported as obstructed.
 
 import itertools
 import json
+import math
 import random
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -67,14 +69,20 @@ __all__ = [
     "SectionFamily",
     "SolverReport",
     "ObstructionReport",
+    "PipelineRun",
     "sphere_form",
     "circle_conic",
     "decompose_cone",
     "solve_quadric_system",
+    "c1_on_conic",
+    "flatten_params",
+    "unflatten_params",
     "ci23_parametrize",
     "reverse_build",
+    "run_Y4",
     "parametrize_Y4",
     "generic_section",
+    "run_H4",
     "parametrize_H4",
     "build_real_example",
     "instance_to_json",
@@ -280,7 +288,8 @@ class SolverReport:
     alpha*l(conic(t))*f(conic(t)) and one column per unknown (l_0..l_6,
     lambda); solution_basis spans its kernel.  obstruction records the
     coefficients of c1 on the conic: when it is nonzero every solution has
-    lambda = 0 and no nondegenerate witness exists.
+    lambda = 0 and no nondegenerate witness exists.  c1 = (F5 - alpha*f^2)/x5
+    is the cubic those coefficients come from.
     """
 
     vector_dim: int
@@ -290,6 +299,7 @@ class SolverReport:
     obstruction: tuple
     witness: Optional[MPoly]
     witness_vector: Optional[tuple]
+    c1: MPoly
 
     @property
     def feasible(self):
@@ -315,6 +325,26 @@ class ObstructionReport:
             "quadrics_through_cone": [self.vector_dim, self.proj_dim],
             "solution_dim": self.solution_dim,
         }
+
+
+@dataclass(frozen=True)
+class PipelineRun:
+    """Every stage of one pass of run_Y4 or run_H4.
+
+    solver is the witness search, its c1 included; params names the section
+    parameters over which its coefficients live (empty on P^5).  An
+    obstructed run sets obstruction and leaves the later stages None.  On
+    P^5, ci and phi are the complete intersection and its sweep; program is
+    the final map.  timings holds perf_counter seconds per stage.
+    """
+
+    solver: SolverReport
+    params: tuple
+    timings: dict
+    obstruction: Optional[ObstructionReport] = None
+    ci: Optional[Ci23Instance] = None
+    phi: Optional[SlpMap] = None
+    program: Optional[SlpMap] = None
 
 
 # -- cone decomposition ------------------------------------------------------------
@@ -358,22 +388,36 @@ def decompose_cone(Y, q):
 # -- the linear system for the witness quadric -------------------------------------
 
 
-def _count_cone_quadrics(f, conic, seed):
-    """Pin the space of quadrics on P^6 vanishing on the cone K to dimension 8.
+# one prime per sampling round of the mod-p rank counts
+_ROUND_PRIMES = (1000003, 1000033, 1000037)
 
-    The eight quadrics x5*x_j and f vanish on K structurally, so the kernel
-    of any sampled evaluation matrix contains them; when the sampled kernel
-    has dimension exactly eight the two bounds meet and the count is proven.
+
+def _int_rows(points, mons, p):
+    """Evaluation rows mod p of rational points, each scaled to integers.
+
+    Every monomial has the same degree, so scaling a point scales its row
+    and leaves the row space unchanged.
     """
+    rows = []
+    for y in points:
+        dens = math.lcm(*(x.denominator for x in y))
+        iy = [int(x * dens) % p for x in y]
+        rows.append([_eval_monomial(iy, e) % p for e in mons])
+    return rows
+
+
+def _cone_samples(f, conic, seed):
+    """Seeded points of the cone K with the prime of each sampling round:
+    36, 72, then 108 points, the vertex first and then points over the
+    quadric surface {f = 0} of the slice."""
     base = conic.eval([Fraction(0)])
     p0 = ProjPoint(base)
     j0 = next(i for i, x in enumerate(p0.coords) if x != 0)
     cut = ExactMatrix(QQ, [[QQ.one if m == j0 else QQ.zero for m in range(5)]])
     sph = stereographic_param(QuadricHypersurface(f), p0,
                               LinearSubspace(QQ, cutting=cut))
-    mons = _monomials(7, 2)
     rng = random.Random(seed + 101)
-    for round_ in range(3):
+    for round_, p in enumerate(_ROUND_PRIMES):
         want = 36 * (round_ + 1)
         pts = [[Fraction(0)] * 6 + [Fraction(1)]]
         while len(pts) < want:
@@ -384,12 +428,68 @@ def _count_cone_quadrics(f, conic, seed):
             pts.append(list(five) + [Fraction(0), Fraction(rng.randint(-3, 3))])
         for pt in pts:
             assert pt[5] == 0 and f.evaluate(pt[:5]) == 0
-        rows = [[_eval_monomial(pt, e) for e in mons] for pt in pts]
-        ker = kernel_basis(ExactMatrix(QQ, rows, ncols=len(mons)))
-        if len(ker) == 8:
+        yield pts, p
+
+
+def _count_cone_quadrics(f, conic, seed):
+    """Pin the space of quadrics on P^6 vanishing on the cone K to dimension 8.
+
+    The eight quadrics x5*x_j and f vanish on K structurally, so they lie in
+    the kernel of any sampled evaluation matrix on the 28 quadratic
+    monomials, and its rank over QQ is at most 28 - 8 = 20.  The rank mod p
+    of the integer-scaled rows bounds the rank over QQ from below, so a rank
+    of 20 mod p proves the count; a rank drop falls through to the next,
+    larger round.
+    """
+    mons = _monomials(7, 2)
+    for pts, p in _cone_samples(f, conic, seed):
+        rk = _int_rank(_int_rows(pts, mons, p), p)
+        if rk == len(mons) - 8:
             return 8, 7
     raise ArithmeticError(
-        "quadrics through the cone: sampled dimension %d instead of 8" % len(ker))
+        "quadrics through the cone: sampled dimension %d mod %d instead of 8"
+        % (len(mons) - rk, p))
+
+
+def c1_on_conic(c1, conic):
+    """The t-coefficients of c1(conic(t)) with x5 = 0, over c1's field.
+
+    c1 = (F5 - alpha*f^2)/x5 is a cubic on P^5; these seven coefficients
+    are the obstruction of the cone identity.
+    """
+    g6 = list(_conic_polys(conic)) + [MPoly.zero(1, QQ)]
+    return _univariate_coeffs(_compose_poly(c1, g6), 6)
+
+
+def flatten_params(p):
+    """A polynomial over QQ(b6..bn) as a QQ polynomial whose variables
+    x0..x5 are followed by b6..bn; a QQ polynomial is returned as it is."""
+    if p.field == QQ:
+        return p
+    nb = p.field.nvars
+    terms = {}
+    for e, c in p.terms.items():
+        if c.den.total_degree() != 0:
+            raise ValueError("a coefficient is not polynomial in the parameters")
+        inv = 1 / c.den.coefficient((0,) * nb)
+        for be, bc in c.num.terms.items():
+            terms[e + be] = bc * inv
+    return MPoly(p.nvars + nb, QQ, terms)
+
+
+def unflatten_params(p, params):
+    """Inverse of flatten_params: x0..x5 stay, the later variables become
+    the named parameters (over QQ when params is empty)."""
+    if p.nvars != 6 + len(params):
+        raise ValueError("expected %d variables" % (6 + len(params)))
+    if not params:
+        return p
+    ff = FunctionField(params)
+    groups = {}
+    for e, c in p.terms.items():
+        groups.setdefault(e[:6], {})[e[6:]] = c
+    return MPoly(6, ff, {e: ff.coerce(MPoly(len(params), QQ, g))
+                         for e, g in groups.items()})
 
 
 def solve_quadric_system(Y, conic, seed=0):
@@ -415,7 +515,7 @@ def solve_quadric_system(Y, conic, seed=0):
     c1 = (_to_field(Y.F, fld) - (f6 * f6).scale(fld.coerce(Y.alpha)))
     c1 = c1.exact_divide(MPoly.variable(5, 6, fld))
     g6 = list(g5) + [MPoly.zero(1, QQ)]
-    obstruction = _univariate_coeffs(_compose_poly(c1, g6), 6)
+    obstruction = c1_on_conic(c1, conic)
 
     f_on = _compose_poly(Y.f, g5)
     alpha = fld.coerce(Y.alpha)
@@ -472,7 +572,7 @@ def solve_quadric_system(Y, conic, seed=0):
                         conditions=conditions,
                         solution_basis=tuple(tuple(v) for v in sol),
                         obstruction=tuple(obstruction),
-                        witness=witness, witness_vector=witness_vec)
+                        witness=witness, witness_vector=witness_vec, c1=c1)
 
 
 # -- sweeping the intersection -----------------------------------------------------
@@ -704,25 +804,12 @@ def _interpolate_quartic(slp, F5, seed):
             if F5.evaluate(y) != 0:
                 raise InterpolationEmpty(
                     "a projected sample point misses the expected quartic")
-        p = (1000003, 1000033, 1000037)[round_]
-        rows = []
-        for y in samples:
-            dens = 1
-            for x in y:
-                dens = dens * x.denominator // _gcd(dens, x.denominator)
-            iy = [int(x * dens) for x in y]
-            rows.append([_eval_monomial(iy, e) % p for e in mons])
-        rk = _int_rank(rows, p)
+        p = _ROUND_PRIMES[round_]
+        rk = _int_rank(_int_rows(samples, mons, p), p)
         if rk == len(mons) - 1:
             return len(samples)
     raise InterpolationAmbiguous(
         "sampled quartic space has dimension %d" % (len(mons) - rk))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def reverse_build(f=None, conic=None, l=None, lam=Fraction(1),
@@ -820,26 +907,39 @@ def _with_chart(slp, chart, provenance):
                   list(slp.outputs), chart=chart, provenance=provenance)
 
 
-def parametrize_Y4(Y, conic=None, seed=0):
-    """Four-parameter program onto a quartic threefold, or the obstruction.
+def _solve_stage(Y, conic, seed, params, message):
+    """The timed witness search, with the obstruction when it fails."""
+    t0 = time.perf_counter()
+    rep = solve_quadric_system(Y, conic, seed=seed)
+    run = PipelineRun(solver=rep, params=params,
+                      timings={"solve_s": time.perf_counter() - t0})
+    if rep.feasible:
+        return run
+    return replace(run, obstruction=ObstructionReport(
+        obstruction=rep.obstruction,
+        vector_dim=rep.vector_dim, proj_dim=rep.proj_dim,
+        solution_dim=len(rep.solution_basis), message=message,
+        field=Y.F.field))
+
+
+def run_Y4(Y, conic=None, seed=0):
+    """One pass onto a quartic threefold, keeping every stage.
 
     Chains the witness search, the cone decomposition, the intersection
-    sweep and the projection from the vertex.  Returns an SlpMap on success
-    and an ObstructionReport when every available quadric degenerates.
+    sweep and the projection from the vertex; the obstruction ends the pass
+    when every available quadric degenerates.
     """
     if Y.n != 5:
         raise ValueError("expected a quartic threefold in P^5")
     if conic is None:
         conic = Y.conic if Y.conic is not None else circle_conic()
-    rep = solve_quadric_system(Y, conic, seed=seed)
-    if not rep.feasible:
-        return ObstructionReport(
-            obstruction=rep.obstruction,
-            vector_dim=rep.vector_dim, proj_dim=rep.proj_dim,
-            solution_dim=len(rep.solution_basis),
-            message="every quadric through the cone compatible with the conic "
-                    "degenerates (lambda = 0)",
-            field=Y.F.field)
+    run = _solve_stage(Y, conic, seed, (),
+                       "every quadric through the cone compatible with the "
+                       "conic degenerates (lambda = 0)")
+    if run.obstruction is not None:
+        return run
+    rep = run.solver
+    t0 = time.perf_counter()
     split = decompose_cone(Y, rep.witness)
     ci = Ci23Instance(q=rep.witness, c=split.c, surface=_cone_surface(conic),
                       vertex=ProjPoint([0] * 6 + [1]), conic=conic)
@@ -860,7 +960,19 @@ def parametrize_Y4(Y, conic=None, seed=0):
         raise ArithmeticError("a parametrized point escaped the quartic")
     prov = {"stage": "quartic-threefold", "seed": seed,
             "fibers": phi.provenance}
-    return _with_chart(comp, next(i for i, x in enumerate(vals) if x != 0), prov)
+    psi = _with_chart(comp, next(i for i, x in enumerate(vals) if x != 0), prov)
+    run.timings["sweep_s"] = time.perf_counter() - t0
+    return replace(run, ci=ci, phi=phi, program=psi)
+
+
+def parametrize_Y4(Y, conic=None, seed=0):
+    """Four-parameter program onto a quartic threefold, or the obstruction.
+
+    Returns the SlpMap of run_Y4 on success and its ObstructionReport when
+    every available quadric degenerates.
+    """
+    run = run_Y4(Y, conic, seed=seed)
+    return run.obstruction or run.program
 
 
 def generic_section(H):
@@ -904,9 +1016,8 @@ def _parameter_lift(builder, brefs):
     return lift
 
 
-def parametrize_H4(H, conic=None, seed=0):
-    """(n - 1)-parameter program onto a doubled quartic in P^n (n >= 6), or the
-    obstruction blocking every member of the section pencil at once.
+def run_H4(H, conic=None, seed=0):
+    """One pass onto a doubled quartic in P^n (n >= 6), keeping every stage.
 
     The section parameters b6..bn stay live program inputs followed by
     (t, u, v1, v2), so a single program covers the whole pencil; on the
@@ -917,15 +1028,13 @@ def parametrize_H4(H, conic=None, seed=0):
     if conic is None:
         conic = H.conic if H.conic is not None else circle_conic()
     y_sec = QuarticInstance(n=5, F=fam.section, f=H.f, alpha=H.alpha)
-    rep = solve_quadric_system(y_sec, conic, seed=seed)
-    if not rep.feasible:
-        return ObstructionReport(
-            obstruction=rep.obstruction,
-            vector_dim=rep.vector_dim, proj_dim=rep.proj_dim,
-            solution_dim=len(rep.solution_basis),
-            message="the residual cubic misses the conic for every section "
-                    "parameter",
-            field=fam.field)
+    run = _solve_stage(y_sec, conic, seed, fam.names,
+                       "the residual cubic misses the conic for every section "
+                       "parameter")
+    if run.obstruction is not None:
+        return run
+    rep = run.solver
+    t0 = time.perf_counter()
     split = decompose_cone(y_sec, rep.witness)
     nb = len(fam.names)
     rng = random.Random(seed)
@@ -968,7 +1077,18 @@ def parametrize_H4(H, conic=None, seed=0):
             "inputs": list(fam.names) + ["t", "u", "v1", "v2"],
             "pivots": list(plan["pivots"]), "span": list(plan["span"]),
             "drop": plan["drop"]}
-    return _with_chart(slp, next(i for i, x in enumerate(vals) if x != 0), prov)
+    program = _with_chart(slp, next(i for i, x in enumerate(vals) if x != 0), prov)
+    run.timings["sweep_s"] = time.perf_counter() - t0
+    return replace(run, program=program)
+
+
+def parametrize_H4(H, conic=None, seed=0):
+    """(n - 1)-parameter program onto a doubled quartic in P^n (n >= 6), or the
+    obstruction blocking every member of the section pencil at once: the
+    SlpMap or the ObstructionReport of run_H4.
+    """
+    run = run_H4(H, conic, seed=seed)
+    return run.obstruction or run.program
 
 
 # -- ready-made families -----------------------------------------------------------

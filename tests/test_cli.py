@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from unirat import cli, pipeline
 from unirat.cli import main
 from unirat.mpoly import MPoly
 from unirat.exactcore import QQ
@@ -180,6 +181,29 @@ def test_parametrize_tries_the_next_witness_when_the_chart_vanishes(workdir):
     assert quiet(["replay", "--report", str(rep)]) == 0
 
 
+def test_p5_parametrize_runs_each_stage_once(workdir, monkeypatch):
+    calls = {}
+
+    def counted(name):
+        orig = getattr(pipeline, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return orig(*args, **kwargs)
+        return wrapper
+
+    # count the calls under every name a caller can look the stage up by
+    for name in ("solve_quadric_system", "ci23_parametrize"):
+        wrapper = counted(name)
+        for mod in (pipeline, cli):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, wrapper)
+    assert quiet(["parametrize", "--instance", str(INSTANCES / "reverse_p5.json"),
+                  "--out", str(workdir / "p5.once.slp.json"),
+                  "--report", str(workdir / "p5.once.report.json")]) == 0
+    assert calls == {"solve_quadric_system": 1, "ci23_parametrize": 1}
+
+
 # -- parametrize: obstructions ----------------------------------------------------
 
 
@@ -224,6 +248,34 @@ def test_parametrize_obstruction_on_the_pencil(workdir, capsys):
         "1/16", "0", "-3/16", "1/2*b6", "3/16", "0", "-1/16"]
     assert doc["obstruction"]["parameters"] == ["b6", "b7", "b8"]
     assert main(["replay", "--report", str(rep)]) == 0
+
+
+def test_pencil_obstruction_replay_recomputes_the_block(workdir, capsys):
+    # the block carries the section's c1, with b_i written as x_i, so replay
+    # recomputes the coefficients and rejects a changed one
+    rep = workdir / "n8.replay.report.json"
+    assert quiet(["parametrize", "--instance", str(INSTANCES / "n8_cubes.json"),
+                  "--out", str(workdir / "n8.replay.slp.json"),
+                  "--report", str(rep)]) == 2
+    doc = json.loads(rep.read_text())
+    assert doc["obstruction"]["c1"] == (
+        "x5^3*x6^4 + x5^3*x7^4 + x5^3*x8^4 + 1/16*x1^3*x6 + 1/16*x2^3*x7 "
+        "+ 1/16*x3^3*x8 + 1/16*x0^3 + x5^3")
+    capsys.readouterr()
+    assert main(["replay", "--report", str(rep)]) == 0
+    assert "obstruction block: recomputed check passed" in capsys.readouterr().out
+    bad = workdir / "n8.forged.report.json"
+    for forged in ("1/17", "1/16 + b7", "1/16*x0"):
+        doc["obstruction"]["obstruction"][0] = forged
+        bad.write_text(json.dumps(doc))
+        assert main(["replay", "--report", str(bad)]) == 4
+    assert "replay rejected" in capsys.readouterr().out
+    # a consistent block whose c1 vanishes on the conic obstructs nothing
+    doc["obstruction"]["c1"] = "x5^3"
+    doc["obstruction"]["obstruction"] = ["0"] * 7
+    bad.write_text(json.dumps(doc))
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "nothing is obstructed" in capsys.readouterr().out
 
 
 # -- experiment and general usage --------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +17,11 @@ from unirat.pipeline import (
     QuarticInstance,
     SectionSingular,
     build_real_example,
+    c1_on_conic,
     ci23_parametrize,
     circle_conic,
     decompose_cone,
+    flatten_params,
     generic_section,
     instance_from_json,
     instance_to_json,
@@ -26,11 +29,23 @@ from unirat.pipeline import (
     parametrize_H4,
     parametrize_Y4,
     reverse_build,
+    run_H4,
     save_instance,
     solve_quadric_system,
     sphere_form,
+    unflatten_params,
 )
-from unirat.pipeline import _cone_surface
+from unirat.pipeline import (
+    _cone_samples,
+    _cone_surface,
+    _count_cone_quadrics,
+    _eval_monomial,
+    _int_rank,
+    _int_rows,
+    _monomials,
+)
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def x(i, n=7):
@@ -166,6 +181,55 @@ def test_solver_reports_the_obstruction():
     assert len(rep.solution_basis) == 7
     assert all(v[7] == 0 for v in rep.solution_basis)
     assert rep.conditions.nrows == 7 and rep.conditions.ncols == 8
+
+
+def cone_count_case(name):
+    """(f, conic, seed) that `parametrize` hands to the cone-quadric count."""
+    if name == "reverse_p5":
+        inst = load_instance(INSTANCES / "reverse_p5.json")
+        return inst.f, inst.conic, 0
+    if name.startswith("reverse_build"):
+        build_seed = int(name.rsplit("-", 1)[1])
+        _, inst = reverse_build(seed=build_seed)
+        return inst.f, inst.conic, build_seed
+    # every section of the n8 pencil keeps the f and the conic of H
+    H = load_instance(INSTANCES / "n8_cubes.json")
+    return H.f, H.conic, 0
+
+
+@pytest.mark.parametrize("name", ["reverse_p5", "reverse_build-1",
+                                  "reverse_build-2", "n8-section"])
+def test_modular_cone_count_equals_the_rank_over_QQ(name):
+    # the rank mod p of the integer-scaled rows is the rank over QQ of the
+    # same sampled matrix, computed by sympy, in every sampling round; the
+    # eight quadrics through the cone leave 28 - 8 = 20
+    # (sympy's DomainMatrix over QQ: Matrix.rank takes ~20 s per round)
+    from sympy import QQ as SQQ
+    from sympy.polys.matrices import DomainMatrix
+    f, conic, seed = cone_count_case(name)
+    mons = _monomials(7, 2)
+    for pts, p in _cone_samples(f, conic, seed):
+        rows = [[SQQ(v.numerator, v.denominator)
+                 for v in (_eval_monomial(pt, e) for e in mons)] for pt in pts]
+        want = DomainMatrix(rows, (len(rows), len(mons)), SQQ).rank()
+        assert _int_rank(_int_rows(pts, mons, p), p) == want == len(mons) - 8
+    assert _count_cone_quadrics(f, conic, seed) == (8, 7)
+
+
+def test_section_c1_is_the_substituted_quartic_over_x5():
+    # c1(x0..x5, b6..b8) = (F(x0..x5, b6*x5, b7*x5, b8*x5) - f^2) / x5, with
+    # b_i in variable i, recomputed here by plain substitution
+    H = build_real_example(n=8, preset="cubes", seed=0)
+    run = run_H4(H, seed=0)
+    xs = [x(i, 9) for i in range(9)]
+    sub = H.F.evaluate(xs[:6] + [xs[i] * xs[5] for i in (6, 7, 8)],
+                       lift=lambda c: MPoly.const(9, c, QQ))
+    f9 = H.f.extend_variables(9)
+    flat = flatten_params(run.solver.c1)
+    assert flat == (sub - f9 * f9).exact_divide(xs[5])
+    assert unflatten_params(flat, run.params) == run.solver.c1
+    assert c1_on_conic(run.solver.c1, H.conic) == list(run.solver.obstruction)
+    assert run.obstruction is not None and run.program is None
 
 
 def test_solver_rejects_a_conic_off_the_surface():
