@@ -27,7 +27,7 @@ from typing import Optional
 
 from .exactcore import QQ, BadPrime, PrimeField, rank
 from .groebner import DegreeCeilingExceeded, buchberger, projective_dimension, projective_empty
-from .mpoly import MPoly, format_poly, parse_poly
+from .mpoly import MPoly, format_poly, monomials, parse_poly
 from .slp import ChartVanishes, PoleHit, SlpMap
 
 SYMBOLIC_INPUT_LIMIT = 4
@@ -78,10 +78,6 @@ class ReplayRejected(ValueError):
 
 def _sha(text):
     return hashlib.sha256(text.encode("ascii")).hexdigest()
-
-
-def _frac(s):
-    return Fraction(s)
 
 
 # -- on-variety identity ------------------------------------------------------------
@@ -394,20 +390,6 @@ def certify_positive_on_hyperplane(F, chart=4):
 # -- the singular-dimension experiment ----------------------------------------------
 
 
-def _all_monomials(nvars, degree):
-    out = []
-
-    def rec(i, left, cur):
-        if i == nvars - 1:
-            out.append(tuple(cur + [left]))
-            return
-        for a in range(left + 1):
-            rec(i + 1, left - a, cur + [a])
-
-    rec(0, degree, [])
-    return sorted(out)
-
-
 def _trial_partials(d, N, k, p, seed, t):
     """The partials mod p of trial t's quartic: the doubled quadric in P^N
     plus seeded x_j-multiples of (d-1)-forms for the k new coordinates."""
@@ -416,7 +398,7 @@ def _trial_partials(d, N, k, p, seed, t):
     q = sum((MPoly.variable(i, n, QQ) ** 2 for i in range(N)),
             MPoly.zero(n, QQ)) - MPoly.variable(N, n, QQ) ** 2
     F = q * q
-    mons = _all_monomials(n, d - 1)
+    mons = monomials(n, d - 1)
     rng = random.Random(seed * 1000003 + t)
     for j in range(N + 1, N + 1 + k):
         terms = {}

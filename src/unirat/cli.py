@@ -35,7 +35,7 @@ from .certify import (
     replay_certificate,
     singular_dimension_experiment,
 )
-from .exactcore import BadPrime, PrimeField
+from .exactcore import QQ, BadPrime, PrimeField
 from .groebner import DegreeCeilingExceeded
 from .mpoly import MPoly, format_poly, parse_poly
 from .pipeline import (
@@ -231,6 +231,7 @@ def cmd_parametrize(args):
         if run.params:
             block["parameters"] = list(run.params)
         block["c1"] = format_poly(flatten_params(run.solver.c1))
+        block["F"] = format_poly(inst.F)
         block["conic"] = conic.to_json()
         report["outcome"] = "Obstruction"
         report["obstruction"] = block
@@ -257,9 +258,7 @@ def cmd_parametrize(args):
             check(slp, target, seed=args.seed).to_json())
         timings["certificate_%d_s" % idx] = round(time.perf_counter() - t1, 3)
     timings["total_s"] = round(time.perf_counter() - t0, 3)
-    with open(args.out, "w") as fh:
-        fh.write(out_map.serialize())
-        fh.write("\n")
+    out_map.save(args.out)
     report["outcome"] = "Success"
     report["slp"] = {"in_arity": out_map.in_arity, "out_arity": out_map.out_arity,
                      "nodes": len(out_map.nodes), "chart": out_map.chart}
@@ -291,17 +290,22 @@ def cmd_verify(args):
 
 def _replay_obstruction(block):
     """Recompute the stored obstruction coefficients from the block's c1 and
-    conic when it carries them.
+    conic, and tie c1 to the block's quartic F.
 
     c1 is a QQ polynomial in x0..x5 followed by the section parameters
-    b6..bn (if any); each stored coefficient is a polynomial in the b_i.
+    b6..bn (if any), written x6..xn; each stored coefficient is a
+    polynomial in the b_i.  In those variables F(x0..x5, x6*x5, ..., xn*x5)
+    - x5*c1 must be F on the slice M = {x5 = ... = xn = 0}, and F on M must
+    vanish on the conic.
     """
-    if "c1" not in block or "conic" not in block:
-        return "structural"
+    missing = [key for key in ("F", "c1", "conic") if key not in block]
+    if missing:
+        raise ReplayRejected("the obstruction block lacks %s" % ", ".join(missing))
     params = tuple(block.get("parameters", ()))
     nvars = 6 + len(params)
     conic = SlpMap.from_json(block["conic"])
-    c1 = unflatten_params(parse_poly(block["c1"], nvars=nvars), params)
+    flat = parse_poly(block["c1"], nvars=nvars)
+    c1 = unflatten_params(flat, params)
     got = [MPoly.const(6, c, c1.field) for c in c1_on_conic(c1, conic)]
     try:
         stored = [unflatten_params(parse_poly(s, nvars=nvars, family="b"),
@@ -312,7 +316,20 @@ def _replay_obstruction(block):
         raise ReplayRejected("stored obstruction does not match c1 on the conic")
     if all(g.is_zero() for g in got):
         raise ReplayRejected("c1 vanishes on the conic, so nothing is obstructed")
-    return "recomputed"
+    F = parse_poly(block["F"], nvars=nvars)
+    xs = [MPoly.variable(i, nvars, QQ) for i in range(nvars)]
+    F_M = F
+    for i in range(5, nvars):
+        F_M = F_M.set_variable_zero(i)
+    section = F.evaluate(xs[:6] + [x * xs[5] for x in xs[6:]],
+                         lift=lambda c: MPoly.const(nvars, c, QQ))
+    if section - xs[5] * flat != F_M:
+        raise ReplayRejected("c1 is not (F - F on M)/x5 for the stored quartic")
+    t = MPoly.variable(0, 1, QQ)
+    lift = lambda c: MPoly.const(1, c, QQ)
+    on_conic = list(conic.eval([t], lift=lift)) + [MPoly.zero(1, QQ)] * (nvars - 5)
+    if not F_M.evaluate(on_conic, lift=lift).is_zero():
+        raise ReplayRejected("the stored quartic on M does not vanish on the conic")
 
 
 def cmd_replay(args):
@@ -325,8 +342,8 @@ def cmd_replay(args):
             count += 1
             print("certificate %d (%s): accepted" % (count, kind))
         if report.get("outcome") == "Obstruction":
-            how = _replay_obstruction(report.get("obstruction", {}))
-            print("obstruction block: %s check passed" % how)
+            _replay_obstruction(report.get("obstruction", {}))
+            print("obstruction block: recomputed check passed")
     except ReplayRejected as err:
         print("replay rejected: %s" % err)
         return EX_CERTFAIL

@@ -219,12 +219,6 @@ class ExactMatrix:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def transpose(self):
-        return ExactMatrix(
-            self.field,
-            [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)],
-        )
-
     def mul_vector(self, vec):
         f = self.field
         vec = [f.coerce(v) for v in vec]

@@ -1,10 +1,10 @@
 """Projective geometry primitives over exact fields.
 
-Points, linear subspaces, quadrics, cones, and the constructions used by the
-parametrization pipeline: tangent spaces, stereographic projection from a
-smooth point of a quadric, residual intersection of a tangent line with a
-cubic, cones over hypersurfaces, and restriction of a quadric to the common
-tangent space of two hypersurfaces.
+Points, linear subspaces, quadrics, and the constructions used by the
+parametrization pipeline: stereographic projection from a smooth point of a
+quadric, residual intersection of a tangent line with a cubic, and
+projection from a coordinate point.  The fiber quadrics in the common
+tangent spaces live in `pipeline`, which builds them on program nodes.
 
 Everything is ring-generic where feasible: coordinates may be rationals,
 prime-field residues, rational functions in parameters, or program nodes, as
@@ -15,13 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactcore import QQ, ExactMatrix, kernel_basis, rank, solve_right
+from .exactcore import QQ, ExactMatrix, kernel_basis
 from .mpoly import MPoly, gram_matrix
 from .slp import SlpBuilder
-
-
-class SingularPoint(ValueError):
-    """Gradient vanishes where a smooth point was required."""
 
 
 class PointNotOnQuadric(ValueError):
@@ -36,16 +32,8 @@ class LineInsideCubic(ArithmeticError):
     """The whole tangent line lies on the cubic; no residual point."""
 
 
-class VertexOnBase(ValueError):
-    pass
-
-
 class TangentsCoincide(ValueError):
     """The two tangent hyperplanes agree, so their intersection degenerates."""
-
-
-class DegenerateConic(ValueError):
-    pass
 
 
 def _is_zero(x):
@@ -170,50 +158,6 @@ class QuadricHypersurface:
             for i in range(n)
         ]
 
-    def rank(self):
-        return rank(self.gram)
-
-
-class QuadraticForm:
-    """A quadric restricted to a subspace, in a fixed direction basis."""
-
-    def __init__(self, gram: ExactMatrix, basis):
-        self.gram = gram
-        self.basis = [tuple(v) for v in basis]
-
-    def evaluate(self, direction):
-        acc = None
-        n = self.gram.nrows
-        for i in range(n):
-            for j in range(n):
-                t = direction[i] * self.gram.entry(i, j) * direction[j]
-                acc = t if acc is None else acc + t
-        return acc
-
-    def rank(self):
-        return rank(self.gram)
-
-    def is_isotropic(self, direction):
-        return _is_zero(self.evaluate(direction))
-
-
-class ConeData:
-    """A hypersurface swept out by lines through a fixed vertex."""
-
-    def __init__(self, vertex: ProjPoint, lift: MPoly, basis_change=None):
-        # constancy along the vertex direction characterizes a cone
-        acc = None
-        for i, v in enumerate(vertex.coords):
-            if _is_zero(v):
-                continue
-            d = lift.partial_derivative(i).scale(Fraction(v))
-            acc = d if acc is None else acc + d
-        if acc is None or not acc.is_zero():
-            raise ValueError("form is not constant along the vertex direction")
-        self.vertex = vertex
-        self.lift = lift
-        self.basis_change = basis_change
-
 
 # -- ring-generic kernels ------------------------------------------------------
 
@@ -222,9 +166,9 @@ def two_row_kernel(row_a, row_b, i1, i2, zero):
     """Division-free basis of {x : a.x = b.x = 0} for a chosen pivot pair.
 
     Requires the 2x2 pivot minor D to be invertible (not checked here; the
-    caller picks pivots).  Returns (D, basis) where each basis vector has D
-    in one free slot and pivot-column corrections elsewhere, so the result
-    stays polynomial in the row entries.
+    caller picks pivots).  Each basis vector has D in one free slot and
+    pivot-column corrections elsewhere, so the result stays polynomial in
+    the row entries.
     """
     n = len(row_a)
     d = row_a[i1] * row_b[i2] - row_a[i2] * row_b[i1]
@@ -237,7 +181,7 @@ def two_row_kernel(row_a, row_b, i1, i2, zero):
         w[i1] = row_a[i2] * row_b[j] - row_b[i2] * row_a[j]
         w[i2] = row_b[i1] * row_a[j] - row_a[i1] * row_b[j]
         basis.append(w)
-    return d, basis
+    return basis
 
 
 def stereo_image(gram_rows, p, d):
@@ -267,19 +211,6 @@ def residual_formula(g2, g3, base, direction):
 
 
 # -- operations ------------------------------------------------------------------
-
-
-def tangent_space(F: MPoly, s, field=QQ):
-    """Tangent hyperplane {grad F(s) . y = 0} of {F = 0} at a smooth point."""
-    coords = s.coords if isinstance(s, ProjPoint) else tuple(s)
-    lift = field.coerce
-    if not _is_zero(F.evaluate(list(coords), lift)):
-        raise ValueError("point does not lie on the hypersurface")
-    grad = [F.partial_derivative(i).evaluate(list(coords), lift)
-            for i in range(F.nvars)]
-    if all(_is_zero(g) for g in grad):
-        raise SingularPoint("gradient vanishes at %r" % (coords,))
-    return LinearSubspace(field, cutting=ExactMatrix(field, [grad]))
 
 
 def _first_nonzero(vals):
@@ -352,179 +283,14 @@ def residual_point(c: MPoly, base, direction, field=QQ):
     return ProjPoint(residual_formula(g[2], g[3], list(base_c), list(dir_c)))
 
 
-def _move_last_to(target, nvars_base):
-    """Invertible matrix fixing the base span pointwise, last column = target.
-
-    target must have a nonzero coordinate outside the base span.
-    """
-    n = len(target)
-    last = n - 1
-    cols = [[Fraction(1) if i == j else Fraction(0) for i in range(n)]
-            for j in range(n)]
-    cols[last] = [Fraction(c) for c in target]
-    if target[last] == 0:
-        j = max(i for i in range(nvars_base, n) if target[i] != 0)
-        cols[j] = [Fraction(1) if i == last else Fraction(0) for i in range(n)]
-    rows = [[cols[j][i] for j in range(n)] for i in range(n)]
-    return ExactMatrix(QQ, rows)
-
-
-def _invert(mat: ExactMatrix):
-    n = mat.nrows
-    cols = []
-    for j in range(n):
-        rhs = [QQ.one if i == j else QQ.zero for i in range(n)]
-        col = solve_right(mat, rhs)
-        if col is None:
-            raise ValueError("matrix is singular")
-        cols.append(col)
-    return ExactMatrix(QQ, [[cols[j][i] for j in range(n)] for i in range(n)])
-
-
-def cone_over(F: MPoly, ambient_nvars, vertex=None):
-    """Cone over {F = 0} (placed in the first F.nvars coordinates) in a
-    larger space.  Default vertex is the last coordinate point; a general
-    vertex is moved there by a recorded change of basis.
-    """
-    if ambient_nvars <= F.nvars:
-        raise ValueError("ambient space must strictly contain the base span")
-    lifted = F.extend_variables(ambient_nvars)
-    if vertex is None:
-        coords = [Fraction(0)] * ambient_nvars
-        coords[ambient_nvars - 1] = Fraction(1)
-        return ConeData(ProjPoint(coords), lifted)
-    coords = [Fraction(c) for c in vertex]
-    if len(coords) != ambient_nvars:
-        raise ValueError("vertex has the wrong length")
-    if all(c == 0 for c in coords[F.nvars:]):
-        raise VertexOnBase("vertex lies in the span of the base")
-    T = _move_last_to(coords, F.nvars)
-    lifted = lifted.substitute_linear(_invert(T))
-    return ConeData(ProjPoint(coords), lifted, basis_change=T)
-
-
-def fiber_quadric(q: MPoly, c: MPoly, s, field=QQ):
-    """Intersection of the tangent hyperplanes of q and c at s, together
-    with q restricted to it.
-
-    Returns (L, Qs): L carries the deterministic division-free basis, Qs the
-    Gram matrix of q in that basis.  Pivot columns are the lexicographically
-    first pair with invertible minor.
-    """
-    coords = list((s.coords if isinstance(s, ProjPoint) else tuple(s)))
-    lift = field.coerce
-    coords = [lift(x) for x in coords]
-    for name, poly in (("quadric", q), ("cubic", c)):
-        if not _is_zero(poly.evaluate(coords, lift)):
-            raise ValueError("point does not lie on the %s" % name)
-    grad_q = [q.partial_derivative(i).evaluate(coords, lift)
-              for i in range(q.nvars)]
-    grad_c = [c.partial_derivative(i).evaluate(coords, lift)
-              for i in range(c.nvars)]
-    for name, g in (("quadric", grad_q), ("cubic", grad_c)):
-        if all(_is_zero(x) for x in g):
-            raise SingularPoint("point is singular on the %s" % name)
-    n = q.nvars
-    pivots = None
-    for i1 in range(n):
-        for i2 in range(i1 + 1, n):
-            d = grad_q[i1] * grad_c[i2] - grad_q[i2] * grad_c[i1]
-            if not _is_zero(d):
-                pivots = (i1, i2)
-                break
-        if pivots:
-            break
-    if pivots is None:
-        raise TangentsCoincide("tangent hyperplanes agree at this point")
-    _, basis = two_row_kernel(grad_q, grad_c, pivots[0], pivots[1], field.zero)
-    gram = gram_matrix(q)
-    gf = [[lift(gram.entry(i, j)) for j in range(n)] for i in range(n)]
-    m = len(basis)
-    restricted = []
-    for a in range(m):
-        row = []
-        for bidx in range(m):
-            acc = field.zero
-            for i in range(n):
-                gi = field.zero
-                for j in range(n):
-                    gi = gi + gf[i][j] * basis[bidx][j]
-                acc = acc + basis[a][i] * gi
-            row.append(acc)
-        restricted.append(row)
-    L = LinearSubspace(field, basis=basis)
-    return L, QuadraticForm(ExactMatrix(field, restricted), basis)
-
-
 def project_from_point(p: ProjPoint):
-    """Linear projection away from p: coordinate deletion after moving p to
-    the last coordinate point.  The center itself maps to the zero vector.
+    """Linear projection away from the coordinate point p: deletion of its
+    nonzero coordinate.  The center itself maps to the zero vector.
     """
+    nonzero = [i for i, c in enumerate(p.coords) if not _is_zero(c)]
+    if len(nonzero) != 1:
+        raise ValueError("the projection center must be a coordinate point")
     n = len(p)
-    coords = [Fraction(c) for c in p.coords]
     b = SlpBuilder(n)
-    nonzero = [i for i, c in enumerate(coords) if c != 0]
-    if len(nonzero) == 1:
-        outs = [b.inputs[i] for i in range(n) if i != nonzero[0]]
-    else:
-        T = _move_last_to(coords, 0)
-        tinv = _invert(T)
-        zero = b.const(0)
-        outs = []
-        for i in range(n - 1):
-            acc = zero
-            for j in range(n):
-                e = tinv.entry(i, j)
-                if e != 0:
-                    acc = acc + e * b.inputs[j]
-            outs.append(acc)
+    outs = [b.inputs[i] for i in range(n) if i != nonzero[0]]
     return b.finish(outs, provenance={"stage": "projection"})
-
-
-def conic_param(Q: QuadricHypersurface, plane: LinearSubspace, pt: ProjPoint):
-    """Degree-2 parametrization of the conic cut out of Q by a plane,
-    projecting from the plane point pt of Q.
-    """
-    basis = plane.basis()
-    if len(basis) != 3:
-        raise ValueError("need a projective plane (three basis vectors)")
-    n = Q.nvars
-    W = ExactMatrix(QQ, [[Fraction(basis[k][i]) for k in range(3)]
-                         for i in range(n)])
-    pt_plane = solve_right(W, [Fraction(c) for c in pt.coords])
-    if pt_plane is None:
-        raise ValueError("point does not lie on the plane")
-    gram = Q.gram
-    gp = [[sum((Fraction(basis[a][i]) * gram.entry(i, j) * Fraction(basis[c][j])
-                for i in range(n) for j in range(n)), Fraction(0))
-           for c in range(3)] for a in range(3)]
-    gp_mat = ExactMatrix(QQ, gp)
-    if rank(gp_mat) < 3:
-        raise DegenerateConic("plane section of the quadric is not smooth")
-    qv = sum(pt_plane[a] * gp[a][c] * pt_plane[c]
-             for a in range(3) for c in range(3))
-    if qv != 0:
-        raise PointNotOnQuadric("point is not on the quadric")
-
-    k = _first_nonzero(pt_plane)
-    others = [i for i in range(3) if i != k]
-    b = SlpBuilder(1)
-    t = b.inputs[0]
-    one = b.const(1)
-    d = [None, None, None]
-    d[k] = b.const(0)
-    d[others[0]] = one
-    d[others[1]] = t
-    gram_refs = [[b.const(gp[i][j]) for j in range(3)] for i in range(3)]
-    pt_refs = [b.const(x) for x in pt_plane]
-    phi = stereo_image(gram_refs, pt_refs, d)
-    outs = []
-    for i in range(n):
-        acc = b.const(0)
-        for m in range(3):
-            if basis[m][i] == 0:
-                continue
-            acc = acc + Fraction(basis[m][i]) * phi[m]
-        outs.append(acc)
-    chart_idx = _first_nonzero(pt.coords)
-    return b.finish(outs, chart=chart_idx, provenance={"stage": "conic"})

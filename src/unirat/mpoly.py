@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomials, rational functions, homogeneous forms.
+"""Sparse multivariate polynomials, rational functions, Gram matrices.
 
 Polynomials are dictionaries from exponent tuples to nonzero coefficients,
 over any field from `exactcore` (rationals, prime fields) or the rational
@@ -8,6 +8,7 @@ lexicographic so printing and Groebner input are canonical.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .exactcore import QQ, ExactMatrix, format_rational, parse_rational
@@ -29,6 +30,17 @@ def grevlex_key(exp):
     from the right) is the larger one.
     """
     return (sum(exp), tuple(-e for e in reversed(exp)))
+
+
+def monomials(nvars, degree):
+    """All exponent tuples of the given total degree, sorted."""
+    seen = []
+    for combo in itertools.combinations_with_replacement(range(nvars), degree):
+        e = [0] * nvars
+        for i in combo:
+            e[i] += 1
+        seen.append(tuple(e))
+    return sorted(seen)
 
 
 class MPoly:
@@ -314,15 +326,6 @@ class MPoly:
             acc = [x + y for x, y in zip(acc, term)]
         return acc
 
-    def drop_variable(self, i):
-        """Forget variable i; every term must have exponent zero there."""
-        terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] != 0:
-                raise ValueError("variable %d still occurs" % i)
-            terms[exp[:i] + exp[i + 1 :]] = c
-        return MPoly(self.nvars - 1, self.field, terms)
-
     def extend_variables(self, n_new):
         """Reinterpret in a larger ring; new variables appended."""
         if n_new < self.nvars:
@@ -442,24 +445,6 @@ def parse_poly(text, nvars=None, family="x", field=QQ) -> MPoly:
 # ---------------------------------------------------------------------------
 
 
-class HomogeneousForm:
-    """A homogeneous polynomial with its degree pinned at construction."""
-
-    __slots__ = ("poly", "degree")
-
-    def __init__(self, poly: MPoly, degree=None):
-        if not poly.is_homogeneous():
-            raise ValueError("polynomial is not homogeneous")
-        d = poly.total_degree()
-        if degree is not None and not poly.is_zero() and d != degree:
-            raise ValueError("declared degree %r but found %d" % (degree, d))
-        self.poly = poly
-        self.degree = d if degree is None else degree
-
-    def __repr__(self):
-        return "HomogeneousForm(deg %d, %s)" % (self.degree, self.poly)
-
-
 def gram_matrix(q: MPoly) -> ExactMatrix:
     """Symmetric Gram matrix of a quadratic form, G[i][j] = coeff/2 off diagonal."""
     if q.total_degree() > 2 or not q.is_homogeneous():
@@ -483,15 +468,6 @@ def gram_matrix(q: MPoly) -> ExactMatrix:
             g[i][j] = c * half
             g[j][i] = c * half
     return ExactMatrix(f, g)
-
-
-def euler_check(p: MPoly) -> bool:
-    """sum_i x_i * dp/dx_i == deg(p) * p, true exactly for homogeneous p."""
-    d = p.total_degree()
-    acc = MPoly.zero(p.nvars, p.field)
-    for i in range(p.nvars):
-        acc = acc + MPoly.variable(i, p.nvars, p.field) * p.partial_derivative(i)
-    return acc == p.scale(p.field.coerce(d if d > 0 else 0))
 
 
 # ---------------------------------------------------------------------------

@@ -53,6 +53,7 @@ from .mpoly import (
     NotDivisible,
     format_poly,
     gram_matrix,
+    monomials,
     parse_poly,
 )
 from .slp import SlpBuilder, SlpMap
@@ -165,17 +166,6 @@ def _univariate_coeffs(p, through_degree):
     return [p.coefficient((d,)) for d in range(through_degree + 1)]
 
 
-def _monomials(nvars, degree):
-    """All exponent tuples of the given total degree, in a fixed order."""
-    seen = []
-    for combo in itertools.combinations_with_replacement(range(nvars), degree):
-        e = [0] * nvars
-        for i in combo:
-            e[i] += 1
-        seen.append(tuple(e))
-    return sorted(seen)
-
-
 def _eval_monomial(point, exp):
     acc = None
     for i, e in enumerate(exp):
@@ -226,12 +216,6 @@ class QuarticInstance:
         want = _to_field(want, self.F.field)
         if not rest == want:
             raise ValueError("F does not restrict to alpha * f^2 on the slice M")
-
-    def slice_subspace(self):
-        """M = {x5 = ... = xn = 0} as a subspace of the ambient space."""
-        rows = [[QQ.one if j == i else QQ.zero for j in range(self.n + 1)]
-                for i in range(5, self.n + 1)]
-        return LinearSubspace(QQ, cutting=ExactMatrix(QQ, rows, ncols=self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -350,6 +334,16 @@ class PipelineRun:
 # -- cone decomposition ------------------------------------------------------------
 
 
+def _section_c1(Y, fld):
+    """c1 = (F5 - alpha*f^2)/x5 over fld, the cubic of the cone identity.
+
+    Raises NotDivisible when F5 does not restrict to alpha*f^2 on x5 = 0.
+    """
+    f6 = _to_field(Y.f.extend_variables(6), fld)
+    c1 = _to_field(Y.F, fld) - (f6 * f6).scale(fld.coerce(Y.alpha))
+    return c1.exact_divide(MPoly.variable(5, 6, fld))
+
+
 def decompose_cone(Y, q):
     """Split lambda*F5 = alpha*f*q + lambda*x5*c for a quadric q through the cone.
 
@@ -374,12 +368,11 @@ def decompose_cone(Y, q):
     l = (q - f7.scale(lam)).exact_divide(x5_7)
     if l.total_degree() != 1:
         raise ValueError("the x5-part of the witness quadric is not linear")
-    F6 = _to_field(Y.F, fld)
-    f6 = _to_field(Y.f.extend_variables(6), fld)
+    c1 = _section_c1(Y, fld)
     alpha = fld.coerce(Y.alpha)
-    c1 = (F6 - (f6 * f6).scale(alpha)).exact_divide(MPoly.variable(5, 6, fld))
     c = c1.extend_variables(7) - (l * f7).scale(alpha / lam)
-    lhs = F6.extend_variables(7).scale(lam) - (f7 * q).scale(alpha) - (x5_7 * c).scale(lam)
+    lhs = (_to_field(Y.F, fld).extend_variables(7).scale(lam)
+           - (f7 * q).scale(alpha) - (x5_7 * c).scale(lam))
     if not lhs.is_zero():
         raise ArithmeticError("cone decomposition identity failed")
     return ConeSplit(c=c, c1=c1, l=l, lam=lam)
@@ -441,7 +434,7 @@ def _count_cone_quadrics(f, conic, seed):
     of 20 mod p proves the count; a rank drop falls through to the next,
     larger round.
     """
-    mons = _monomials(7, 2)
+    mons = monomials(7, 2)
     for pts, p in _cone_samples(f, conic, seed):
         rk = _int_rank(_int_rows(pts, mons, p), p)
         if rk == len(mons) - 8:
@@ -511,9 +504,7 @@ def solve_quadric_system(Y, conic, seed=0):
     vec_dim, proj_dim = _count_cone_quadrics(Y.f, conic, seed)
 
     fld = Y.F.field
-    f6 = _to_field(Y.f.extend_variables(6), fld)
-    c1 = (_to_field(Y.F, fld) - (f6 * f6).scale(fld.coerce(Y.alpha)))
-    c1 = c1.exact_divide(MPoly.variable(5, 6, fld))
+    c1 = _section_c1(Y, fld)
     g6 = list(g5) + [MPoly.zero(1, QQ)]
     obstruction = c1_on_conic(c1, conic)
 
@@ -578,6 +569,36 @@ def solve_quadric_system(Y, conic, seed=0):
 # -- sweeping the intersection -----------------------------------------------------
 
 
+def _dot(xs, ys):
+    """sum x_i * y_i, folded from the left; ring-generic."""
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
+
+
+def _fiber_frame(q, grad_q, grad_c, plan, lift=None):
+    """Directions of the fiber quadric at one surface point, with q's Gram
+    matrix on them.
+
+    The directions are the two_row_kernel columns of the two gradients at
+    the plan's span, followed by the vertex column.  Ring-generic, with
+    lift embedding the coefficients of q; on program nodes the kernel is
+    emitted first, then the lifted Gram entries, then the products.
+    """
+    if lift is None:
+        lift = lambda cc: cc
+    n = q.nvars
+    i1, i2 = plan["pivots"]
+    w = two_row_kernel(grad_q, grad_c, i1, i2, lift(q.field.zero))
+    free = [j for j in range(n) if j not in plan["pivots"]]
+    reps = [w[free.index(j)] for j in plan["span"] + (n - 1,)]
+    G = gram_matrix(q)
+    grows = [[lift(G.entry(i, j)) for j in range(n)] for i in range(n)]
+    gr = [[_dot(row, rep) for row in grows] for rep in reps]
+    return reps, [[_dot(a, g) for g in gr] for a in reps]
+
+
 def _plan_fiber(q0, c0, s0):
     """Pivot and basis bookkeeping for the fiber construction at one point.
 
@@ -589,14 +610,8 @@ def _plan_fiber(q0, c0, s0):
     n = q0.nvars
     a0 = [q0.partial_derivative(j).evaluate(s0) for j in range(n)]
     b0 = [c0.partial_derivative(j).evaluate(s0) for j in range(n)]
-    pivots = None
-    for i1 in range(n):
-        for i2 in range(i1 + 1, n):
-            if a0[i1] * b0[i2] - a0[i2] * b0[i1] != 0:
-                pivots = (i1, i2)
-                break
-        if pivots:
-            break
+    pivots = next(((i1, i2) for i1, i2 in itertools.combinations(range(n), 2)
+                   if a0[i1] * b0[i2] - a0[i2] * b0[i1] != 0), None)
     if pivots is None:
         raise TangentsCoincide(
             "the tangent spaces of the pencil members coincide at the surface point")
@@ -608,18 +623,8 @@ def _plan_fiber(q0, c0, s0):
         raise ValueError("the surface point is supported on the pivot columns only")
     span = tuple(j for j in free if j not in (drop, n - 1))
     plan = {"pivots": pivots, "drop": drop, "span": span}
-
-    _, w0 = two_row_kernel(a0, b0, pivots[0], pivots[1], Fraction(0))
-    pos = {j: m for m, j in enumerate(free)}
-    reps = [w0[pos[j]] for j in span] + [w0[pos[n - 1]]]
-    G = gram_matrix(q0)
-    col = []
-    for rep in reps:
-        acc = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                acc += rep[i] * G.entry(i, j) * reps[-1][j]
-        col.append(acc)
+    _, gram = _fiber_frame(q0, a0, b0, plan)
+    col = [row[-1] for row in gram]
     # the vertex direction is isotropic by construction ...
     assert col[-1] == 0
     # ... and must not be in the radical of the fiber form
@@ -643,41 +648,11 @@ def _fiber_construction(q, c, s, chart_vals, plan, lift=None):
     grad_c = [c.partial_derivative(j).evaluate(s, lift) for j in range(n)]
     zero = lift(q.field.zero)
     one = lift(q.field.one)
-    i1, i2 = plan["pivots"]
-    _, w = two_row_kernel(grad_q, grad_c, i1, i2, zero)
-    free = [j for j in range(n) if j not in plan["pivots"]]
-    pos = {j: m for m, j in enumerate(free)}
-    reps = [w[pos[j]] for j in plan["span"]] + [w[pos[n - 1]]]
-
-    G = gram_matrix(q)
-    grows = [[lift(G.entry(i, j)) for j in range(n)] for i in range(n)]
-    gr = []
-    for rep in reps:
-        gi = []
-        for i in range(n):
-            acc = grows[i][0] * rep[0]
-            for j in range(1, n):
-                acc = acc + grows[i][j] * rep[j]
-            gi.append(acc)
-        gr.append(gi)
-    m = len(reps)
-    fiber_gram = [[None] * m for _ in range(m)]
-    for a in range(m):
-        for bb in range(m):
-            acc = reps[a][0] * gr[bb][0]
-            for i in range(1, n):
-                acc = acc + reps[a][i] * gr[bb][i]
-            fiber_gram[a][bb] = acc
-
-    pbar = [zero] * (m - 1) + [one]
+    reps, fiber_gram = _fiber_frame(q, grad_q, grad_c, plan, lift)
+    pbar = [zero] * (len(reps) - 1) + [one]
     dbar = [one, chart_vals[0], chart_vals[1], zero]
     img = stereo_image(fiber_gram, pbar, dbar)
-    d_amb = []
-    for i in range(n):
-        acc = img[0] * reps[0][i]
-        for mm in range(1, m):
-            acc = acc + img[mm] * reps[mm][i]
-        d_amb.append(acc)
+    d_amb = [_dot(img, [rep[i] for rep in reps]) for i in range(n)]
     g = c.restrict_to_line(list(s), d_amb, lift)
     return residual_formula(g[2], g[3], list(s), d_amb), g
 
@@ -747,7 +722,7 @@ def ci23_parametrize(inst, seed=0):
 def _conic_vanishing_cubics(conic):
     """Basis of the cubics on P^5 vanishing on the conic (a 49-dim space)."""
     g6 = list(_conic_polys(conic)) + [MPoly.zero(1, QQ)]
-    mons = _monomials(6, 3)
+    mons = monomials(6, 3)
     cols = []
     for e in mons:
         pe = MPoly(6, QQ, {e: Fraction(1)})
@@ -788,7 +763,7 @@ def _interpolate_quartic(slp, F5, seed):
     mod-p rank computation: the sampled kernel contains the closed form, so
     sampled dimension one pins the space of fitting quartics exactly.
     """
-    mons = _monomials(6, 4)
+    mons = monomials(6, 4)
     rng = random.Random(seed + 7)
     for round_ in range(3):
         samples = []
@@ -1109,7 +1084,7 @@ def build_real_example(n=8, epsilon=Fraction(1, 16), seed=0, preset="seeded"):
     f = sphere_form()
     nv = n + 1
     rng = random.Random(seed)
-    mons3 = _monomials(5, 3)
+    mons3 = monomials(5, 3)
     cubics = []
     for i in range(5, n + 1):
         if preset == "cubes":

@@ -17,6 +17,7 @@ from unirat.certify import (
     replay_certificate,
     singular_dimension_experiment,
 )
+from unirat.certify import _partials_fingerprint, _trial_partials
 from unirat.exactcore import QQ, BadPrime, ExactMatrix
 from unirat.geom import LinearSubspace, ProjPoint, QuadricHypersurface, stereographic_param
 from unirat.groebner import DegreeCeilingExceeded
@@ -246,6 +247,17 @@ def test_experiment_identity_case():
     assert rep["trials"] == 1  # nothing random to repeat
     assert rep["predicted_dimension"] == 1
     assert rep["dimension_counts"] == {"1": 1}
+
+
+@pytest.mark.parametrize("t, digest", [
+    (0, "f0410216aeea04dda6a306b1a3fd02c2f66f1d57b741335289a25c69fe4a4ca3"),
+    (1, "8f27e8bea187e30c91975383338c5306fc032df4fe13b99ac7062d8468f5befe"),
+    (2, "1977917579146d78375d029c2662ab746ed67243b4f647975468bcd5389045e9"),
+])
+def test_trial_partials_are_pinned(t, digest):
+    # the seeded draws run over the monomials in one fixed order, so the
+    # partials of each (2, 2) trial stay the same
+    assert _partials_fingerprint(_trial_partials(4, 2, 2, 10007, 0, t)) == digest
 
 
 def test_experiment_rejects_large_parameters():

@@ -278,6 +278,40 @@ def test_pencil_obstruction_replay_recomputes_the_block(workdir, capsys):
     assert "nothing is obstructed" in capsys.readouterr().out
 
 
+def test_obstruction_replay_ties_the_block_to_its_quartic(workdir, capsys):
+    # the block stores F; c1 must be the section cubic of that F, and a
+    # block without c1 is no longer accepted on structure alone
+    rep = workdir / "n8.tie.report.json"
+    assert quiet(["parametrize", "--instance", str(INSTANCES / "n8_cubes.json"),
+                  "--out", str(workdir / "n8.tie.slp.json"),
+                  "--report", str(rep)]) == 2
+    genuine = json.loads(rep.read_text())
+    assert genuine["obstruction"]["F"] == pipeline.load_instance(
+        INSTANCES / "n8_cubes.json").F.format()
+    bad = workdir / "n8.tie.forged.json"
+    # a c1 consistent with its own coefficients, but not the instance's
+    doc = json.loads(rep.read_text())
+    doc["obstruction"]["c1"] = "x0^3"
+    doc["obstruction"]["obstruction"] = ["1", "0", "-3", "0", "3", "0", "-1"]
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "c1 is not (F - F on M)/x5" in capsys.readouterr().out
+    # no c1 at all
+    doc = json.loads(rep.read_text())
+    del doc["obstruction"]["c1"]
+    doc["obstruction"]["obstruction"][0] = "1/17"
+    bad.write_text(json.dumps(doc))
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "lacks c1" in capsys.readouterr().out
+    # an F whose slice misses the conic
+    doc = json.loads(rep.read_text())
+    doc["obstruction"]["F"] = doc["obstruction"]["F"].replace("x4^4", "2*x4^4")
+    bad.write_text(json.dumps(doc))
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "does not vanish on the conic" in capsys.readouterr().out
+
+
 # -- experiment and general usage --------------------------------------------------
 
 

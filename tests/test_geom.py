@@ -3,28 +3,21 @@ from fractions import Fraction
 
 import pytest
 
-from unirat.exactcore import QQ, ExactMatrix, kernel_basis, rank, solve_right
+from unirat.exactcore import QQ, ExactMatrix, kernel_basis, rank
 from unirat.geom import (
-    ConeData,
-    DegenerateConic,
     LinearSubspace,
     LineInsideCubic,
     PointNotOnQuadric,
     ProjPoint,
     QuadricHypersurface,
     SingularBasePoint,
-    SingularPoint,
     TangentsCoincide,
-    VertexOnBase,
-    cone_over,
-    conic_param,
-    fiber_quadric,
     project_from_point,
     residual_point,
     stereographic_param,
-    tangent_space,
 )
 from unirat.mpoly import MPoly, parse_poly
+from unirat.pipeline import SectionSingular, _fiber_frame, _plan_fiber, sphere_form
 from unirat.slp import PoleHit
 
 
@@ -61,31 +54,6 @@ def test_subspace_views_are_consistent():
     # roundtrip through the other view
     L2 = LinearSubspace(QQ, basis=L.basis())
     assert L2.cutting().nrows == 1
-
-
-# -- tangent spaces ------------------------------------------------------------
-
-
-def test_tangent_space_of_sphere():
-    T = tangent_space(sphere5(), pp(1, 0, 0, 0, 1))
-    # gradient (2,0,0,0,-2): the hyperplane x0 = x4
-    assert T.dim() == 3
-    assert T.contains(pp(1, 0, 0, 0, 1))  # Euler identity
-    assert T.contains(pp(0, 1, 0, 0, 0))
-    assert not T.contains(pp(1, 0, 0, 0, 0))
-
-
-def test_tangent_space_of_conic():
-    T = tangent_space(parse_poly("x0*x2-x1^2", nvars=3), pp(1, 0, 0))
-    assert T.contains(pp(0, 1, 0)) and T.contains(pp(1, 0, 0))
-    assert not T.contains(pp(0, 0, 1))
-
-
-def test_tangent_space_rejections():
-    with pytest.raises(ValueError):
-        tangent_space(sphere5(), pp(1, 0, 0, 0, 0))
-    with pytest.raises(SingularPoint):
-        tangent_space(parse_poly("x0*x1", nvars=4), pp(0, 0, 1, 1))
 
 
 # -- stereographic parametrization ----------------------------------------------
@@ -194,131 +162,80 @@ def test_residual_on_random_tangent_configurations():
         assert c.evaluate(list(r.coords)) == 0
 
 
-# -- cones -----------------------------------------------------------------------
+# -- fiber quadric --------------------------------------------------------------
 
 
-def test_cone_lift_of_quartic():
-    F5 = parse_poly(
-        "x0^4+2*x0^2*x1^2+x1^4-2*x0^2*x4^2-2*x1^2*x4^2+x4^4 + x5*x0^3",
-        nvars=6)
-    cone = cone_over(F5, 7)
-    assert cone.lift.nvars == 7 and cone.lift.total_degree() == 4
-    assert cone.vertex == pp(0, 0, 0, 0, 0, 0, 1)
-    # lines through the vertex stay inside the zero locus
-    rng = random.Random(17)
-    for _ in range(5):
-        s = [Fraction(rng.randint(-5, 5)) for _ in range(7)]
-        g = cone.lift.restrict_to_line(s, [Fraction(0)] * 6 + [Fraction(1)])
-        assert all(x == 0 for x in g[1:])
+def worked_fiber():
+    # q = x5*x6 + f and c = x0^2*x2 - x6*f at the cone point (3:4:0:0:5:0:0)
+    x = [MPoly.variable(i, 7, QQ) for i in range(7)]
+    f7 = sphere_form().extend_variables(7)
+    q = x[5] * x[6] + f7
+    c = x[0] ** 2 * x[2] - x[6] * f7
+    s = [Fraction(v) for v in (3, 4, 0, 0, 5, 0, 0)]
+    plan = _plan_fiber(q, c, s)
+    gq = [q.partial_derivative(i).evaluate(s) for i in range(7)]
+    gc = [c.partial_derivative(i).evaluate(s) for i in range(7)]
+    reps, gram = _fiber_frame(q, gq, gc, plan)
+    return q, s, gq, gc, reps, gram
 
 
-def test_cone_over_intersection_spot_check():
-    # cone over {f = x5 = 0} inside P^5, vertex e6: both lifted forms vanish
-    # on mu*e6 + nu*y
-    f6 = sphere5().extend_variables(6)
-    x5 = parse_poly("x5", nvars=6)
-    kf = cone_over(f6, 7)
-    kx = cone_over(x5, 7)
-    rng = random.Random(23)
-    hits = 0
-    while hits < 10:
-        t = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
-        y = [1 - t * t, 2 * t, 0, 0, 1 + t * t, 0]  # on f = x5 = 0
-        mu, nu = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(1, 5))
-        pt = [nu * Fraction(c) for c in y] + [Fraction(0)]
-        pt[6] = mu
-        assert kf.lift.evaluate(pt) == 0
-        assert kx.lift.evaluate(pt) == 0
-        hits += 1
-
-
-def test_cone_over_point_is_line():
-    cone = cone_over(parse_poly("x0", nvars=2), 3)
-    assert cone.lift.total_degree() == 1
-    for mu, nu in ((1, 2), (3, -1), (0, 1)):
-        pt = [Fraction(0), Fraction(nu), Fraction(mu)]
-        assert cone.lift.evaluate(pt) == 0
-
-
-def test_cone_general_vertex():
-    F = parse_poly("x0^2+x1^2-x2^2", nvars=3)
-    cone = cone_over(F, 4, vertex=(1, 2, 3, 4))
-    base_pt = [Fraction(3), Fraction(4), Fraction(5), Fraction(0)]
-    vertex = [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
-    g = cone.lift.restrict_to_line(base_pt, vertex)
-    assert all(x == 0 for x in g)
-    assert cone.basis_change is not None
-
-
-def test_cone_vertex_on_base_rejected():
-    with pytest.raises(VertexOnBase):
-        cone_over(sphere5(), 6, vertex=(1, 0, 0, 0, 0, 0))
-
-
-def test_cone_data_validates_constancy():
-    with pytest.raises(ValueError):
-        ConeData(pp(0, 0, 1), parse_poly("x0*x2-x1^2", nvars=3))
-
-
-# -- fiber quadric ----------------------------------------------------------------
-
-
-def worked_pair():
-    q = parse_poly("x5*x6 + x0^2+x1^2+x2^2+x3^2-x4^2", nvars=7)
-    c = parse_poly(
-        "x0^2*x2 - x6*x0^2 - x6*x1^2 - x6*x2^2 - x6*x3^2 + x6*x4^2", nvars=7)
-    return q, c
+def polar(q, a, b):
+    both = [u + v for u, v in zip(a, b)]
+    return (q.evaluate(both) - q.evaluate(a) - q.evaluate(b)) / 2
 
 
 def test_fiber_quadric_worked_instance():
-    q, c = worked_pair()
-    s = pp(3, 4, 0, 0, 5, 0, 0)
-    L, Qs = fiber_quadric(q, c, s)
-    assert L.dim() == 4
-    assert L.contains(s)
-    assert Qs.rank() == 4
-    assert Qs.gram.rows[0][0] == 8100
-    assert Qs.gram.rows[3][4] == 1458
+    q, s, gq, gc, reps, gram = worked_fiber()
+    assert len(reps) == 4
+    assert rank(ExactMatrix(QQ, gram)) == 4
+    assert gram[0][0] == 2916
+    assert gram[2][3] == 1458
 
-    # oracle: compare against the generic kernel of the stacked gradients
-    gq = [q.partial_derivative(i).evaluate(list(s.coords)) for i in range(7)]
-    gc = [c.partial_derivative(i).evaluate(list(s.coords)) for i in range(7)]
+    # oracle: the directions together with s span the generic kernel of
+    # the stacked gradients
     ker = kernel_basis(ExactMatrix(QQ, [gq, gc]))
-    stacked = ExactMatrix(
-        QQ, [list(v) for v in ker] + [list(v) for v in L.basis()])
-    assert len(ker) == 5 and rank(stacked) == 5
+    frame = [list(r) for r in reps] + [s]
+    assert len(ker) == 5 and rank(ExactMatrix(QQ, frame)) == 5
+    assert rank(ExactMatrix(QQ, [list(v) for v in ker] + frame)) == 5
+    # the Gram entries are the polar form of q on the directions
+    for ra, row in zip(reps, gram):
+        for rb, entry in zip(reps, row):
+            assert entry == polar(q, ra, rb)
 
 
 def test_fiber_quadric_generatrix_is_isotropic():
-    q, c = worked_pair()
-    s = pp(3, 4, 0, 0, 5, 0, 0)
-    L, Qs = fiber_quadric(q, c, s)
-    W = ExactMatrix(QQ, [[L.basis()[k][i] for k in range(5)]
-                         for i in range(7)])
-    e6 = [Fraction(0)] * 6 + [Fraction(1)]
-    expr = solve_right(W, e6)
-    assert expr is not None
-    assert Qs.is_isotropic(expr)
-    # s itself sits in the radical of the restricted form
-    s_expr = solve_right(W, [Fraction(v) for v in s.coords])
-    for i in range(5):
-        assert sum(Qs.gram.entry(i, j) * s_expr[j] for j in range(5)) == 0
+    q, s, gq, gc, reps, gram = worked_fiber()
+    # the last direction is the vertex e6: isotropic, not in the radical
+    assert reps[-1][:6] == [0] * 6 and reps[-1][6] != 0
+    assert gram[-1][-1] == 0 and any(row[-1] != 0 for row in gram)
+    # s itself sits in the radical of q restricted to the tangent space
+    assert q.evaluate(s) == 0
+    for r in reps:
+        assert polar(q, s, r) == 0
 
 
 def test_fiber_quadric_rejections():
     q = parse_poly("x0*x3-x1*x2", nvars=4)
     c = parse_poly("x0^3+x1^3+x2^3+x3^3", nvars=4)
     with pytest.raises(ValueError):
-        fiber_quadric(q, c, pp(0, 0, 0, 1))
+        _plan_fiber(q, c, [Fraction(v) for v in (0, 0, 0, 1)])
 
     f = sphere5()
     with pytest.raises(TangentsCoincide):
-        fiber_quadric(f, parse_poly("x0", nvars=5) * f, pp(1, 0, 0, 0, 1))
+        _plan_fiber(f, parse_poly("x0", nvars=5) * f,
+                    [Fraction(v) for v in (1, 0, 0, 0, 1)])
 
+    # a singular point of q leaves no pivot pair either
     q2 = parse_poly("x0*x1", nvars=4)
     c2 = parse_poly("x2^3+x3^3", nvars=4)
-    with pytest.raises(SingularPoint):
-        fiber_quadric(q2, c2, pp(0, 0, 1, -1))
+    with pytest.raises(TangentsCoincide):
+        _plan_fiber(q2, c2, [Fraction(v) for v in (0, 0, 1, -1)])
+
+    # c = x5*x0^2 pushes the vertex direction into the radical of the fiber
+    q3 = parse_poly("x5*x6+x0^2+x1^2+x2^2+x3^2-x4^2", nvars=7)
+    c3 = parse_poly("x5*x0^2", nvars=7)
+    with pytest.raises(SectionSingular):
+        _plan_fiber(q3, c3, [Fraction(v) for v in (3, 4, 0, 0, 5, 0, 0)])
 
 
 # -- projection --------------------------------------------------------------------
@@ -332,49 +249,6 @@ def test_projection_from_coordinate_point():
         ProjPoint(m.eval([Fraction(0)] * 6 + [Fraction(1)]))
 
 
-def test_projection_general_center_constant_on_fibers():
-    p = pp(0, 1, 1)
-    m = project_from_point(p)
-    rng = random.Random(9)
-    for _ in range(5):
-        x = [Fraction(rng.randint(-9, 9)) for _ in range(3)]
-        shifted = [a + 2 * b for a, b in zip(x, p.coords)]
-        if all(v == 0 for v in m.eval(x)):
-            continue
-        assert ProjPoint(m.eval(x)) == ProjPoint(m.eval(shifted))
-
-
-# -- conic parametrization -----------------------------------------------------------
-
-
-def test_conic_param_circle_frozen():
-    Q = QuadricHypersurface(sphere5())
-    basis = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 1)]
-    plane = LinearSubspace(QQ, basis=[[Fraction(c) for c in v] for v in basis])
-    m = conic_param(Q, plane, pp(1, 0, 0, 0, 1))
-    xs, lift = mpoly_inputs(1)
-    out = m.eval(xs, lift=lift)
-    t = xs[0]
-    one = MPoly.const(1, 1, QQ)
-    assert out[0] == one - t * t
-    assert out[1] == t + t
-    assert out[2].is_zero() and out[3].is_zero()
-    assert out[4] == one + t * t
-    assert Q.form.evaluate(out, lift).is_zero()
-
-
-def test_conic_param_parabola():
-    Q = QuadricHypersurface(parse_poly("x0*x2-x1^2", nvars=3))
-    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    plane = LinearSubspace(QQ, basis=[[Fraction(c) for c in v] for v in basis])
-    m = conic_param(Q, plane, pp(1, 0, 0))
-    for t in (Fraction(2), Fraction(-1, 3)):
-        assert ProjPoint(m.eval([t])) == ProjPoint([1, t, t * t])
-
-
-def test_conic_param_degenerate_plane():
-    Q = QuadricHypersurface(sphere5())
-    basis = [(1, 0, 0, 0, 1), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0)]
-    plane = LinearSubspace(QQ, basis=[[Fraction(c) for c in v] for v in basis])
-    with pytest.raises(DegenerateConic):
-        conic_param(Q, plane, pp(1, 0, 0, 0, 1))
+def test_projection_rejects_a_center_off_the_coordinate_points():
+    with pytest.raises(ValueError):
+        project_from_point(pp(0, 1, 1))

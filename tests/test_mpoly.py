@@ -9,13 +9,12 @@ from unirat.exactcore import QQ, ExactMatrix, PrimeField
 from unirat.mpoly import (
     CharacteristicTwoError,
     FunctionField,
-    HomogeneousForm,
     MPoly,
     NotDivisible,
     RatFn,
-    euler_check,
     format_poly,
     gram_matrix,
+    monomials,
     parse_poly,
 )
 
@@ -130,7 +129,6 @@ def test_euler_identity_quartic():
     for i in range(5):
         lhs = lhs + MPoly.variable(i, 5) * F.partial_derivative(i)
     assert lhs == F.scale(4)
-    assert euler_check(F)
 
 
 def test_substitute_linear_identity_and_swap():
@@ -199,15 +197,17 @@ def test_gram_char2_rejected():
         gram_matrix(stub)
 
 
-# --- homogeneous forms ---------------------------------------------------------
+# --- monomials ------------------------------------------------------------------
 
 
-def test_homogeneous_form_validation():
-    HomogeneousForm(sphere(), 2)
-    with pytest.raises(ValueError):
-        HomogeneousForm(parse_poly("x0^2+x1"))
-    with pytest.raises(ValueError):
-        HomogeneousForm(sphere(), 3)
+def test_monomials_are_the_sorted_exponents_of_one_degree():
+    # oracle: filter every exponent vector with entries up to the degree
+    import itertools
+    for nvars in range(1, 9):
+        for degree in range(5):
+            want = sorted(e for e in itertools.product(range(degree + 1), repeat=nvars)
+                          if sum(e) == degree)
+            assert monomials(nvars, degree) == want
 
 
 # --- parser / formatter ---------------------------------------------------------

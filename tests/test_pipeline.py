@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -7,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unirat.certify import check_dominant, check_on_variety
 from unirat.exactcore import QQ, ExactMatrix, rank
 from unirat.geom import ProjPoint, TangentsCoincide
-from unirat.mpoly import MPoly, NotDivisible, format_poly, parse_poly
+from unirat.mpoly import MPoly, NotDivisible, format_poly, monomials, parse_poly
 from unirat.pipeline import (
     Ci23Instance,
     LambdaZero,
@@ -42,7 +44,6 @@ from unirat.pipeline import (
     _eval_monomial,
     _int_rank,
     _int_rows,
-    _monomials,
 )
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -97,7 +98,6 @@ def test_quartic_instance_scales_by_alpha():
     f6 = sphere_form().extend_variables(6)
     Y = QuarticInstance(n=5, F=(f6 * f6).scale(3), f=sphere_form(),
                         alpha=Fraction(3))
-    assert Y.slice_subspace().dim() == 4  # M is a P^4 inside P^5
 
 
 def test_ci23_instance_rejections():
@@ -207,7 +207,7 @@ def test_modular_cone_count_equals_the_rank_over_QQ(name):
     from sympy import QQ as SQQ
     from sympy.polys.matrices import DomainMatrix
     f, conic, seed = cone_count_case(name)
-    mons = _monomials(7, 2)
+    mons = monomials(7, 2)
     for pts, p in _cone_samples(f, conic, seed):
         rows = [[SQQ(v.numerator, v.denominator)
                  for v in (_eval_monomial(pt, e) for e in mons)] for pt in pts]
@@ -452,6 +452,27 @@ def test_parametrize_H4_feasible_pencil():
     vals = [Fraction(1), Fraction(-2), Fraction(3),
             Fraction(1, 2), Fraction(3), Fraction(1), Fraction(2)]
     assert rank(phi.jacobian(vals)) == 7  # n - 1: the pencil fills P^8
+
+
+def p6_lift():
+    # reverse_p5 lifted to P^6: the sections x6 = b6*x5 are feasible
+    Y = load_instance(INSTANCES / "reverse_p5.json")
+    F = (Y.F.extend_variables(7) + x(6) ** 4 + x(5) * x(6) * x(0) * x(1))
+    return QuarticInstance(n=6, F=F, f=Y.f, alpha=Y.alpha)
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "940fd175621e36cb0078ba98bdd1f70ade701cc627e7dc9970fdaac6268a11fa"),
+    (1, "d219c41873882e436237997d623ddb7452cf1873a9f56fcad52193da832986fa"),
+    (2, "e3f31e826125f21fc88f69cb5970885bc7db4002dd32f7b733758c523f05d1f4"),
+])
+def test_run_H4_feasible_lift_program_is_pinned(seed, digest):
+    H = p6_lift()
+    program = run_H4(H, seed=seed).program
+    assert program.in_arity == 5
+    check_on_variety(program, H.F, seed=seed)
+    check_dominant(program, 5, seed=seed)
+    assert hashlib.sha256(program.serialize().encode()).hexdigest() == digest
 
 
 def test_parametrize_H4_is_deterministic():
