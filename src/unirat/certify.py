@@ -1,16 +1,18 @@
 """Replayable certificates for the claims the pipeline makes.
 
-Four certificate kinds cover the four claims worth auditing: a program maps
+Five certificate kinds cover the claims worth auditing: a program maps
 into a variety (exact identity testing, symbolic or randomized), the map is
 dominant (full Jacobian rank at a recorded witness), a quartic is nonsingular
-(Jacobian ideal empty modulo a good prime), and a real hyperplane section is
-positive definite (weighted AM-GM absorption into a fourth-power diagonal).
+(Jacobian ideal empty modulo a good prime), a real hyperplane section is
+positive definite (weighted AM-GM absorption into a fourth-power diagonal),
+and the construction cannot start (the residual cubic misses the conic).
 
-Every certificate serializes to JSON with numbers as decimal strings and
-embeds whatever it mentions, so `replay_certificate` re-checks a report from
-its stored data alone; nothing is trusted and nothing from the original run
-is re-derived.  Tampering with any embedded coefficient breaks either a
-fingerprint or an exact reconstruction identity.
+Every certificate is a JSON document with numbers as decimal strings that
+embeds whatever it mentions; this module is the only one that writes or
+reads one.  `replay_certificate` re-checks a document from its stored data
+alone; nothing is trusted and nothing from the original run is re-derived.
+Tampering with any embedded coefficient breaks either a fingerprint or an
+exact reconstruction identity.
 
 Soundness of the mod-p certificate rests on the closed-image argument: the
 singular locus over the rationals is a projective scheme whose image under
@@ -21,13 +23,17 @@ against denominators and content so the reduction is faithful.
 
 import hashlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .exactcore import QQ, BadPrime, PrimeField, rank
+from .exactcore import QQ, BadPrime, PrimeField, kernel_basis, rank
 from .groebner import DegreeCeilingExceeded, buchberger, projective_dimension, projective_empty
 from .mpoly import MPoly, format_poly, monomials, parse_poly
+from .pipeline import (
+    _count_cone_quadrics,
+    flatten_params,
+    unflatten_params,
+    witness_conditions,
+)
 from .slp import ChartVanishes, PoleHit, SlpMap
 
 SYMBOLIC_INPUT_LIMIT = 4
@@ -35,6 +41,7 @@ SYMBOLIC_DEGREE_LIMIT = 60
 RANDOM_POINTS = 20
 COORDINATE_BOUND = 2 ** 40
 CONFIDENCE_BITS = 64
+CONFIDENCE = Fraction(1, 2 ** CONFIDENCE_BITS)
 
 
 class IdentityFails(ArithmeticError):
@@ -83,50 +90,6 @@ def _sha(text):
 # -- on-variety identity ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OnVarietyCert:
-    """F vanishes on the image of Phi.
-
-    Symbolic mode stores the hash of the fully expanded composition (the
-    zero polynomial); randomized mode stores the Schwartz-Zippel data: K
-    sample points with coordinates uniform in [-M, M] drawn from `seed`,
-    all of which evaluated to exactly zero, and the per-point failure
-    bound D / (2M + 1) whose K-th power is below 2^-64.
-    """
-
-    mode: str
-    F_text: str
-    nvars: int
-    phi_doc: dict
-    tracked_degree: int
-    points: int = 0
-    coordinate_bound: int = 0
-    seed: int = 0
-    expansion_hash: str = ""
-
-    def per_point_bound(self):
-        return Fraction(self.tracked_degree, 2 * self.coordinate_bound + 1)
-
-    def to_json(self):
-        doc = {
-            "kind": "on-variety",
-            "version": 1,
-            "mode": self.mode,
-            "F": self.F_text,
-            "nvars": self.nvars,
-            "phi": self.phi_doc,
-            "tracked_degree": self.tracked_degree,
-        }
-        if self.mode == "symbolic":
-            doc["expansion_hash"] = self.expansion_hash
-        else:
-            doc["points"] = self.points
-            doc["coordinate_bound"] = str(self.coordinate_bound)
-            doc["seed"] = self.seed
-            doc["per_point_bound"] = str(self.per_point_bound())
-        return doc
-
-
 def _compose_symbolic(F, phi):
     n = phi.in_arity
     xs = [MPoly.variable(i, n, QQ) for i in range(n)]
@@ -134,36 +97,53 @@ def _compose_symbolic(F, phi):
     return F.evaluate(coords, lift=lambda c: MPoly.const(n, c, QQ))
 
 
+def _per_point_bound(tracked, M):
+    """Schwartz-Zippel: a nonzero numerator of degree at most `tracked`
+    vanishes at a uniform point of [-M, M]^n with at most this chance."""
+    return Fraction(tracked, 2 * M + 1)
+
+
+def _sample_points(seed, K, M, arity):
+    """The K seeded sample points, coordinates uniform in [-M, M]."""
+    rng = random.Random(seed)
+    for _ in range(K):
+        yield [Fraction(rng.randint(-M, M)) for _ in range(arity)]
+
+
 def check_on_variety(phi, F, seed=0, points=RANDOM_POINTS,
                      coordinate_bound=COORDINATE_BOUND):
-    """Certify F o Phi = 0, symbolically when the expansion is small enough."""
+    """Certify F o Phi = 0, symbolically when the expansion is small enough.
+
+    Symbolic mode stores the hash of the fully expanded composition (the
+    zero polynomial); randomized mode stores the Schwartz-Zippel data: K
+    sample points with coordinates uniform in [-M, M] drawn from `seed`,
+    all of which evaluated to exactly zero, and the per-point failure
+    bound D / (2M + 1) whose K-th power is below 2^-64.
+    """
     if F.nvars != phi.out_arity:
         raise ValueError("the polynomial and the program disagree on the space")
     tracked = F.total_degree() * max(phi.degree_bounds)
+    doc = {"kind": "on-variety", "version": 1, "F": format_poly(F),
+           "nvars": F.nvars, "phi": phi.to_json(), "tracked_degree": tracked}
     if phi.in_arity <= SYMBOLIC_INPUT_LIMIT and tracked <= SYMBOLIC_DEGREE_LIMIT:
         comp = _compose_symbolic(F, phi)
         if not comp.is_zero():
             pt = _nonzero_witness(comp)
             raise IdentityFails(pt, comp.evaluate(pt))
-        return OnVarietyCert(mode="symbolic", F_text=format_poly(F),
-                             nvars=F.nvars, phi_doc=phi.to_json(),
-                             tracked_degree=tracked,
-                             expansion_hash=_sha(format_poly(comp)))
-    bound = Fraction(tracked, 2 * coordinate_bound + 1)
-    if bound ** points >= Fraction(1, 2 ** CONFIDENCE_BITS):
+        doc.update(mode="symbolic", expansion_hash=_sha(format_poly(comp)))
+        return doc
+    bound = _per_point_bound(tracked, coordinate_bound)
+    if bound ** points >= CONFIDENCE:
         raise ValueError("K = %d points at M = %d give less than %d bits"
                          % (points, coordinate_bound, CONFIDENCE_BITS))
-    rng = random.Random(seed)
-    for _ in range(points):
-        pt = [Fraction(rng.randint(-coordinate_bound, coordinate_bound))
-              for _ in range(phi.in_arity)]
+    for pt in _sample_points(seed, points, coordinate_bound, phi.in_arity):
         val = F.evaluate(phi.eval(pt))
         if val != 0:
             raise IdentityFails([str(c) for c in pt], val)
-    return OnVarietyCert(mode="randomized", F_text=format_poly(F),
-                         nvars=F.nvars, phi_doc=phi.to_json(),
-                         tracked_degree=tracked, points=points,
-                         coordinate_bound=coordinate_bound, seed=seed)
+    doc.update(mode="randomized", points=points, seed=seed,
+               coordinate_bound=str(coordinate_bound),
+               per_point_bound=str(bound))
+    return doc
 
 
 def _nonzero_witness(poly):
@@ -178,36 +158,14 @@ def _nonzero_witness(poly):
 # -- dominance ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DominanceCert:
-    """Exact Jacobian rank = target dimension at a recorded witness point.
+def check_dominant(phi, target_dim, seed=0, tries=5):
+    """Find a seeded rational witness where the Jacobian has full rank.
 
     Rank is lower-semicontinuous, so full rank at one rational point gives
     full rank on a dense open set: the image has the dimension of the
     target variety and the map is dominant onto a component through the
     witness.
     """
-
-    witness: tuple
-    chart: Optional[int]
-    rank: int
-    target_dim: int
-    phi_doc: dict
-
-    def to_json(self):
-        return {
-            "kind": "dominance",
-            "version": 1,
-            "witness": [str(c) for c in self.witness],
-            "chart": self.chart,
-            "rank": self.rank,
-            "target_dim": self.target_dim,
-            "phi": self.phi_doc,
-        }
-
-
-def check_dominant(phi, target_dim, seed=0, tries=5):
-    """Find a seeded rational witness where the Jacobian has full rank."""
     rng = random.Random(seed)
     best = -1
     for _ in range(tries):
@@ -221,8 +179,9 @@ def check_dominant(phi, target_dim, seed=0, tries=5):
             raise ValueError("rank %d exceeds the target dimension %d: the "
                              "image cannot lie in the claimed variety" % (r, target_dim))
         if r == target_dim:
-            return DominanceCert(witness=tuple(pt), chart=phi.chart, rank=r,
-                                 target_dim=target_dim, phi_doc=phi.to_json())
+            return {"kind": "dominance", "version": 1,
+                    "witness": [str(c) for c in pt], "chart": phi.chart,
+                    "rank": r, "target_dim": target_dim, "phi": phi.to_json()}
         best = max(best, r)
     raise RankDeficient(best, target_dim)
 
@@ -241,32 +200,6 @@ def _partials_fingerprint(parts):
         chunks.append(";".join("%s:%d" % (",".join(map(str, e)), c.r)
                                for e, c in items))
     return _sha("|".join(chunks))
-
-
-@dataclass(frozen=True)
-class SmoothModPCert:
-    """The Jacobian ideal of F is projectively empty modulo a good prime."""
-
-    p: int
-    F_text: str
-    nvars: int
-    partials_hash: str
-    pure_powers: dict
-    basis_size: int
-    stats: dict
-
-    def to_json(self):
-        return {
-            "kind": "smooth-mod-p",
-            "version": 1,
-            "p": self.p,
-            "F": self.F_text,
-            "nvars": self.nvars,
-            "partials_hash": self.partials_hash,
-            "pure_powers": {str(i): d for i, d in sorted(self.pure_powers.items())},
-            "basis_size": self.basis_size,
-            "stats": self.stats,
-        }
 
 
 def _screen_prime(F, p):
@@ -292,7 +225,8 @@ def _screen_prime(F, p):
 
 
 def certify_smooth_mod_p(F, p, degree_ceiling=20):
-    """Gröbner-certify that F = 0 is nonsingular, via one good prime.
+    """Gröbner-certify that F = 0 is nonsingular, via one good prime: the
+    Jacobian ideal of F is projectively empty modulo p.
 
     NotEmptyModP is inconclusive for the rationals (reduction can acquire
     singular points); the caller retries with another prime.  A True
@@ -306,19 +240,23 @@ def certify_smooth_mod_p(F, p, degree_ceiling=20):
         raise NotEmptyModP(p, "singular locus has projective dimension %d"
                               % projective_dimension(gb))
     stats = dict(gb.stats)
-    return SmoothModPCert(p=p, F_text=format_poly(F), nvars=F.nvars,
-                          partials_hash=_partials_fingerprint(parts),
-                          pure_powers=dict(stats["pure_power_degrees"]),
-                          basis_size=len(gb), stats=stats)
+    return {"kind": "smooth-mod-p", "version": 1, "p": p,
+            "F": format_poly(F), "nvars": F.nvars,
+            "partials_hash": _partials_fingerprint(parts),
+            "pure_powers": {str(i): d for i, d
+                            in sorted(stats["pure_power_degrees"].items())},
+            "basis_size": len(gb), "stats": stats}
 
 
 # -- positivity on a hyperplane -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PositivityCert:
-    """F restricted to the hyperplane {x_chart = 0} is a positive definite
-    real form, shown by an explicit decomposition
+def certify_positive_on_hyperplane(F, chart=4):
+    """Absorb every sign-indefinite monomial of F|_{x_chart = 0} into the
+    fourth-power diagonal; certify when all margins stay positive.
+
+    The certificate shows that F restricted to {x_chart = 0} is a positive
+    definite real form by an explicit decomposition
 
         R = sum_i d_i x_i^4  +  (even-exponent terms with positive
             coefficients)  +  (absorbed terms),
@@ -328,34 +266,6 @@ class PositivityCert:
     every final d_i is strictly positive.  Replay reconstructs R from the
     decomposition coefficient for coefficient.
     """
-
-    chart: int
-    nvars: int
-    R_text: str
-    diagonal: dict
-    blocks: tuple
-    absorptions: tuple
-
-    def to_json(self):
-        return {
-            "kind": "positivity",
-            "version": 1,
-            "chart": self.chart,
-            "nvars": self.nvars,
-            "R": self.R_text,
-            "diagonal": {str(i): str(d) for i, d in sorted(self.diagonal.items())},
-            "blocks": [[list(e), str(c)] for e, c in self.blocks],
-            "absorptions": [
-                {"monomial": list(e), "coefficient": str(c), "scale": str(abs(c)),
-                 "weights": [str(Fraction(a, 4)) for a in e]}
-                for e, c in self.absorptions
-            ],
-        }
-
-
-def certify_positive_on_hyperplane(F, chart=4):
-    """Absorb every sign-indefinite monomial of F|_{x_chart = 0} into the
-    fourth-power diagonal; certify when all margins stay positive."""
     if not (0 <= chart < F.nvars):
         raise ValueError("chart coordinate out of range")
     if F.total_degree() != 4 or not F.is_homogeneous():
@@ -382,9 +292,45 @@ def certify_positive_on_hyperplane(F, chart=4):
     for i in active:
         if diagonal[i] <= 0:
             raise AbsorptionFails(i, diagonal[i])
-    return PositivityCert(chart=chart, nvars=F.nvars, R_text=format_poly(R),
-                          diagonal=diagonal, blocks=tuple(blocks),
-                          absorptions=tuple(absorptions))
+    return {
+        "kind": "positivity", "version": 1, "chart": chart, "nvars": F.nvars,
+        "R": format_poly(R),
+        "diagonal": {str(i): str(d) for i, d in sorted(diagonal.items())},
+        "blocks": [[list(e), str(c)] for e, c in blocks],
+        "absorptions": [
+            {"monomial": list(e), "coefficient": str(c), "scale": str(abs(c)),
+             "weights": [str(Fraction(a, 4)) for a in e]}
+            for e, c in absorptions
+        ],
+    }
+
+
+# -- the obstruction ----------------------------------------------------------------
+
+
+def certify_obstruction(inst, conic, run):
+    """The obstruction block of an obstructed run_Y4 or run_H4 pass.
+
+    Besides the coefficients of c1 on the conic, the cone-quadric count and
+    the kernel dimension of the conditions matrix, the block stores what
+    replay recomputes them from: c1 as a QQ polynomial in x0..x5 followed
+    by the section parameters b6..bn written x6..xn, the quartic F, the
+    slice form f with its multiplier alpha, and the conic.
+    """
+    obs = run.obstruction
+    doc = {
+        "kind": "obstruction", "version": 1, "status": "obstructed",
+        "message": obs.message,
+        "obstruction": [obs.field.format(c) for c in obs.obstruction],
+        "quadrics_through_cone": [obs.vector_dim, obs.proj_dim],
+        "solution_dim": obs.solution_dim,
+        "c1": format_poly(flatten_params(run.solver.c1)),
+        "F": format_poly(inst.F), "f": format_poly(inst.f),
+        "alpha": str(inst.alpha), "conic": conic.to_json(),
+    }
+    if run.params:
+        doc["parameters"] = list(run.params)
+    return doc
 
 
 # -- the singular-dimension experiment ----------------------------------------------
@@ -495,13 +441,12 @@ def _replay_on_variety(doc):
         return
     K = int(doc["points"])
     M = int(doc["coordinate_bound"])
-    if Fraction(tracked, 2 * M + 1) ** K >= Fraction(1, 2 ** CONFIDENCE_BITS):
+    bound = _per_point_bound(tracked, M)
+    if bound ** K >= CONFIDENCE:
         raise ReplayRejected("stored parameters give too little confidence")
-    if Fraction(doc["per_point_bound"]) != Fraction(tracked, 2 * M + 1):
+    if Fraction(doc["per_point_bound"]) != bound:
         raise ReplayRejected("stored per-point bound is wrong")
-    rng = random.Random(int(doc["seed"]))
-    for _ in range(K):
-        pt = [Fraction(rng.randint(-M, M)) for _ in range(phi.in_arity)]
+    for pt in _sample_points(int(doc["seed"]), K, M, phi.in_arity):
         if F.evaluate(phi.eval(pt)) != 0:
             raise ReplayRejected("a recorded sample no longer evaluates to zero")
 
@@ -579,24 +524,83 @@ def _replay_positivity(doc):
                              "hyperplane")
 
 
+def _replay_obstruction(doc):
+    """Recompute the stored obstruction from the block's c1 and conic, tie
+    c1 to the block's quartic F and F to alpha*f^2, and recount the
+    quadrics through the cone and the solutions of the conditions.
+
+    Each stored coefficient is a polynomial in the b_i.  In the flat
+    variables F(x0..x5, x6*x5, ..., xn*x5) - x5*c1 must be F on the slice
+    M = {x5 = ... = xn = 0}, and F on M must vanish on the conic.
+    """
+    missing = [key for key in ("F", "f", "alpha", "c1", "conic") if key not in doc]
+    if missing:
+        raise ReplayRejected("the obstruction block lacks %s" % ", ".join(missing))
+    params = tuple(doc.get("parameters", ()))
+    nvars = 6 + len(params)
+    conic = SlpMap.from_json(doc["conic"])
+    flat = parse_poly(doc["c1"], nvars=nvars)
+    c1 = unflatten_params(flat, params)
+    f = parse_poly(doc["f"], nvars=5)
+    alpha = Fraction(doc["alpha"])
+    conditions = witness_conditions(f, alpha, c1, conic)
+    got = [MPoly.const(6, row[-1], c1.field) for row in conditions.rows]
+    try:
+        stored = [unflatten_params(parse_poly(s, nvars=nvars, family="b"),
+                                   params) for s in doc["obstruction"]]
+    except ValueError as err:
+        raise ReplayRejected("unreadable obstruction coefficient: %s" % err)
+    if got != stored:
+        raise ReplayRejected("stored obstruction does not match c1 on the conic")
+    if all(g.is_zero() for g in got):
+        raise ReplayRejected("c1 vanishes on the conic, so nothing is obstructed")
+    F = parse_poly(doc["F"], nvars=nvars)
+    xs = [MPoly.variable(i, nvars, QQ) for i in range(nvars)]
+    F_M = F
+    for i in range(5, nvars):
+        F_M = F_M.set_variable_zero(i)
+    section = F.evaluate(xs[:6] + [x * xs[5] for x in xs[6:]],
+                         lift=lambda c: MPoly.const(nvars, c, QQ))
+    if section - xs[5] * flat != F_M:
+        raise ReplayRejected("c1 is not (F - F on M)/x5 for the stored quartic")
+    t = MPoly.variable(0, 1, QQ)
+    lift = lambda c: MPoly.const(1, c, QQ)
+    on_conic = list(conic.eval([t], lift=lift)) + [MPoly.zero(1, QQ)] * (nvars - 5)
+    if not F_M.evaluate(on_conic, lift=lift).is_zero():
+        raise ReplayRejected("the stored quartic on M does not vanish on the conic")
+    if alpha == 0 or F_M != (f * f).scale(alpha).extend_variables(nvars):
+        raise ReplayRejected("F on M is not alpha*f^2 with alpha nonzero")
+    if list(_count_cone_quadrics(f, conic, 0)) != doc["quadrics_through_cone"]:
+        raise ReplayRejected("the stored count of quadrics through the cone "
+                             "is wrong")
+    if len(kernel_basis(conditions)) != doc["solution_dim"]:
+        raise ReplayRejected("the stored solution dimension is not the kernel "
+                             "dimension of the conditions")
+
+
 _REPLAYERS = {
     "on-variety": _replay_on_variety,
     "dominance": _replay_dominance,
     "smooth-mod-p": _replay_smooth,
     "positivity": _replay_positivity,
+    "obstruction": _replay_obstruction,
 }
 
 
-def replay_certificate(doc):
+def replay_certificate(doc, kind=None):
     """Re-check one serialized certificate from its stored data alone.
 
     Returns the certificate kind on acceptance and raises ReplayRejected
-    otherwise.  Replay never re-runs the pipeline: it recomposes, re-samples
-    from the stored seed, re-screens the prime, or re-sums the positivity
-    decomposition, all of which are cheap next to the original search.
+    otherwise, also when `kind` is given and the document is of another
+    kind.  Replay never re-runs the pipeline: it recomposes, re-samples
+    from the stored seed, re-screens the prime, re-sums the positivity
+    decomposition, or recomputes the obstruction from its cubic, all of
+    which are cheap next to the original search.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ReplayRejected("not a certificate document")
+    if kind is not None and doc["kind"] != kind:
+        raise ReplayRejected("expected kind %r, found %r" % (kind, doc["kind"]))
     kind = doc["kind"]
     if kind not in _REPLAYERS:
         raise ReplayRejected("unknown certificate kind %r" % (kind,))

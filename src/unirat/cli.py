@@ -2,8 +2,9 @@
 
 Every command reads and writes JSON files and prints a short human summary;
 the machine-readable report embeds each certificate it mentions, so `replay`
-can re-check a report without the original instance.  Exit codes are a
-stable scripting contract:
+can re-check a report without the original instance.  The certificates are
+built and replayed by `certify`; this module only assembles reports.  Exit
+codes are a stable scripting contract:
 
     0   success
     2   obstruction (the parametrization question has a negative answer)
@@ -30,24 +31,21 @@ from .certify import (
     ReplayRejected,
     check_dominant,
     check_on_variety,
+    certify_obstruction,
     certify_positive_on_hyperplane,
     certify_smooth_mod_p,
     replay_certificate,
     singular_dimension_experiment,
 )
-from .exactcore import QQ, BadPrime, PrimeField
+from .exactcore import BadPrime, PrimeField
 from .groebner import DegreeCeilingExceeded
-from .mpoly import MPoly, format_poly, parse_poly
 from .pipeline import (
     build_real_example,
-    c1_on_conic,
     circle_conic,
-    flatten_params,
     load_instance,
     run_H4,
     run_Y4,
     save_instance,
-    unflatten_params,
 )
 from .slp import SlpMap
 
@@ -144,11 +142,9 @@ def cmd_build_example(args):
 
 
 def _smooth_job(params):
-    text, nvars, p, ceiling = params
-    F = parse_poly(text, nvars=nvars)
+    F, p, ceiling = params
     try:
-        cert = certify_smooth_mod_p(F, p, degree_ceiling=ceiling)
-        return ("ok", cert.to_json())
+        return ("ok", certify_smooth_mod_p(F, p, degree_ceiling=ceiling))
     except NotEmptyModP as err:
         return ("inconclusive", str(err))
     except DegreeCeilingExceeded as err:
@@ -175,11 +171,10 @@ def cmd_certify(args):
         print("hint: rebuild the instance with a smaller --epsilon")
         return EX_CERTFAIL
     report["timings"]["positivity_s"] = round(time.perf_counter() - t0, 3)
-    report["certificates"].append(pos.to_json())
+    report["certificates"].append(pos)
     print("positivity on {x%d = 0}: certified, all diagonal margins positive"
           % chart)
-    text = format_poly(inst.F)
-    jobs = [(text, inst.F.nvars, p, args.ceiling) for p in primes]
+    jobs = [(inst.F, p, args.ceiling) for p in primes]
     t0 = time.perf_counter()
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -227,14 +222,8 @@ def cmd_parametrize(args):
     run = (run_Y4 if inst.n == 5 else run_H4)(inst, conic, seed=args.seed)
     timings.update((k, round(v, 3)) for k, v in run.timings.items())
     if run.obstruction is not None:
-        block = run.obstruction.to_json()
-        if run.params:
-            block["parameters"] = list(run.params)
-        block["c1"] = format_poly(flatten_params(run.solver.c1))
-        block["F"] = format_poly(inst.F)
-        block["conic"] = conic.to_json()
         report["outcome"] = "Obstruction"
-        report["obstruction"] = block
+        report["obstruction"] = certify_obstruction(inst, conic, run)
         _write_json(report_path, report)
         if run.params:
             print("obstruction: the residual cubic misses the conic for "
@@ -254,8 +243,7 @@ def cmd_parametrize(args):
                (check_dominant, out_map, inst.n - 1)]
     for idx, (check, slp, target) in enumerate(checks, 1):
         t1 = time.perf_counter()
-        report["certificates"].append(
-            check(slp, target, seed=args.seed).to_json())
+        report["certificates"].append(check(slp, target, seed=args.seed))
         timings["certificate_%d_s" % idx] = round(time.perf_counter() - t1, 3)
     timings["total_s"] = round(time.perf_counter() - t0, 3)
     out_map.save(args.out)
@@ -279,57 +267,13 @@ def cmd_verify(args):
     inst = load_instance(args.instance)
     try:
         cert = check_on_variety(slp, inst.F, seed=args.seed)
-        print("on-variety: pass (%s mode)" % cert.mode)
+        print("on-variety: pass (%s mode)" % cert["mode"])
         dom = check_dominant(slp, slp.in_arity, seed=args.seed)
-        print("dominance: pass (rank %d)" % dom.rank)
+        print("dominance: pass (rank %d)" % dom["rank"])
     except (IdentityFails, RankDeficient) as err:
         print("verification failed: %s" % err)
         return EX_CERTFAIL
     return EX_OK
-
-
-def _replay_obstruction(block):
-    """Recompute the stored obstruction coefficients from the block's c1 and
-    conic, and tie c1 to the block's quartic F.
-
-    c1 is a QQ polynomial in x0..x5 followed by the section parameters
-    b6..bn (if any), written x6..xn; each stored coefficient is a
-    polynomial in the b_i.  In those variables F(x0..x5, x6*x5, ..., xn*x5)
-    - x5*c1 must be F on the slice M = {x5 = ... = xn = 0}, and F on M must
-    vanish on the conic.
-    """
-    missing = [key for key in ("F", "c1", "conic") if key not in block]
-    if missing:
-        raise ReplayRejected("the obstruction block lacks %s" % ", ".join(missing))
-    params = tuple(block.get("parameters", ()))
-    nvars = 6 + len(params)
-    conic = SlpMap.from_json(block["conic"])
-    flat = parse_poly(block["c1"], nvars=nvars)
-    c1 = unflatten_params(flat, params)
-    got = [MPoly.const(6, c, c1.field) for c in c1_on_conic(c1, conic)]
-    try:
-        stored = [unflatten_params(parse_poly(s, nvars=nvars, family="b"),
-                                   params) for s in block["obstruction"]]
-    except ValueError as err:
-        raise ReplayRejected("unreadable obstruction coefficient: %s" % err)
-    if got != stored:
-        raise ReplayRejected("stored obstruction does not match c1 on the conic")
-    if all(g.is_zero() for g in got):
-        raise ReplayRejected("c1 vanishes on the conic, so nothing is obstructed")
-    F = parse_poly(block["F"], nvars=nvars)
-    xs = [MPoly.variable(i, nvars, QQ) for i in range(nvars)]
-    F_M = F
-    for i in range(5, nvars):
-        F_M = F_M.set_variable_zero(i)
-    section = F.evaluate(xs[:6] + [x * xs[5] for x in xs[6:]],
-                         lift=lambda c: MPoly.const(nvars, c, QQ))
-    if section - xs[5] * flat != F_M:
-        raise ReplayRejected("c1 is not (F - F on M)/x5 for the stored quartic")
-    t = MPoly.variable(0, 1, QQ)
-    lift = lambda c: MPoly.const(1, c, QQ)
-    on_conic = list(conic.eval([t], lift=lift)) + [MPoly.zero(1, QQ)] * (nvars - 5)
-    if not F_M.evaluate(on_conic, lift=lift).is_zero():
-        raise ReplayRejected("the stored quartic on M does not vanish on the conic")
 
 
 def cmd_replay(args):
@@ -342,7 +286,7 @@ def cmd_replay(args):
             count += 1
             print("certificate %d (%s): accepted" % (count, kind))
         if report.get("outcome") == "Obstruction":
-            _replay_obstruction(report.get("obstruction", {}))
+            replay_certificate(report.get("obstruction"), kind="obstruction")
             print("obstruction block: recomputed check passed")
     except ReplayRejected as err:
         print("replay rejected: %s" % err)

@@ -84,6 +84,10 @@ class RationalField:
     def __repr__(self):
         return "QQ"
 
+    def __reduce__(self):
+        # unpickle to the module's QQ, so fields still compare by identity
+        return "QQ"
+
 
 QQ = RationalField()
 
@@ -311,21 +315,6 @@ def kernel_basis(mat: ExactMatrix):
             vec[c] = -rows[r][j]
         basis.append(tuple(vec))
     return basis
-
-
-def solve_right(mat: ExactMatrix, rhs):
-    """One solution x of mat*x = rhs, or None if inconsistent."""
-    f = mat.field
-    aug = ExactMatrix(
-        f, [list(row) + [f.coerce(b)] for row, b in zip(mat.rows, rhs)]
-    )
-    rows, pivots = _rref(aug)
-    if mat.ncols in pivots:
-        return None
-    x = [f.zero] * mat.ncols
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][mat.ncols]
-    return x
 
 
 def det_fraction_free(mat: ExactMatrix):

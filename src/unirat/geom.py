@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactcore import QQ, ExactMatrix, kernel_basis
+from .exactcore import QQ, kernel_basis
 from .mpoly import MPoly, gram_matrix
-from .slp import SlpBuilder
+from .slp import SlpBuilder, _is_zero
 
 
 class PointNotOnQuadric(ValueError):
@@ -34,13 +34,6 @@ class LineInsideCubic(ArithmeticError):
 
 class TangentsCoincide(ValueError):
     """The two tangent hyperplanes agree, so their intersection degenerates."""
-
-
-def _is_zero(x):
-    probe = getattr(x, "is_zero", None)
-    if callable(probe):
-        return probe()
-    return x == 0
 
 
 class ProjPoint:
@@ -83,24 +76,13 @@ class ProjPoint:
 
 
 class LinearSubspace:
-    """Projective linear subspace, seen as a span or as a cutting system.
+    """Projective linear subspace given by a cutting system; its spanning
+    basis is derived on demand by a kernel computation over the field."""
 
-    Either view can be supplied; the other is derived on demand by a kernel
-    computation over the subspace's field.
-    """
-
-    def __init__(self, field, basis=None, cutting=None):
-        if basis is None and cutting is None:
-            raise ValueError("need a basis or a cutting system")
+    def __init__(self, field, cutting):
         self.field = field
-        self._basis = [tuple(v) for v in basis] if basis is not None else None
         self._cutting = cutting
-
-    @property
-    def ambient(self):
-        if self._basis is not None:
-            return len(self._basis[0])
-        return self._cutting.ncols
+        self._basis = None
 
     def basis(self):
         if self._basis is None:
@@ -108,27 +90,7 @@ class LinearSubspace:
         return self._basis
 
     def cutting(self):
-        if self._cutting is None:
-            mat = ExactMatrix(self.field, [list(v) for v in self._basis])
-            self._cutting = ExactMatrix(
-                self.field, [list(v) for v in kernel_basis(mat)],
-                ncols=self.ambient)
         return self._cutting
-
-    def dim(self):
-        """Projective dimension of the subspace."""
-        return len(self.basis()) - 1
-
-    def contains(self, point):
-        coords = point.coords if isinstance(point, ProjPoint) else tuple(point)
-        cut = self.cutting()
-        for i in range(cut.nrows):
-            acc = self.field.zero
-            for j, c in enumerate(coords):
-                acc = acc + cut.entry(i, j) * c
-            if not _is_zero(acc):
-                return False
-        return True
 
 
 class QuadricHypersurface:

@@ -75,7 +75,7 @@ __all__ = [
     "circle_conic",
     "decompose_cone",
     "solve_quadric_system",
-    "c1_on_conic",
+    "witness_conditions",
     "flatten_params",
     "unflatten_params",
     "ci23_parametrize",
@@ -268,9 +268,8 @@ class SectionFamily:
 class SolverReport:
     """Quadrics q = x5*l + lambda*f through the cone K compatible with the conic.
 
-    conditions has one row per t-degree of lambda*c1(conic(t)) minus
-    alpha*l(conic(t))*f(conic(t)) and one column per unknown (l_0..l_6,
-    lambda); solution_basis spans its kernel.  obstruction records the
+    conditions is the matrix of witness_conditions and solution_basis
+    spans its kernel.  obstruction records the
     coefficients of c1 on the conic: when it is nonzero every solution has
     lambda = 0 and no nondegenerate witness exists.  c1 = (F5 - alpha*f^2)/x5
     is the cubic those coefficients come from.
@@ -300,15 +299,6 @@ class ObstructionReport:
     solution_dim: int
     message: str
     field: object = QQ
-
-    def to_json(self):
-        return {
-            "status": "obstructed",
-            "message": self.message,
-            "obstruction": [self.field.format(c) for c in self.obstruction],
-            "quadrics_through_cone": [self.vector_dim, self.proj_dim],
-            "solution_dim": self.solution_dim,
-        }
 
 
 @dataclass(frozen=True)
@@ -444,14 +434,25 @@ def _count_cone_quadrics(f, conic, seed):
         % (len(mons) - rk, p))
 
 
-def c1_on_conic(c1, conic):
-    """The t-coefficients of c1(conic(t)) with x5 = 0, over c1's field.
+def witness_conditions(f, alpha, c1, conic):
+    """The linear conditions on q = x5*l + lambda*f, over c1's field.
 
-    c1 = (F5 - alpha*f^2)/x5 is a cubic on P^5; these seven coefficients
-    are the obstruction of the cone identity.
+    One row per t-degree of lambda*c1(conic(t)) minus
+    alpha*l(conic(t))*f(conic(t)) and one column per unknown (l_0..l_6,
+    lambda).  The last column holds the t-coefficients of c1(conic(t)) with
+    x5 = 0: c1 = (F5 - alpha*f^2)/x5 is a cubic on P^5, and these seven
+    coefficients are the obstruction of the cone identity.
     """
-    g6 = list(_conic_polys(conic)) + [MPoly.zero(1, QQ)]
-    return _univariate_coeffs(_compose_poly(c1, g6), 6)
+    fld = c1.field
+    g5 = list(_conic_polys(conic))
+    f_on = _compose_poly(f, g5)
+    a = fld.coerce(alpha)
+    zero = MPoly.zero(1, QQ)
+    cols = [_univariate_coeffs(_to_field(g * f_on, fld).scale(-a), 6)
+            for g in g5 + [zero] * 2]
+    cols.append(_univariate_coeffs(_compose_poly(c1, g5 + [zero]), 6))
+    return ExactMatrix(
+        fld, [[col[d] for col in cols] for d in range(7)], ncols=8)
 
 
 def flatten_params(p):
@@ -505,19 +506,8 @@ def solve_quadric_system(Y, conic, seed=0):
 
     fld = Y.F.field
     c1 = _section_c1(Y, fld)
-    g6 = list(g5) + [MPoly.zero(1, QQ)]
-    obstruction = c1_on_conic(c1, conic)
-
-    f_on = _compose_poly(Y.f, g5)
-    alpha = fld.coerce(Y.alpha)
-    cols = []
-    for j in range(7):
-        gj = g6[j] if j <= 5 else MPoly.zero(1, QQ)
-        prod = _to_field(gj * f_on, fld).scale(-alpha)
-        cols.append(_univariate_coeffs(prod, 6))
-    cols.append(obstruction)
-    conditions = ExactMatrix(
-        fld, [[cols[m][d] for m in range(8)] for d in range(7)], ncols=8)
+    conditions = witness_conditions(Y.f, Y.alpha, c1, conic)
+    obstruction = [row[-1] for row in conditions.rows]
     sol = kernel_basis(conditions)
 
     f7 = _to_field(Y.f.extend_variables(7), fld)

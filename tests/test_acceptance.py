@@ -177,11 +177,12 @@ def test_criterion_3_shipped_instance_parametrizes_with_certificates(p5):
     phi = p5["phi"]
     assert phi.in_arity == 4
     for cert in (p5["onq"], p5["onc"]):
-        assert cert.mode == "randomized"
-        assert cert.points == 20
+        assert cert["mode"] == "randomized"
+        assert cert["points"] == 20
         # recorded confidence: per-point failure bound to the 20th power
-        assert cert.per_point_bound() ** cert.points < Fraction(1, 2 ** 64)
-    assert p5["dom"].rank == 4 and p5["dom"].target_dim == 4
+        bound = Fraction(cert["per_point_bound"])
+        assert bound ** cert["points"] < Fraction(1, 2 ** 64)
+    assert p5["dom"]["rank"] == 4 and p5["dom"]["target_dim"] == 4
     assert p5["elapsed"] < 120.0
     print("criterion 3: PASS (4-parameter program, q and c vanish at 20 "
           "points, rank 4, %.1fs)" % p5["elapsed"])
@@ -210,8 +211,8 @@ def test_criterion_4_n8_example_is_smooth_and_real_point_free(n8_certify):
 def test_criterion_5_stereographic_and_residual_primitives(stereo_cert):
     t0 = perf_counter()
     # sphere case composes to the literal zero polynomial
-    assert stereo_cert.mode == "symbolic"
-    assert stereo_cert.expansion_hash == hashlib.sha256(b"0").hexdigest()
+    assert stereo_cert["mode"] == "symbolic"
+    assert stereo_cert["expansion_hash"] == hashlib.sha256(b"0").hexdigest()
     # 100 randomized double-contact configurations: a random cubic through
     # e0, a tangent direction from its gradient kernel, and the residual
     # point must satisfy the cubic exactly
@@ -305,8 +306,8 @@ def test_criterion_7_obstruction_is_archived_and_replays(n8_obstruction):
 def test_criterion_8_replay_accepts_all_and_rejects_mutations(
         p5, n8_certify, n8_obstruction, stereo_cert):
     t0 = perf_counter()
-    docs = [p5["onq"].to_json(), p5["onc"].to_json(), p5["dom"].to_json(),
-            stereo_cert.to_json()] + list(n8_certify["doc"]["certificates"])
+    docs = [p5["onq"], p5["onc"], p5["dom"],
+            stereo_cert] + list(n8_certify["doc"]["certificates"])
     kinds = [replay_certificate(json.loads(json.dumps(d))) for d in docs]
     assert sorted(set(kinds)) == ["dominance", "on-variety", "positivity",
                                   "smooth-mod-p"]
@@ -318,18 +319,18 @@ def test_criterion_8_replay_accepts_all_and_rejects_mutations(
             replay_certificate(doc)
 
     # one minimal mutation per certificate kind
-    m = json.loads(json.dumps(p5["onq"].to_json()))
+    m = json.loads(json.dumps(p5["onq"]))
     F = parse_poly(m["F"], nvars=m["nvars"])
     e0 = sorted(F.terms)[0]
     m["F"] = format_poly(F + MPoly(F.nvars, QQ, {e0: Fraction(1)}))
     rejects(m)
 
-    m = json.loads(json.dumps(stereo_cert.to_json()))
+    m = json.loads(json.dumps(stereo_cert))
     h = m["expansion_hash"]
     m["expansion_hash"] = ("1" if h[0] == "0" else "0") + h[1:]
     rejects(m)
 
-    m = json.loads(json.dumps(p5["dom"].to_json()))
+    m = json.loads(json.dumps(p5["dom"]))
     m["rank"] ^= 1
     rejects(m)
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from unirat import certify
 from unirat.certify import (
     AbsorptionFails,
     IdentityFails,
@@ -12,6 +13,7 @@ from unirat.certify import (
     ReplayRejected,
     check_dominant,
     check_on_variety,
+    certify_obstruction,
     certify_positive_on_hyperplane,
     certify_smooth_mod_p,
     replay_certificate,
@@ -22,7 +24,14 @@ from unirat.exactcore import QQ, BadPrime, ExactMatrix
 from unirat.geom import LinearSubspace, ProjPoint, QuadricHypersurface, stereographic_param
 from unirat.groebner import DegreeCeilingExceeded
 from unirat.mpoly import MPoly, parse_poly
-from unirat.pipeline import build_real_example, parametrize_Y4, sphere_form
+from unirat.pipeline import (
+    QuarticInstance,
+    build_real_example,
+    circle_conic,
+    parametrize_Y4,
+    run_Y4,
+    sphere_form,
+)
 from unirat.slp import SlpBuilder, SlpMap
 
 
@@ -37,7 +46,6 @@ def sphere_slp():
 def good_quartic():
     f6 = sphere_form().extend_variables(6)
     x0, x2, x5 = (MPoly.variable(i, 6, QQ) for i in (0, 2, 5))
-    from unirat.pipeline import QuarticInstance
     return QuarticInstance(n=5, F=f6 * f6 + x5 * x0 ** 2 * x2, f=sphere_form())
 
 
@@ -47,22 +55,22 @@ def good_quartic():
 def test_on_variety_symbolic_sphere():
     f, sph = sphere_slp()
     cert = check_on_variety(sph, f)
-    assert cert.mode == "symbolic"
-    assert cert.tracked_degree == 4
-    assert cert.expansion_hash == hashlib.sha256(b"0").hexdigest()
-    assert replay_certificate(cert.to_json()) == "on-variety"
+    assert cert["mode"] == "symbolic"
+    assert cert["tracked_degree"] == 4
+    assert cert["expansion_hash"] == hashlib.sha256(b"0").hexdigest()
+    assert replay_certificate(cert) == "on-variety"
 
 
 def test_on_variety_randomized_quartic():
     Y = good_quartic()
     psi = parametrize_Y4(Y, seed=0)
     cert = check_on_variety(psi, Y.F, seed=0)
-    assert cert.mode == "randomized"
-    assert cert.tracked_degree == 248  # 4 * max SLP degree bound
-    assert cert.points == 20 and cert.coordinate_bound == 2 ** 40
-    assert cert.per_point_bound() == Fraction(248, 2 ** 41 + 1)
-    assert cert.per_point_bound() ** 20 < Fraction(1, 2 ** 64)
-    assert replay_certificate(cert.to_json()) == "on-variety"
+    assert cert["mode"] == "randomized"
+    assert cert["tracked_degree"] == 248  # 4 * max SLP degree bound
+    assert cert["points"] == 20 and cert["coordinate_bound"] == str(2 ** 40)
+    assert Fraction(cert["per_point_bound"]) == Fraction(248, 2 ** 41 + 1)
+    assert Fraction(cert["per_point_bound"]) ** 20 < Fraction(1, 2 ** 64)
+    assert replay_certificate(cert) == "on-variety"
 
 
 def test_on_variety_rejects_low_confidence():
@@ -101,14 +109,14 @@ def test_on_variety_symbolic_disproof_carries_a_point():
 def test_dominant_sphere_and_quartic():
     f, sph = sphere_slp()
     cert = check_dominant(sph, 3, seed=0)
-    assert cert.rank == 3 and cert.target_dim == 3
-    assert replay_certificate(cert.to_json()) == "dominance"
+    assert cert["rank"] == 3 and cert["target_dim"] == 3
+    assert replay_certificate(cert) == "dominance"
     Y = good_quartic()
     psi = parametrize_Y4(Y, seed=0)
     cert = check_dominant(psi, 4, seed=0)
-    assert cert.rank == 4 and cert.chart == 0
-    assert [str(c) for c in cert.witness] == ["3/4", "-8/3", "7/4", "1"]
-    assert replay_certificate(cert.to_json()) == "dominance"
+    assert cert["rank"] == 4 and cert["chart"] == 0
+    assert cert["witness"] == ["3/4", "-8/3", "7/4", "1"]
+    assert replay_certificate(cert) == "dominance"
 
 
 def test_dominant_constant_map_is_rank_deficient():
@@ -130,7 +138,7 @@ def test_dominant_skips_witnesses_where_the_chart_vanishes():
 def test_dominance_replay_names_a_vanishing_chart():
     b = SlpBuilder(1)
     x = b.inputs[0]
-    doc = check_dominant(b.finish([x, x * x + 1], chart=0), 1).to_json()
+    doc = check_dominant(b.finish([x, x * x + 1], chart=0), 1)
     assert replay_certificate(doc) == "dominance"
     doc["witness"] = ["0"]
     with pytest.raises(ReplayRejected, match="chart coordinate vanishes"):
@@ -153,9 +161,9 @@ def fermat9():
 
 def test_smooth_fermat():
     cert = certify_smooth_mod_p(fermat9(), 10007)
-    assert cert.basis_size == 9
-    assert cert.pure_powers == {i: 3 for i in range(9)}
-    assert replay_certificate(cert.to_json()) == "smooth-mod-p"
+    assert cert["basis_size"] == 9
+    assert cert["pure_powers"] == {str(i): 3 for i in range(9)}
+    assert replay_certificate(cert) == "smooth-mod-p"
 
 
 def test_smooth_doubled_surface_is_inconclusive():
@@ -193,9 +201,9 @@ def test_smooth_degree_ceiling_propagates():
 def test_positivity_single_absorption():
     R = parse_poly("x0^4 - x0^3*x1 + x1^4", nvars=3)
     cert = certify_positive_on_hyperplane(R, chart=2)
-    assert cert.diagonal == {0: Fraction(1, 4), 1: Fraction(3, 4)}
-    assert len(cert.absorptions) == 1 and not cert.blocks
-    assert replay_certificate(cert.to_json()) == "positivity"
+    assert cert["diagonal"] == {"0": "1/4", "1": "3/4"}
+    assert len(cert["absorptions"]) == 1 and not cert["blocks"]
+    assert replay_certificate(cert) == "positivity"
 
 
 def test_positivity_margin_exhausted():
@@ -209,19 +217,19 @@ def test_positivity_margin_exhausted():
 def test_positivity_unperturbed_example():
     H0 = build_real_example(n=8, epsilon=Fraction(0), seed=0, preset="cubes")
     cert = certify_positive_on_hyperplane(H0.F, chart=4)
-    assert cert.diagonal == {i: Fraction(1) for i in range(9) if i != 4}
-    assert len(cert.blocks) == 6  # the cross terms 2 x_i^2 x_j^2
-    assert not cert.absorptions
+    assert cert["diagonal"] == {str(i): "1" for i in range(9) if i != 4}
+    assert len(cert["blocks"]) == 6  # the cross terms 2 x_i^2 x_j^2
+    assert not cert["absorptions"]
 
 
 def test_positivity_perturbed_example():
     H = build_real_example(n=8, epsilon=Fraction(1, 16), seed=0, preset="cubes")
     cert = certify_positive_on_hyperplane(H.F, chart=4)
-    want = {i: Fraction(61, 64) for i in range(4)}
-    want.update({i: Fraction(63, 64) for i in range(5, 9)})
-    assert cert.diagonal == want
-    assert len(cert.absorptions) == 4
-    assert replay_certificate(cert.to_json()) == "positivity"
+    want = {str(i): "61/64" for i in range(4)}
+    want.update({str(i): "63/64" for i in range(5, 9)})
+    assert cert["diagonal"] == want
+    assert len(cert["absorptions"]) == 4
+    assert replay_certificate(cert) == "positivity"
 
 
 def test_positivity_rejects_non_quartics():
@@ -274,46 +282,52 @@ def roundtrip(doc):
     return json.loads(json.dumps(doc))
 
 
+def obstruction_block():
+    # F = f^2 + x5 * x0^3: x0^3 restricted to the circle never vanishes
+    f6 = sphere_form().extend_variables(6)
+    x0, x5 = (MPoly.variable(i, 6, QQ) for i in (0, 5))
+    Y = QuarticInstance(n=5, F=f6 * f6 + x5 * x0 ** 3, f=sphere_form())
+    conic = circle_conic()
+    return certify_obstruction(Y, conic, run_Y4(Y, conic))
+
+
 def test_replay_rejects_mutations():
     f, sph = sphere_slp()
-    on = check_on_variety(sph, f).to_json()
-    dom = check_dominant(sph, 3, seed=0).to_json()
-    smooth = certify_smooth_mod_p(fermat9(), 10007).to_json()
-    pos = certify_positive_on_hyperplane(
-        build_real_example(n=8, epsilon=Fraction(1, 16), seed=0,
-                           preset="cubes").F, chart=4).to_json()
-    for doc in (on, dom, smooth, pos):
-        assert replay_certificate(roundtrip(doc)) == doc["kind"]
+    docs = {
+        "on-variety": check_on_variety(sph, f),
+        "dominance": check_dominant(sph, 3, seed=0),
+        "smooth-mod-p": certify_smooth_mod_p(fermat9(), 10007),
+        "positivity": certify_positive_on_hyperplane(
+            build_real_example(n=8, epsilon=Fraction(1, 16), seed=0,
+                               preset="cubes").F, chart=4),
+        "obstruction": obstruction_block(),
+    }
+    for kind, doc in docs.items():
+        assert replay_certificate(roundtrip(doc)) == kind == doc["kind"]
 
-    bad = roundtrip(on)
-    bad["F"] = bad["F"].replace("x0^2", "x0*x1", 1)
-    with pytest.raises(ReplayRejected):
-        replay_certificate(bad)
+    tampered = set()
 
-    bad = roundtrip(dom)
-    bad["rank"] = bad["rank"] - 1
-    with pytest.raises(ReplayRejected):
-        replay_certificate(bad)
+    def rejects(kind, tamper):
+        bad = roundtrip(docs[kind])
+        tamper(bad)
+        with pytest.raises(ReplayRejected):
+            replay_certificate(bad)
+        tampered.add(kind)
 
-    bad = roundtrip(smooth)
-    bad["F"] = bad["F"].replace("x8^4", "x8^3*x0", 1)
-    with pytest.raises(ReplayRejected):
-        replay_certificate(bad)
-
-    bad = roundtrip(smooth)
-    del bad["pure_powers"]["0"]
-    with pytest.raises(ReplayRejected):
-        replay_certificate(bad)
-
-    bad = roundtrip(pos)
-    bad["diagonal"]["0"] = "60/64"  # single coefficient nudge
-    with pytest.raises(ReplayRejected):
-        replay_certificate(bad)
-
-    bad = roundtrip(pos)
-    bad["absorptions"][0]["scale"] = "2"
-    with pytest.raises(ReplayRejected):
-        replay_certificate(bad)
+    rejects("on-variety", lambda d: d.update(F=d["F"].replace("x0^2", "x0*x1", 1)))
+    rejects("dominance", lambda d: d.update(rank=d["rank"] - 1))
+    rejects("smooth-mod-p",
+            lambda d: d.update(F=d["F"].replace("x8^4", "x8^3*x0", 1)))
+    rejects("smooth-mod-p", lambda d: d["pure_powers"].pop("0"))
+    # single coefficient nudge
+    rejects("positivity", lambda d: d["diagonal"].update({"0": "60/64"}))
+    rejects("positivity", lambda d: d["absorptions"][0].update(scale="2"))
+    rejects("obstruction", lambda d: d.update(quadrics_through_cone=[9, 8]))
+    rejects("obstruction", lambda d: d.update(solution_dim=8))
+    rejects("obstruction", lambda d: d.update(alpha="2"))
+    rejects("obstruction", lambda d: d.update(f=d["f"].replace("x0^2", "2*x0^2")))
+    # every kind replay knows has a round trip and a rejected tamper above
+    assert set(docs) == tampered == set(certify._REPLAYERS)
 
     with pytest.raises(ReplayRejected):
         replay_certificate({"kind": "on-variety", "version": 2})

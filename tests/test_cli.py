@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from unirat import cli, pipeline
+from unirat.certify import certify_positive_on_hyperplane
 from unirat.cli import main
 from unirat.mpoly import MPoly
 from unirat.exactcore import QQ
@@ -310,6 +311,49 @@ def test_obstruction_replay_ties_the_block_to_its_quartic(workdir, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["replay", "--report", str(bad)]) == 4
     assert "does not vanish on the conic" in capsys.readouterr().out
+
+
+def test_obstruction_replay_recounts_the_quadrics_and_the_solutions(workdir, capsys):
+    # the block stores f and alpha; replay recounts the quadrics through the
+    # cone and takes the solution dimension from the conditions' kernel
+    rep = workdir / "n8.count.report.json"
+    assert quiet(["parametrize", "--instance", str(INSTANCES / "n8_cubes.json"),
+                  "--out", str(workdir / "n8.count.slp.json"),
+                  "--report", str(rep)]) == 2
+    doc = json.loads(rep.read_text())
+    block = doc["obstruction"]
+    assert (block["kind"], block["version"]) == ("obstruction", 1)
+    assert block["f"] == "x0^2 + x1^2 + x2^2 + x3^2 - x4^2"
+    assert block["alpha"] == "1"
+    assert (block["quadrics_through_cone"], block["solution_dim"]) == ([8, 7], 7)
+    bad = workdir / "n8.count.forged.json"
+    block["quadrics_through_cone"] = [9, 8]
+    block["solution_dim"] = 5
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "quadrics through the cone" in capsys.readouterr().out
+    block["quadrics_through_cone"] = [8, 7]
+    bad.write_text(json.dumps(doc))
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "solution dimension" in capsys.readouterr().out
+
+
+def test_obstruction_replay_requires_the_obstruction_kind(workdir, capsys):
+    # a genuine certificate of another kind in the obstruction slot would
+    # replay as its own kind; the obstruction claim itself is then unchecked
+    rep = workdir / "n8.kind.report.json"
+    assert quiet(["parametrize", "--instance", str(INSTANCES / "n8_cubes.json"),
+                  "--out", str(workdir / "n8.kind.slp.json"),
+                  "--report", str(rep)]) == 2
+    doc = json.loads(rep.read_text())
+    F = pipeline.load_instance(INSTANCES / "n8_cubes.json").F
+    doc["obstruction"] = certify_positive_on_hyperplane(F, chart=4)
+    bad = workdir / "n8.kind.forged.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "expected kind 'obstruction', found 'positivity'" in capsys.readouterr().out
 
 
 # -- experiment and general usage --------------------------------------------------

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -13,8 +14,8 @@ from unirat.exactcore import (
     det_fraction_free,
     kernel_basis,
     rank,
-    solve_right,
 )
+from unirat.mpoly import parse_poly
 
 
 # --- independent oracles, implemented before the library calls they check ---
@@ -145,13 +146,6 @@ def test_det_integer_matrix_stays_integer():
         assert d.denominator == 1
 
 
-def test_solve_right_consistent_and_inconsistent():
-    m = ExactMatrix(QQ, [[1, 1], [0, 1]])
-    assert m.mul_vector(solve_right(m, [3, 1])) == [Fraction(3), Fraction(1)]
-    m2 = ExactMatrix(QQ, [[1, 1], [1, 1]])
-    assert solve_right(m2, [0, 1]) is None
-
-
 # --- prime fields -----------------------------------------------------------
 
 
@@ -194,3 +188,10 @@ def test_fraction_canonical_forms():
     assert Fraction(2, -4) == Fraction(-1, 2)
     assert Fraction(2, -4).denominator == 2
     assert Fraction(0, 5).denominator == 1
+
+
+def test_rational_polynomials_survive_pickling():
+    # worker processes receive polynomials pickled; fields compare by identity
+    assert pickle.loads(pickle.dumps(QQ)) is QQ
+    F = parse_poly("x0^4 + 1/3*x1*x2^3", nvars=3)
+    assert pickle.loads(pickle.dumps(F)) == F

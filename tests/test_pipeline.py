@@ -19,7 +19,6 @@ from unirat.pipeline import (
     QuarticInstance,
     SectionSingular,
     build_real_example,
-    c1_on_conic,
     ci23_parametrize,
     circle_conic,
     decompose_cone,
@@ -36,6 +35,7 @@ from unirat.pipeline import (
     solve_quadric_system,
     sphere_form,
     unflatten_params,
+    witness_conditions,
 )
 from unirat.pipeline import (
     _cone_samples,
@@ -228,7 +228,8 @@ def test_section_c1_is_the_substituted_quartic_over_x5():
     flat = flatten_params(run.solver.c1)
     assert flat == (sub - f9 * f9).exact_divide(xs[5])
     assert unflatten_params(flat, run.params) == run.solver.c1
-    assert c1_on_conic(run.solver.c1, H.conic) == list(run.solver.obstruction)
+    conditions = witness_conditions(H.f, H.alpha, run.solver.c1, H.conic)
+    assert [row[-1] for row in conditions.rows] == list(run.solver.obstruction)
     assert run.obstruction is not None and run.program is None
 
 
@@ -346,14 +347,11 @@ def test_parametrize_Y4_worked_example():
 def test_parametrize_Y4_obstructed_report():
     rep = parametrize_Y4(bad_quartic(), seed=0)
     assert isinstance(rep, ObstructionReport)
-    assert rep.to_json() == {
-        "status": "obstructed",
-        "message": "every quadric through the cone compatible with the conic"
-                   " degenerates (lambda = 0)",
-        "obstruction": ["1", "0", "-3", "0", "3", "0", "-1"],
-        "quadrics_through_cone": [8, 7],
-        "solution_dim": 7,
-    }
+    assert rep.message == ("every quadric through the cone compatible with "
+                           "the conic degenerates (lambda = 0)")
+    assert [rep.field.format(c) for c in rep.obstruction] == [
+        "1", "0", "-3", "0", "3", "0", "-1"]
+    assert (rep.vector_dim, rep.proj_dim, rep.solution_dim) == (8, 7, 7)
 
 
 # -- reverse construction -----------------------------------------------------
@@ -413,14 +411,11 @@ def test_parametrize_H4_obstructed_cubes():
     H = build_real_example(n=8, preset="cubes", seed=0)
     rep = parametrize_H4(H, seed=0)
     assert isinstance(rep, ObstructionReport)
-    assert rep.to_json() == {
-        "status": "obstructed",
-        "message": "the residual cubic misses the conic for every section"
-                   " parameter",
-        "obstruction": ["1/16", "0", "-3/16", "1/2*b6", "3/16", "0", "-1/16"],
-        "quadrics_through_cone": [8, 7],
-        "solution_dim": 7,
-    }
+    assert rep.message == ("the residual cubic misses the conic for every "
+                           "section parameter")
+    assert [rep.field.format(c) for c in rep.obstruction] == [
+        "1/16", "0", "-3/16", "1/2*b6", "3/16", "0", "-1/16"]
+    assert (rep.vector_dim, rep.proj_dim, rep.solution_dim) == (8, 7, 7)
 
 
 def feasible_h4():
@@ -479,6 +474,25 @@ def test_parametrize_H4_is_deterministic():
     a = parametrize_H4(feasible_h4(), seed=0)
     b = parametrize_H4(feasible_h4(), seed=0)
     assert a.serialize() == b.serialize()
+
+
+@pytest.mark.parametrize("name", ["reverse_p5", "p6_lift", "feasible_h4",
+                                  "n8_cubes"])
+def test_parametrizable_instances_are_singular_along_the_conic(name):
+    # a pencil-wide witness needs every section cubic c_i to vanish on the
+    # conic C; on the slice dF/dx_i = c_i (i >= 5) and dF/dx_j =
+    # 2*alpha*f*df_j = 0 (j <= 4), so every instance the pipeline
+    # parametrizes is singular along C, while the smooth n8_cubes is not
+    H = {"reverse_p5": lambda: load_instance(INSTANCES / "reverse_p5.json"),
+         "p6_lift": p6_lift, "feasible_h4": feasible_h4,
+         "n8_cubes": lambda: load_instance(INSTANCES / "n8_cubes.json")}[name]()
+    conic = H.conic if H.conic is not None else circle_conic()
+    partials = [H.F.partial_derivative(i) for i in range(H.n + 1)]
+    for t in (Fraction(1, 3), Fraction(2)):
+        pt = list(conic.eval([t])) + [Fraction(0)] * (H.n - 4)
+        assert H.F.evaluate(pt) == 0
+        singular = all(d.evaluate(pt) == 0 for d in partials)
+        assert singular == (name != "n8_cubes")
 
 
 # -- example builder and instance files ---------------------------------------
