@@ -10,9 +10,11 @@ and the construction cannot start (the residual cubic misses the conic).
 Every certificate is a JSON document with numbers as decimal strings that
 embeds whatever it mentions; this module is the only one that writes or
 reads one.  `replay_certificate` re-checks a document from its stored data
-alone; nothing is trusted and nothing from the original run is re-derived.
-Tampering with any embedded coefficient breaks either a fingerprint or an
-exact reconstruction identity.
+alone; nothing is trusted.  The on-variety, dominance and obstruction
+kinds are rebuilt from their stored inputs by their builder, so each of
+those formats is written once.  Tampering with any embedded coefficient
+breaks a fingerprint, an exact reconstruction identity or the comparison
+with the rebuilt document.
 
 Soundness of the mod-p certificate rests on the closed-image argument: the
 singular locus over the rationals is a projective scheme whose image under
@@ -25,15 +27,10 @@ import hashlib
 import random
 from fractions import Fraction
 
-from .exactcore import QQ, BadPrime, PrimeField, kernel_basis, rank
+from .exactcore import QQ, BadPrime, PrimeField, rank
 from .groebner import DegreeCeilingExceeded, buchberger, projective_dimension, projective_empty
 from .mpoly import MPoly, format_poly, monomials, parse_poly
-from .pipeline import (
-    _count_cone_quadrics,
-    flatten_params,
-    unflatten_params,
-    witness_conditions,
-)
+from .pipeline import QuarticInstance, flatten_params, solve_stage
 from .slp import ChartVanishes, PoleHit, SlpMap
 
 SYMBOLIC_INPUT_LIMIT = 4
@@ -41,7 +38,6 @@ SYMBOLIC_DEGREE_LIMIT = 60
 RANDOM_POINTS = 20
 COORDINATE_BOUND = 2 ** 40
 CONFIDENCE_BITS = 64
-CONFIDENCE = Fraction(1, 2 ** CONFIDENCE_BITS)
 
 
 class IdentityFails(ArithmeticError):
@@ -90,26 +86,6 @@ def _sha(text):
 # -- on-variety identity ------------------------------------------------------------
 
 
-def _compose_symbolic(F, phi):
-    n = phi.in_arity
-    xs = [MPoly.variable(i, n, QQ) for i in range(n)]
-    coords = phi.eval(xs, lift=lambda c: MPoly.const(n, c, QQ))
-    return F.evaluate(coords, lift=lambda c: MPoly.const(n, c, QQ))
-
-
-def _per_point_bound(tracked, M):
-    """Schwartz-Zippel: a nonzero numerator of degree at most `tracked`
-    vanishes at a uniform point of [-M, M]^n with at most this chance."""
-    return Fraction(tracked, 2 * M + 1)
-
-
-def _sample_points(seed, K, M, arity):
-    """The K seeded sample points, coordinates uniform in [-M, M]."""
-    rng = random.Random(seed)
-    for _ in range(K):
-        yield [Fraction(rng.randint(-M, M)) for _ in range(arity)]
-
-
 def check_on_variety(phi, F, seed=0, points=RANDOM_POINTS,
                      coordinate_bound=COORDINATE_BOUND):
     """Certify F o Phi = 0, symbolically when the expansion is small enough.
@@ -126,17 +102,25 @@ def check_on_variety(phi, F, seed=0, points=RANDOM_POINTS,
     doc = {"kind": "on-variety", "version": 1, "F": format_poly(F),
            "nvars": F.nvars, "phi": phi.to_json(), "tracked_degree": tracked}
     if phi.in_arity <= SYMBOLIC_INPUT_LIMIT and tracked <= SYMBOLIC_DEGREE_LIMIT:
-        comp = _compose_symbolic(F, phi)
+        n = phi.in_arity
+        lift = lambda c: MPoly.const(n, c, QQ)
+        xs = [MPoly.variable(i, n, QQ) for i in range(n)]
+        comp = F.evaluate(phi.eval(xs, lift=lift), lift=lift)
         if not comp.is_zero():
             pt = _nonzero_witness(comp)
             raise IdentityFails(pt, comp.evaluate(pt))
         doc.update(mode="symbolic", expansion_hash=_sha(format_poly(comp)))
         return doc
-    bound = _per_point_bound(tracked, coordinate_bound)
-    if bound ** points >= CONFIDENCE:
+    # Schwartz-Zippel: a nonzero numerator of degree at most `tracked`
+    # vanishes at a uniform point of [-M, M]^n with at most this chance
+    bound = Fraction(tracked, 2 * coordinate_bound + 1)
+    if bound ** points >= Fraction(1, 2 ** CONFIDENCE_BITS):
         raise ValueError("K = %d points at M = %d give less than %d bits"
                          % (points, coordinate_bound, CONFIDENCE_BITS))
-    for pt in _sample_points(seed, points, coordinate_bound, phi.in_arity):
+    rng = random.Random(seed)
+    for _ in range(points):
+        pt = [Fraction(rng.randint(-coordinate_bound, coordinate_bound))
+              for _ in range(phi.in_arity)]
         val = F.evaluate(phi.eval(pt))
         if val != 0:
             raise IdentityFails([str(c) for c in pt], val)
@@ -172,18 +156,24 @@ def check_dominant(phi, target_dim, seed=0, tries=5):
         pt = [Fraction(rng.randint(-9, 9), 1 + rng.randint(0, 3))
               for _ in range(phi.in_arity)]
         try:
-            r = rank(phi.jacobian(pt))
+            doc = _dominance_at(phi, pt, target_dim)
         except (PoleHit, ChartVanishes, ZeroDivisionError):
             continue
-        if r > target_dim:
-            raise ValueError("rank %d exceeds the target dimension %d: the "
-                             "image cannot lie in the claimed variety" % (r, target_dim))
-        if r == target_dim:
-            return {"kind": "dominance", "version": 1,
-                    "witness": [str(c) for c in pt], "chart": phi.chart,
-                    "rank": r, "target_dim": target_dim, "phi": phi.to_json()}
-        best = max(best, r)
+        if doc["rank"] == target_dim:
+            return doc
+        best = max(best, doc["rank"])
     raise RankDeficient(best, target_dim)
+
+
+def _dominance_at(phi, pt, target_dim):
+    """The dominance document for the Jacobian rank of phi at one point."""
+    r = rank(phi.jacobian(pt))
+    if r > target_dim:
+        raise ValueError("rank %d exceeds the target dimension %d: the "
+                         "image cannot lie in the claimed variety" % (r, target_dim))
+    return {"kind": "dominance", "version": 1,
+            "witness": [str(c) for c in pt], "chart": phi.chart,
+            "rank": r, "target_dim": target_dim, "phi": phi.to_json()}
 
 
 # -- smoothness mod p ---------------------------------------------------------------
@@ -311,11 +301,11 @@ def certify_positive_on_hyperplane(F, chart=4):
 def certify_obstruction(inst, conic, run):
     """The obstruction block of an obstructed run_Y4 or run_H4 pass.
 
-    Besides the coefficients of c1 on the conic, the cone-quadric count and
-    the kernel dimension of the conditions matrix, the block stores what
-    replay recomputes them from: c1 as a QQ polynomial in x0..x5 followed
-    by the section parameters b6..bn written x6..xn, the quartic F, the
-    slice form f with its multiplier alpha, and the conic.
+    Besides the coefficients of c1 on the conic, the cone-quadric count,
+    the kernel dimension of the conditions matrix and c1 itself, as a QQ
+    polynomial in x0..x5 followed by the section parameters b6..bn written
+    x6..xn, the block stores what replay rebuilds it from: the quartic F,
+    the slice form f with its multiplier alpha, and the conic.
     """
     obs = run.obstruction
     doc = {
@@ -424,49 +414,50 @@ def singular_dimension_experiment(d=4, N=2, k=2, trials=50, p=10007, seed=0,
 # -- replay -------------------------------------------------------------------------
 
 
+# the rejections that name the claim a wrong field makes
+_MISMATCH = {
+    "c1": "the stored c1 is not (F - F on M)/x5 for the stored quartic",
+    "quadrics_through_cone": "the stored count of quadrics through the cone is wrong",
+    "solution_dim": "the stored solution dimension is not that of the conditions",
+}
+
+
+def _compare(rebuilt, doc):
+    """Reject unless the stored document is the rebuilt one, field by field."""
+    for key in sorted(set(rebuilt) | set(doc)):
+        if key not in doc:
+            raise ReplayRejected("the %s document lacks %s" % (doc["kind"], key))
+        if doc[key] != rebuilt.get(key):
+            raise ReplayRejected(_MISMATCH.get(
+                key, "the stored %s is not the rebuilt one" % key))
+
+
 def _replay_on_variety(doc):
     phi = SlpMap.from_json(doc["phi"])
     F = parse_poly(doc["F"], nvars=int(doc["nvars"]))
-    if F.nvars != phi.out_arity:
-        raise ReplayRejected("arity mismatch between F and the program")
-    tracked = F.total_degree() * max(phi.degree_bounds)
-    if tracked != int(doc["tracked_degree"]):
-        raise ReplayRejected("tracked degree does not match the program")
-    if doc["mode"] == "symbolic":
-        comp = _compose_symbolic(F, phi)
-        if not comp.is_zero():
-            raise ReplayRejected("symbolic composition is not zero")
-        if _sha(format_poly(comp)) != doc["expansion_hash"]:
-            raise ReplayRejected("expansion hash mismatch")
-        return
-    K = int(doc["points"])
-    M = int(doc["coordinate_bound"])
-    bound = _per_point_bound(tracked, M)
-    if bound ** K >= CONFIDENCE:
-        raise ReplayRejected("stored parameters give too little confidence")
-    if Fraction(doc["per_point_bound"]) != bound:
-        raise ReplayRejected("stored per-point bound is wrong")
-    for pt in _sample_points(int(doc["seed"]), K, M, phi.in_arity):
-        if F.evaluate(phi.eval(pt)) != 0:
-            raise ReplayRejected("a recorded sample no longer evaluates to zero")
+    sampling = {key: int(doc[key]) for key in ("seed", "points", "coordinate_bound")
+                if key in doc}
+    try:
+        rebuilt = check_on_variety(phi, F, **sampling)
+    except (IdentityFails, ValueError) as err:
+        raise ReplayRejected(str(err))
+    _compare(rebuilt, doc)
 
 
 def _replay_dominance(doc):
     phi = SlpMap.from_json(doc["phi"])
-    witness = [Fraction(c) for c in doc["witness"]]
-    if len(witness) != phi.in_arity:
-        raise ReplayRejected("witness arity mismatch")
-    if int(doc["rank"]) != int(doc["target_dim"]):
+    target = int(doc["target_dim"])
+    if int(doc["rank"]) != target:
         raise ReplayRejected("stored rank misses the target dimension")
     try:
-        r = rank(phi.jacobian(witness))
+        rebuilt = _dominance_at(phi, [Fraction(c) for c in doc["witness"]], target)
     except (PoleHit, ZeroDivisionError):
         raise ReplayRejected("witness hits a pole of the program")
     except ChartVanishes:
         raise ReplayRejected("the chart coordinate vanishes at the witness")
-    if r != int(doc["rank"]):
-        raise ReplayRejected("jacobian rank at the witness is %d, stored %d"
-                             % (r, int(doc["rank"])))
+    except ValueError as err:
+        raise ReplayRejected(str(err))
+    _compare(rebuilt, doc)
 
 
 def _replay_smooth(doc):
@@ -525,57 +516,24 @@ def _replay_positivity(doc):
 
 
 def _replay_obstruction(doc):
-    """Recompute the stored obstruction from the block's c1 and conic, tie
-    c1 to the block's quartic F and F to alpha*f^2, and recount the
-    quadrics through the cone and the solutions of the conditions.
-
-    Each stored coefficient is a polynomial in the b_i.  In the flat
-    variables F(x0..x5, x6*x5, ..., xn*x5) - x5*c1 must be F on the slice
-    M = {x5 = ... = xn = 0}, and F on M must vanish on the conic.
-    """
-    missing = [key for key in ("F", "f", "alpha", "c1", "conic") if key not in doc]
-    if missing:
-        raise ReplayRejected("the obstruction block lacks %s" % ", ".join(missing))
-    params = tuple(doc.get("parameters", ()))
-    nvars = 6 + len(params)
-    conic = SlpMap.from_json(doc["conic"])
-    flat = parse_poly(doc["c1"], nvars=nvars)
-    c1 = unflatten_params(flat, params)
-    f = parse_poly(doc["f"], nvars=5)
+    """Rerun the witness search on the stored F, f, alpha and conic.  It
+    draws nothing at random when c1 misses the conic, so the seed of the
+    original run plays no part in the block."""
+    params = doc.get("parameters", ())
     alpha = Fraction(doc["alpha"])
-    conditions = witness_conditions(f, alpha, c1, conic)
-    got = [MPoly.const(6, row[-1], c1.field) for row in conditions.rows]
+    if alpha == 0:
+        raise ReplayRejected("alpha is zero, so nothing is doubled")
     try:
-        stored = [unflatten_params(parse_poly(s, nvars=nvars, family="b"),
-                                   params) for s in doc["obstruction"]]
+        inst = QuarticInstance(n=5 + len(params),
+                               F=parse_poly(doc["F"], nvars=6 + len(params)),
+                               f=parse_poly(doc["f"], nvars=5), alpha=alpha)
     except ValueError as err:
-        raise ReplayRejected("unreadable obstruction coefficient: %s" % err)
-    if got != stored:
-        raise ReplayRejected("stored obstruction does not match c1 on the conic")
-    if all(g.is_zero() for g in got):
+        raise ReplayRejected("the stored quartic: %s" % err)
+    conic = SlpMap.from_json(doc["conic"])
+    run = solve_stage(inst, conic)
+    if all(run.section.F.field.is_zero(c) for c in run.solver.obstruction):
         raise ReplayRejected("c1 vanishes on the conic, so nothing is obstructed")
-    F = parse_poly(doc["F"], nvars=nvars)
-    xs = [MPoly.variable(i, nvars, QQ) for i in range(nvars)]
-    F_M = F
-    for i in range(5, nvars):
-        F_M = F_M.set_variable_zero(i)
-    section = F.evaluate(xs[:6] + [x * xs[5] for x in xs[6:]],
-                         lift=lambda c: MPoly.const(nvars, c, QQ))
-    if section - xs[5] * flat != F_M:
-        raise ReplayRejected("c1 is not (F - F on M)/x5 for the stored quartic")
-    t = MPoly.variable(0, 1, QQ)
-    lift = lambda c: MPoly.const(1, c, QQ)
-    on_conic = list(conic.eval([t], lift=lift)) + [MPoly.zero(1, QQ)] * (nvars - 5)
-    if not F_M.evaluate(on_conic, lift=lift).is_zero():
-        raise ReplayRejected("the stored quartic on M does not vanish on the conic")
-    if alpha == 0 or F_M != (f * f).scale(alpha).extend_variables(nvars):
-        raise ReplayRejected("F on M is not alpha*f^2 with alpha nonzero")
-    if list(_count_cone_quadrics(f, conic, 0)) != doc["quadrics_through_cone"]:
-        raise ReplayRejected("the stored count of quadrics through the cone "
-                             "is wrong")
-    if len(kernel_basis(conditions)) != doc["solution_dim"]:
-        raise ReplayRejected("the stored solution dimension is not the kernel "
-                             "dimension of the conditions")
+    _compare(certify_obstruction(inst, conic, run), doc)
 
 
 _REPLAYERS = {
@@ -592,10 +550,10 @@ def replay_certificate(doc, kind=None):
 
     Returns the certificate kind on acceptance and raises ReplayRejected
     otherwise, also when `kind` is given and the document is of another
-    kind.  Replay never re-runs the pipeline: it recomposes, re-samples
-    from the stored seed, re-screens the prime, re-sums the positivity
-    decomposition, or recomputes the obstruction from its cubic, all of
-    which are cheap next to the original search.
+    kind.  On-variety, dominance and obstruction documents are rebuilt by
+    their builder from their stored inputs and must equal the rebuilt one;
+    smoothness replay re-screens the prime and positivity replay re-sums
+    the decomposition.  All of it is cheap next to the original search.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ReplayRejected("not a certificate document")
@@ -613,3 +571,31 @@ def replay_certificate(doc, kind=None):
     except Exception as err:  # malformed embedded data is a rejection too
         raise ReplayRejected("replay crashed: %s" % err)
     return kind
+
+
+def replay_report(report):
+    """Replay a report's certificates, and its obstruction block when it is
+    obstructed, and return the certificates' kinds.  The certificates must
+    make one claim: the smooth-mod-p ones agree on F, each positivity one
+    restricts that F, and each dominance one is about a program that an
+    on-variety one maps into its variety."""
+    certs = report.get("certificates", [])
+    kinds = [replay_certificate(doc) for doc in certs]
+    quartics = {parse_poly(doc["F"], nvars=int(doc["nvars"]))
+                for doc in certs if doc["kind"] == "smooth-mod-p"}
+    if len(quartics) > 1:
+        raise ReplayRejected("the smooth-mod-p certificates disagree on F")
+    programs = [doc["phi"] for doc in certs if doc["kind"] == "on-variety"]
+    for doc in certs:
+        if doc["kind"] == "positivity" and quartics:
+            chart = int(doc["chart"])
+            R = parse_poly(doc["R"], nvars=int(doc["nvars"]))
+            if next(iter(quartics)).set_variable_zero(chart) != R:
+                raise ReplayRejected("the positivity certificate's R is not "
+                                     "the certified F on {x%d = 0}" % chart)
+        if doc["kind"] == "dominance" and doc["phi"] not in programs:
+            raise ReplayRejected("a dominance certificate's program has no "
+                                 "on-variety certificate in the report")
+    if report.get("outcome") == "Obstruction":
+        replay_certificate(report.get("obstruction"), kind="obstruction")
+    return kinds

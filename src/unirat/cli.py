@@ -34,7 +34,7 @@ from .certify import (
     certify_obstruction,
     certify_positive_on_hyperplane,
     certify_smooth_mod_p,
-    replay_certificate,
+    replay_report,
     singular_dimension_experiment,
 )
 from .exactcore import BadPrime, PrimeField
@@ -279,19 +279,16 @@ def cmd_verify(args):
 def cmd_replay(args):
     with open(args.report) as fh:
         report = json.load(fh)
-    count = 0
     try:
-        for doc in report.get("certificates", []):
-            kind = replay_certificate(doc)
-            count += 1
-            print("certificate %d (%s): accepted" % (count, kind))
-        if report.get("outcome") == "Obstruction":
-            replay_certificate(report.get("obstruction"), kind="obstruction")
-            print("obstruction block: recomputed check passed")
+        kinds = replay_report(report)
     except ReplayRejected as err:
         print("replay rejected: %s" % err)
         return EX_CERTFAIL
-    print("replay accepted (%d certificates)" % count)
+    for count, kind in enumerate(kinds, 1):
+        print("certificate %d (%s): accepted" % (count, kind))
+    if report.get("outcome") == "Obstruction":
+        print("obstruction block: recomputed check passed")
+    print("replay accepted (%d certificates)" % len(kinds))
     return EX_OK
 
 

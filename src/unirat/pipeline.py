@@ -77,9 +77,9 @@ __all__ = [
     "solve_quadric_system",
     "witness_conditions",
     "flatten_params",
-    "unflatten_params",
     "ci23_parametrize",
     "reverse_build",
+    "solve_stage",
     "run_Y4",
     "parametrize_Y4",
     "generic_section",
@@ -305,8 +305,9 @@ class ObstructionReport:
 class PipelineRun:
     """Every stage of one pass of run_Y4 or run_H4.
 
-    solver is the witness search, its c1 included; params names the section
-    parameters over which its coefficients live (empty on P^5).  An
+    solver is the witness search, its c1 included, and section the P^5
+    quartic it searched; params names the section parameters over which
+    its coefficients live (empty on P^5).  An
     obstructed run sets obstruction and leaves the later stages None.  On
     P^5, ci and phi are the complete intersection and its sweep; program is
     the final map.  timings holds perf_counter seconds per stage.
@@ -314,6 +315,7 @@ class PipelineRun:
 
     solver: SolverReport
     params: tuple
+    section: QuarticInstance
     timings: dict
     obstruction: Optional[ObstructionReport] = None
     ci: Optional[Ci23Instance] = None
@@ -438,21 +440,22 @@ def witness_conditions(f, alpha, c1, conic):
     """The linear conditions on q = x5*l + lambda*f, over c1's field.
 
     One row per t-degree of lambda*c1(conic(t)) minus
-    alpha*l(conic(t))*f(conic(t)) and one column per unknown (l_0..l_6,
-    lambda).  The last column holds the t-coefficients of c1(conic(t)) with
-    x5 = 0: c1 = (F5 - alpha*f^2)/x5 is a cubic on P^5, and these seven
-    coefficients are the obstruction of the cone identity.
+    alpha*l(conic(t))*f(conic(t)), through 3 deg(conic), and one column per
+    unknown (l_0..l_6, lambda).  The last column holds the t-coefficients of
+    c1(conic(t)) with x5 = 0: c1 = (F5 - alpha*f^2)/x5 is a cubic on P^5,
+    and these coefficients are the obstruction of the cone identity.
     """
     fld = c1.field
     g5 = list(_conic_polys(conic))
+    top = 3 * max(g.total_degree() for g in g5)
     f_on = _compose_poly(f, g5)
     a = fld.coerce(alpha)
     zero = MPoly.zero(1, QQ)
-    cols = [_univariate_coeffs(_to_field(g * f_on, fld).scale(-a), 6)
+    cols = [_univariate_coeffs(_to_field(g * f_on, fld).scale(-a), top)
             for g in g5 + [zero] * 2]
-    cols.append(_univariate_coeffs(_compose_poly(c1, g5 + [zero]), 6))
+    cols.append(_univariate_coeffs(_compose_poly(c1, g5 + [zero]), top))
     return ExactMatrix(
-        fld, [[col[d] for col in cols] for d in range(7)], ncols=8)
+        fld, [[col[d] for col in cols] for d in range(top + 1)], ncols=8)
 
 
 def flatten_params(p):
@@ -469,21 +472,6 @@ def flatten_params(p):
         for be, bc in c.num.terms.items():
             terms[e + be] = bc * inv
     return MPoly(p.nvars + nb, QQ, terms)
-
-
-def unflatten_params(p, params):
-    """Inverse of flatten_params: x0..x5 stay, the later variables become
-    the named parameters (over QQ when params is empty)."""
-    if p.nvars != 6 + len(params):
-        raise ValueError("expected %d variables" % (6 + len(params)))
-    if not params:
-        return p
-    ff = FunctionField(params)
-    groups = {}
-    for e, c in p.terms.items():
-        groups.setdefault(e[:6], {})[e[6:]] = c
-    return MPoly(6, ff, {e: ff.coerce(MPoly(len(params), QQ, g))
-                         for e, g in groups.items()})
 
 
 def solve_quadric_system(Y, conic, seed=0):
@@ -712,12 +700,13 @@ def ci23_parametrize(inst, seed=0):
 def _conic_vanishing_cubics(conic):
     """Basis of the cubics on P^5 vanishing on the conic (a 49-dim space)."""
     g6 = list(_conic_polys(conic)) + [MPoly.zero(1, QQ)]
+    top = 3 * max(g.total_degree() for g in g6)
     mons = monomials(6, 3)
     cols = []
     for e in mons:
         pe = MPoly(6, QQ, {e: Fraction(1)})
-        cols.append(_univariate_coeffs(_compose_poly(pe, g6), 6))
-    rows = [[cols[m][d] for m in range(len(mons))] for d in range(7)]
+        cols.append(_univariate_coeffs(_compose_poly(pe, g6), top))
+    rows = [[cols[m][d] for m in range(len(mons))] for d in range(top + 1)]
     ker = kernel_basis(ExactMatrix(QQ, rows, ncols=len(mons)))
     if len(ker) != len(mons) - 7:
         raise ArithmeticError(
@@ -872,11 +861,22 @@ def _with_chart(slp, chart, provenance):
                   list(slp.outputs), chart=chart, provenance=provenance)
 
 
-def _solve_stage(Y, conic, seed, params, message):
-    """The timed witness search, with the obstruction when it fails."""
+def solve_stage(inst, conic, seed=0):
+    """The timed witness search, with the obstruction when it fails, on a
+    doubled quartic in P^5 or on the generic section of one in P^n."""
+    if inst.n == 5:
+        Y, params = inst, ()
+        message = ("every quadric through the cone compatible with the "
+                   "conic degenerates (lambda = 0)")
+    else:
+        fam = generic_section(inst)
+        Y = QuarticInstance(n=5, F=fam.section, f=inst.f, alpha=inst.alpha)
+        params = fam.names
+        message = ("the residual cubic misses the conic for every section "
+                   "parameter")
     t0 = time.perf_counter()
     rep = solve_quadric_system(Y, conic, seed=seed)
-    run = PipelineRun(solver=rep, params=params,
+    run = PipelineRun(solver=rep, params=params, section=Y,
                       timings={"solve_s": time.perf_counter() - t0})
     if rep.feasible:
         return run
@@ -898,9 +898,7 @@ def run_Y4(Y, conic=None, seed=0):
         raise ValueError("expected a quartic threefold in P^5")
     if conic is None:
         conic = Y.conic if Y.conic is not None else circle_conic()
-    run = _solve_stage(Y, conic, seed, (),
-                       "every quadric through the cone compatible with the "
-                       "conic degenerates (lambda = 0)")
+    run = solve_stage(Y, conic, seed)
     if run.obstruction is not None:
         return run
     rep = run.solver
@@ -989,26 +987,25 @@ def run_H4(H, conic=None, seed=0):
     obstructed side the report carries coefficients from the parameter
     field, polynomial in the b_i.
     """
-    fam = generic_section(H)
+    if H.n < 6:
+        raise ValueError("sections need an ambient space of at least P^6")
     if conic is None:
         conic = H.conic if H.conic is not None else circle_conic()
-    y_sec = QuarticInstance(n=5, F=fam.section, f=H.f, alpha=H.alpha)
-    run = _solve_stage(y_sec, conic, seed, fam.names,
-                       "the residual cubic misses the conic for every section "
-                       "parameter")
+    run = solve_stage(H, conic, seed)
     if run.obstruction is not None:
         return run
     rep = run.solver
     t0 = time.perf_counter()
-    split = decompose_cone(y_sec, rep.witness)
-    nb = len(fam.names)
+    split = decompose_cone(run.section, rep.witness)
+    ff = run.section.F.field
+    nb = len(run.params)
     rng = random.Random(seed)
     last = None
     plan = dry = b0 = None
     for attempt in range(6):
         cand = [Fraction(rng.randint(-5, 5)) for _ in range(nb)]
-        q0 = rep.witness.map_coefficients(QQ, lambda r: fam.field.coerce(r).evaluate(cand))
-        c0 = split.c.map_coefficients(QQ, lambda r: fam.field.coerce(r).evaluate(cand))
+        q0 = rep.witness.map_coefficients(QQ, lambda r: ff.coerce(r).evaluate(cand))
+        c0 = split.c.map_coefficients(QQ, lambda r: ff.coerce(r).evaluate(cand))
         try:
             plan, dry = _dry_plan(q0, c0, conic, random.Random(seed + attempt))
         except (TangentsCoincide, SectionSingular, LineInsideCubic,
@@ -1039,7 +1036,7 @@ def run_H4(H, conic=None, seed=0):
     if H.F.evaluate(vals) != 0:
         raise ArithmeticError("a section point escaped the quartic")
     prov = {"stage": "hyperplane-pencil", "seed": seed,
-            "inputs": list(fam.names) + ["t", "u", "v1", "v2"],
+            "inputs": list(run.params) + ["t", "u", "v1", "v2"],
             "pivots": list(plan["pivots"]), "span": list(plan["span"]),
             "drop": plan["drop"]}
     program = _with_chart(slp, next(i for i, x in enumerate(vals) if x != 0), prov)

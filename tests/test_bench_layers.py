@@ -1,10 +1,12 @@
-"""The traced benchmark wraps program functions by name; each must exist."""
+"""The benchmark wraps program functions and reads program attributes by
+name; each must exist."""
 
 import ast
 import importlib
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def read_layers():
@@ -25,3 +27,15 @@ def test_every_traced_layer_resolves():
             assert hasattr(obj, part), "unirat.%s has no %s" % (module, path)
             obj = getattr(obj, part)
         assert callable(obj)
+
+
+def test_every_attribute_the_workloads_read_resolves():
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    reads = {(node.value.id, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name)
+             and node.value.id in ("certify", "cli", "pipeline")}
+    assert ("certify", "_screen_prime") in reads
+    for module, name in sorted(reads):
+        assert hasattr(importlib.import_module("unirat." + module), name), \
+            "unirat.%s has no %s" % (module, name)

@@ -29,6 +29,7 @@ from unirat.pipeline import (
     build_real_example,
     circle_conic,
     parametrize_Y4,
+    run_H4,
     run_Y4,
     sphere_form,
 )
@@ -335,3 +336,37 @@ def test_replay_rejects_mutations():
         replay_certificate({"no": "kind"})
     with pytest.raises(ReplayRejected):
         replay_certificate({"kind": "weird", "version": 1})
+
+
+def nudged(value):
+    """Another JSON value of the same type."""
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "1"
+    return [nudged(value[0])] + value[1:]
+
+
+def test_replay_rebuilds_every_derived_field():
+    # every field a rebuilt kind derives from its inputs is compared: changing
+    # or removing any one of them is rejected
+    f, sph = sphere_slp()
+    Y = good_quartic()
+    psi = parametrize_Y4(Y, seed=0)
+    H = build_real_example(n=6, preset="cubes")
+    cases = [
+        (check_on_variety(sph, f), {"phi", "F"}),
+        (check_on_variety(psi, Y.F, seed=0), {"phi", "F", "seed", "points"}),
+        (check_dominant(psi, 4, seed=0), {"phi", "witness"}),
+        (certify_obstruction(H, H.conic, run_H4(H)),
+         {"F", "f", "alpha", "conic"}),
+    ]
+    assert [doc.get("mode") for doc, _ in cases[:2]] == ["symbolic", "randomized"]
+    for doc, inputs in cases:
+        doc = roundtrip(doc)
+        assert replay_certificate(doc) == doc["kind"]
+        for key in sorted(set(doc) - inputs):
+            missing = {k: v for k, v in doc.items() if k != key}
+            for bad in (dict(doc, **{key: nudged(doc[key])}), missing):
+                with pytest.raises(ReplayRejected):
+                    replay_certificate(bad)

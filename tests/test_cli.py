@@ -6,12 +6,17 @@ from pathlib import Path
 import pytest
 
 from unirat import cli, pipeline
-from unirat.certify import certify_positive_on_hyperplane
+from unirat.certify import (
+    certify_obstruction,
+    certify_positive_on_hyperplane,
+    certify_smooth_mod_p,
+    check_dominant,
+)
 from unirat.cli import main
 from unirat.mpoly import MPoly
 from unirat.exactcore import QQ
 from unirat.pipeline import QuarticInstance, save_instance, sphere_form
-from unirat.slp import SlpMap
+from unirat.slp import SlpBuilder, SlpMap
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = REPO / "instances"
@@ -173,6 +178,43 @@ def test_replay_accepts_then_rejects_after_tampering(p5_run, workdir, capsys):
     assert "replay rejected" in capsys.readouterr().out
 
 
+def test_replay_ties_each_dominance_claim_to_a_program_of_the_report(
+        p5_run, workdir, capsys):
+    # a genuine dominance certificate of a program that maps into nothing
+    # the report certifies: (x0 : x1 : x2 : x3 : 1 : 1)
+    _, rep_path = p5_run
+    doc = json.loads(rep_path.read_text())
+    b = SlpBuilder(4)
+    one = b.const(1)
+    doc["certificates"][4] = check_dominant(
+        b.finish(list(b.inputs) + [one, one], chart=4), 4)
+    bad = workdir / "p5.foreign-dominance.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "no on-variety certificate" in capsys.readouterr().out
+
+
+def test_replay_ties_a_certify_report_to_one_quartic(workdir, capsys):
+    stored = REPO / "perfbench" / "data" / "n8_certify.json"
+    assert main(["replay", "--report", str(stored)]) == 0
+    fermat = sum((MPoly.variable(i, 9, QQ) ** 4 for i in range(9)),
+                 MPoly.zero(9, QQ))
+    bad = workdir / "n8_certify.forged.json"
+    # genuine certificates, but of the Fermat quartic
+    doc = json.loads(stored.read_text())
+    doc["certificates"][0] = certify_positive_on_hyperplane(fermat, chart=4)
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "R is not the certified F on {x4 = 0}" in capsys.readouterr().out
+    doc = json.loads(stored.read_text())
+    doc["certificates"][2] = certify_smooth_mod_p(fermat, 10009)
+    bad.write_text(json.dumps(doc))
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "disagree on F" in capsys.readouterr().out
+
+
 def test_parametrize_tries_the_next_witness_when_the_chart_vanishes(workdir):
     # with seed 3 a dominance witness draw zeroes the chart coordinate
     rep = workdir / "p5.seed3.report.json"
@@ -271,12 +313,13 @@ def test_pencil_obstruction_replay_recomputes_the_block(workdir, capsys):
         bad.write_text(json.dumps(doc))
         assert main(["replay", "--report", str(bad)]) == 4
     assert "replay rejected" in capsys.readouterr().out
-    # a consistent block whose c1 vanishes on the conic obstructs nothing
+    # a consistent block whose c1 vanishes on the conic is not the
+    # instance's c1
     doc["obstruction"]["c1"] = "x5^3"
     doc["obstruction"]["obstruction"] = ["0"] * 7
     bad.write_text(json.dumps(doc))
     assert main(["replay", "--report", str(bad)]) == 4
-    assert "nothing is obstructed" in capsys.readouterr().out
+    assert "c1 is not (F - F on M)/x5" in capsys.readouterr().out
 
 
 def test_obstruction_replay_ties_the_block_to_its_quartic(workdir, capsys):
@@ -305,12 +348,12 @@ def test_obstruction_replay_ties_the_block_to_its_quartic(workdir, capsys):
     bad.write_text(json.dumps(doc))
     assert main(["replay", "--report", str(bad)]) == 4
     assert "lacks c1" in capsys.readouterr().out
-    # an F whose slice misses the conic
+    # an F whose slice misses the conic is not doubled along f
     doc = json.loads(rep.read_text())
     doc["obstruction"]["F"] = doc["obstruction"]["F"].replace("x4^4", "2*x4^4")
     bad.write_text(json.dumps(doc))
     assert main(["replay", "--report", str(bad)]) == 4
-    assert "does not vanish on the conic" in capsys.readouterr().out
+    assert "does not restrict to alpha * f^2" in capsys.readouterr().out
 
 
 def test_obstruction_replay_recounts_the_quadrics_and_the_solutions(workdir, capsys):
@@ -354,6 +397,35 @@ def test_obstruction_replay_requires_the_obstruction_kind(workdir, capsys):
     capsys.readouterr()
     assert main(["replay", "--report", str(bad)]) == 4
     assert "expected kind 'obstruction', found 'positivity'" in capsys.readouterr().out
+
+
+def test_obstruction_on_a_conic_of_degree_four(workdir, capsys):
+    # the circle reparametrized by t^2: c1 = x1^2*(x4 - x0) is 8t^8 on it,
+    # past the t^6 that bounds c1 on a conic of degree two
+    b = SlpBuilder(1)
+    t2 = b.inputs[0] * b.inputs[0]
+    t4 = t2 * t2
+    one, zero = b.const(1), b.const(0)
+    conic = b.finish([one - t4, t2 + t2, zero, zero, one + t4], chart=4)
+    assert len(pipeline._conic_vanishing_cubics(conic)[1]) == 49
+    f6 = sphere_form().extend_variables(6)
+    x0, x1, x4, x5 = (MPoly.variable(i, 6, QQ) for i in (0, 1, 4, 5))
+    Y = QuarticInstance(n=5, F=f6 * f6 + x5 * x1 ** 2 * (x4 - x0),
+                        f=sphere_form())
+    run = pipeline.run_Y4(Y, conic)
+    assert run.obstruction is not None
+    block = certify_obstruction(Y, conic, run)
+    assert block["obstruction"] == ["0"] * 8 + ["8"] + ["0"] * 4
+    doc = {"version": 1, "command": "parametrize", "outcome": "Obstruction",
+           "certificates": [], "obstruction": block}
+    rep = workdir / "quartic-conic.report.json"
+    rep.write_text(json.dumps(doc))
+    assert main(["replay", "--report", str(rep)]) == 0
+    block["obstruction"] = block["obstruction"][:7]
+    rep.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(rep)]) == 4
+    assert "stored obstruction is not the rebuilt one" in capsys.readouterr().out
 
 
 # -- experiment and general usage --------------------------------------------------

@@ -34,7 +34,6 @@ from unirat.pipeline import (
     save_instance,
     solve_quadric_system,
     sphere_form,
-    unflatten_params,
     witness_conditions,
 )
 from unirat.pipeline import (
@@ -227,7 +226,6 @@ def test_section_c1_is_the_substituted_quartic_over_x5():
     f9 = H.f.extend_variables(9)
     flat = flatten_params(run.solver.c1)
     assert flat == (sub - f9 * f9).exact_divide(xs[5])
-    assert unflatten_params(flat, run.params) == run.solver.c1
     conditions = witness_conditions(H.f, H.alpha, run.solver.c1, H.conic)
     assert [row[-1] for row in conditions.rows] == list(run.solver.obstruction)
     assert run.obstruction is not None and run.program is None
