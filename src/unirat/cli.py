@@ -225,12 +225,7 @@ def cmd_parametrize(args):
         report["outcome"] = "Obstruction"
         report["obstruction"] = certify_obstruction(inst, conic, run)
         _write_json(report_path, report)
-        if run.params:
-            print("obstruction: the residual cubic misses the conic for "
-                  "every section parameter")
-        else:
-            print("obstruction: nonzero restriction of the residual cubic "
-                  "to the conic")
+        print("obstruction: " + report["obstruction"]["message"])
         print("report written to %s" % report_path)
         return EX_OBSTRUCTION
     out_map = run.program

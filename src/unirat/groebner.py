@@ -21,6 +21,21 @@ Reductions look their reducer up in a per-run memo: the first basis index
 whose leading term divides a monomial never changes, because the basis
 only grows and redundant elements stay reducers.
 
+A degree is closed by its Hilbert count (Traverso, "Hilbert functions and
+the Buchberger algorithm", J. Symb. Comp. 22, 1996).  For m <= n forms of
+degrees d_i in n variables, dim (R/I)_d >= c_d, the coefficient of t^d in
+prod_i (1 - t^d_i) / (1 - t)^n: the rank of the degree-d map
+(+)_i R_{d - d_i} -> R_d can only drop when the coefficients are
+specialized, and a regular sequence, which generic forms are, gives
+exactly c_d.  The degree-d monomials that no leading term divides number
+at least dim (R/I)_d, so once they number c_d the leading terms span the
+initial ideal in degree d and every pair still queued there has normal
+form zero; such a pair is counted as processed and reduced to zero without
+being formed.  With m > n there is no bound and no closure.
+
+A run stops at the minimal leading terms, which is all the readers below
+use; `GroebnerBasis.polys` inter-reduces the tails on first read.
+
 Soundness convention used by callers: an empty projective fiber modulo one
 good prime certifies emptiness over the rationals for the screened data
 (specialization can only enlarge the fiber).  `projective_empty` is
@@ -31,6 +46,7 @@ flag may prove emptiness but can never fake it.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 
 from .exactcore import PrimeField
 from .mpoly import MPoly
@@ -58,11 +74,15 @@ class _Ring:
         g = 0
         for i in range(nvars + 1):
             g |= 1 << (CHUNK * i + CHUNK - 1)
+        # a divides b exactly when ((b | guard) - a) & guard == guard: no
+        # chunk of b borrows from its guard bit
         self.guard = g
         self.low_guard = g & self.low_mask
         # times `ones`, the top variable chunk holds the sum of all chunks
         self.ones = sum(1 << (CHUNK * i) for i in range(nvars))
         self.sum_shift = CHUNK * (nvars - 1)
+        self.steps = [(1 << (CHUNK * i)) | (1 << self.shift_deg)
+                      for i in range(nvars)]
 
     def pack(self, exp):
         e = 0
@@ -87,9 +107,6 @@ class _Ring:
         d = packed >> self.shift_deg
         return ((d + 1) << self.shift_deg) - (packed & self.low_mask)
 
-    def divides(self, a, b):
-        return ((b | self.guard) - a) & self.guard == self.guard
-
     def lcm(self, a, b):
         """Chunkwise max without a loop.
 
@@ -97,7 +114,7 @@ class _Ring:
         a_i >= b_i; spread to a 6-bit mask it selects the larger chunk.  The
         degree is deg(a) plus the chunk sum of b's excess over a, exact
         while that sum stays below 128, as it does whenever deg(b) < 128;
-        `divides` already needs degrees below 64.
+        the guard-bit divisibility test already needs exponents below 64.
         """
         low = self.low_mask
         al = a & low
@@ -108,27 +125,43 @@ class _Ring:
         excess = ((top - al) * self.ones >> self.sum_shift) & ((1 << CHUNK) - 1)
         return top | (((a >> self.shift_deg) + excess) << self.shift_deg)
 
+    def standard_above(self, prev):
+        """The monomials one degree above the set `prev` whose every divisor
+        of that degree lies in `prev`.
+
+        A monomial is reached once from each divisor m / x_i in `prev`, so
+        it qualifies when its hit count equals its support size; the guard
+        bit of chunk i survives (m | guard) - ones exactly where m_i >= 1.
+        """
+        hits = Counter(s + st for s in prev for st in self.steps)
+        low, lg, ones = self.low_mask, self.low_guard, self.ones
+        return {m for m, h in hits.items()
+                if h == ((((m & low) | lg) - ones) & lg).bit_count()}
+
 
 def _to_internal(p: MPoly, ring: _Ring):
     return {ring.pack(e): c.r for e, c in p.terms.items() if c.r}
 
 
 def _normal_form(terms, lts, tails, ring, p, memo):
-    """Fully reduced normal form of `terms` against the monic basis.
+    """Fully reduced normal form of the homogeneous `terms` against the
+    monic basis.
 
-    The reducer of a monomial is the first basis element whose leading term
-    divides it.  `memo` maps a monomial to that index, or to ~n once
-    lts[:n] were scanned without a divisor; it stays valid for as long as
-    `lts` is only appended to.
+    Every term has one degree, and within one degree a smaller packed
+    exponent is a larger grevlex monomial, so a min-heap of packed ints
+    pops the largest monomial first.  The reducer of a monomial is the
+    first basis element whose leading term divides it.  `memo` maps a
+    monomial to that index, or to ~n once lts[:n] were scanned without a
+    divisor; it stays valid for as long as `lts` is only appended to.
     """
     acc = dict(terms)
-    heap = [(-ring.key(e), e) for e in acc]
+    heap = list(acc)
     heapq.heapify(heap)
     out = {}
     guard = ring.guard
     n = len(lts)
     while heap:
-        _, e = heapq.heappop(heap)
+        e = heapq.heappop(heap)
         c = acc.pop(e, None)
         if c is None:
             continue
@@ -153,7 +186,7 @@ def _normal_form(terms, lts, tails, ring, p, memo):
                 v = (-c * ct) % p
                 if v:
                     acc[e2] = v
-                    heapq.heappush(heap, (-ring.key(e2), e2))
+                    heapq.heappush(heap, e2)
             else:
                 v = (prev - c * ct) % p
                 if v:
@@ -163,31 +196,57 @@ def _normal_form(terms, lts, tails, ring, p, memo):
     return out
 
 
-def _sorted_terms(terms, ring):
-    return sorted(terms.items(), key=lambda t: ring.key(t[0]), reverse=True)
+def _hilbert_counts(degrees, nvars, top):
+    """c_0..c_top, the coefficients of prod_i (1 - t^d_i) / (1 - t)^nvars."""
+    c = [1] + [0] * top
+    for d in degrees:
+        for k in range(top, d - 1, -1):
+            c[k] -= c[k - d]
+    for _ in range(nvars):
+        for k in range(1, top + 1):
+            c[k] += c[k - 1]
+    return c
 
 
 class GroebnerBasis:
-    """Reduced basis plus run statistics.
+    """Minimal leading terms plus run statistics; the reduced basis is built
+    on the first read of `polys`.
 
-    When stats["early_stop"] is true the element list is a sound subset of
-    the ideal whose leading terms already witnessed a zero-dimensional
-    quotient; it is not inter-complete and must only feed the monotone
-    readers below.
+    When stats["early_stop"] is true the elements are a sound subset of the
+    ideal whose leading terms already witnessed a zero-dimensional quotient;
+    they are not inter-complete and must only feed the monotone readers
+    below.
     """
 
-    def __init__(self, field, nvars, polys, leading_exps, stats):
+    def __init__(self, field, nvars, ring, lts, tails, stats):
         self.field = field
         self.nvars = nvars
-        self.polys = polys
-        self._leading_exps = leading_exps
         self.stats = stats
+        self._ring = ring
+        self._lts = lts
+        self._tails = tails
+        self._polys = None
 
     def leading_exponents(self):
-        return list(self._leading_exps)
+        return [self._ring.unpack(lt) for lt in self._lts]
 
     def __len__(self):
-        return len(self.polys)
+        return len(self._lts)
+
+    @property
+    def polys(self):
+        """The monic elements, each tail fully reduced by the others."""
+        if self._polys is None:
+            ring, field, lts, tails = self._ring, self.field, self._lts, self._tails
+            one = field.coerce(1)
+            self._polys = []
+            for pos, (lt, tail) in enumerate(zip(lts, tails)):
+                nf = _normal_form(dict(tail), lts[:pos] + lts[pos + 1:],
+                                  tails[:pos] + tails[pos + 1:], ring, field.p, {})
+                pairs = [(ring.unpack(lt), one)] + [
+                    (ring.unpack(e), field.coerce(c)) for e, c in sorted(nf.items())]
+                self._polys.append(MPoly.from_terms(self.nvars, pairs, field))
+        return self._polys
 
 
 def buchberger(
@@ -195,17 +254,21 @@ def buchberger(
     degree_ceiling: int = 20,
     stop_when_zero_dimensional: bool = False,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of homogeneous generators over GF(p), grevlex.
+    """Groebner basis of homogeneous generators over GF(p), grevlex.
 
     Pairs are processed degree first with a deterministic tiebreak, and the
     Gebauer-Moller update (module docstring) prunes them as each basis
     element is inserted.  `stats["s_pairs_skipped"]` counts a pair when the
     criteria discard it, so processed + skipped is every pair formed, less
-    those still queued at an early stop.  Any surviving S-pair whose lcm
-    degree exceeds `degree_ceiling` aborts the run with
-    DegreeCeilingExceeded.  Pairs the criteria discard never reach that
-    check, so a run may finish where a weaker pruning would abort; it never
-    returns a basis that is wrong.  Identical inputs yield identical bases.
+    those still queued at an early stop.  `stats["reductions_to_zero"]`
+    counts the processed pairs whose S-polynomial has normal form zero,
+    whether it was reduced or the Hilbert count closed its degree (module
+    docstring).  Any surviving S-pair whose lcm degree exceeds
+    `degree_ceiling` aborts the run with DegreeCeilingExceeded.  Pairs the
+    criteria discard never reach that check, so a run may finish where a
+    weaker pruning would abort; it never returns a basis that is wrong.
+    Identical inputs yield identical bases.  The run stops at the minimal
+    leading terms; the tails are inter-reduced when `polys` is first read.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -217,6 +280,8 @@ def buchberger(
     for g in gens:
         if g.field != field or g.nvars != nvars:
             raise TypeError("generators from different rings")
+        if not g.is_homogeneous():
+            raise ValueError("buchberger needs homogeneous generators")
     if degree_ceiling > _CHUNK_MAX - 3:
         raise ValueError("degree ceiling too large for packed exponents")
     p = field.p
@@ -241,6 +306,7 @@ def buchberger(
         "early_stop": False,
     }
 
+    guard = ring.guard
     pending = {}  # (i, j) -> lcm of the queued pairs
     heap = []  # (degree, key, i, j); entries dropped from `pending` go stale
 
@@ -254,7 +320,7 @@ def buchberger(
                 pure_power_vars[v] = d
 
     def insert(terms):
-        items = _sorted_terms(terms, ring)
+        items = sorted(terms.items())  # one degree: largest monomial first
         lt, lc = items[0]
         inv = pow(lc, p - 2, p)
         tail = [(e, c * inv % p) for e, c in items[1:]]
@@ -262,8 +328,8 @@ def buchberger(
         with_new = [ring.lcm(old, lt) for old in lts]
         # criterion B on the queued pairs
         dropped = [ij for ij, l in pending.items()
-                   if ring.divides(lt, l) and l != with_new[ij[0]]
-                   and l != with_new[ij[1]]]
+                   if ((l | guard) - lt) & guard == guard
+                   and l != with_new[ij[0]] and l != with_new[ij[1]]]
         for ij in dropped:
             del pending[ij]
         # criteria M and F: one pair per minimal lcm; -1 marks an lcm that a
@@ -281,7 +347,8 @@ def buchberger(
         minimal = []
         kept = 0
         for l in sorted(rep):  # degree is the top chunk: divisors come first
-            if any(ring.divides(m, l) for m in minimal):
+            lg = l | guard
+            if any((lg - m) & guard == guard for m in minimal):
                 continue
             minimal.append(l)
             i = rep[l]
@@ -291,7 +358,7 @@ def buchberger(
                 kept += 1
         stats["s_pairs_skipped"] += len(dropped) + formed - kept
         for i in range(idx):
-            if alive[i] and ring.divides(lt, lts[i]):
+            if alive[i] and ((lts[i] | guard) - lt) & guard == guard:
                 alive[i] = False
         lts.append(lt)
         tails.append(tail)
@@ -302,6 +369,15 @@ def buchberger(
         nf = _normal_form(terms, lts, tails, ring, p, memo)
         if nf:
             insert(nf)
+
+    # Hilbert-count closure (module docstring): `standard` holds the degree
+    # `std_deg` monomials that no leading term divides
+    closable = len(raw) <= nvars
+    if closable:
+        counts = _hilbert_counts([ring.degree(next(iter(t))) for t in raw],
+                                 nvars, degree_ceiling)
+        gen_lts = set(lts)
+        std_deg = -1
 
     def zero_dimensional():
         return len(pure_power_vars) == nvars
@@ -318,6 +394,19 @@ def buchberger(
             raise DegreeCeilingExceeded(deg, degree_ceiling)
         stats["s_pairs_processed"] += 1
         stats["max_degree"] = max(stats["max_degree"], deg)
+        if closable:
+            while std_deg < deg:
+                standard = ring.standard_above(standard) if std_deg >= 0 else {0}
+                standard -= gen_lts
+                std_deg += 1
+            if len(standard) <= counts[deg]:
+                if len(standard) < counts[deg]:
+                    raise RuntimeError(
+                        "internal error: %d standard monomials of degree %d "
+                        "fall below the Hilbert bound %d"
+                        % (len(standard), deg, counts[deg]))
+                stats["reductions_to_zero"] += 1
+                continue
         # S-polynomial of the monic pair
         qi = l - lts[i]
         qj = l - lts[j]
@@ -334,37 +423,20 @@ def buchberger(
         nf = _normal_form(terms, lts, tails, ring, p, memo)
         if nf:
             insert(nf)
+            if closable:
+                standard.discard(lts[-1])
         else:
             stats["reductions_to_zero"] += 1
 
-    # final inter-reduction: keep minimal leading terms, reduce tails, monic
-    order = sorted(
-        (k for k in range(len(lts)) if alive[k]), key=lambda k: ring.key(lts[k])
-    )
-    minimal = []
-    for k in order:
-        if not any(ring.divides(lts[m], lts[k]) for m in minimal):
-            minimal.append(k)
-    red_lts = [lts[k] for k in minimal]
-    red_tails = []
-    for pos, k in enumerate(minimal):
-        sub_lts = [red_lts[m] for m in range(len(minimal)) if m != pos]
-        sub_tails = [tails[minimal[m]] for m in range(len(minimal)) if m != pos]
-        nf = _normal_form(dict(tails[k]), sub_lts, sub_tails, ring, p, {})
-        red_tails.append(_sorted_terms(nf, ring))
-
-    polys = []
-    leading = []
-    for lt, tail in zip(red_lts, red_tails):
-        exp_lt = ring.unpack(lt)
-        leading.append(exp_lt)
-        pairs = [(exp_lt, field.coerce(1))] + [
-            (ring.unpack(e), field.coerce(c)) for e, c in tail
-        ]
-        polys.append(MPoly.from_terms(nvars, pairs, field))
-    stats["basis_size"] = len(polys)
+    # the minimal leading terms, in increasing grevlex order: a normal form's
+    # leading term is divisible by no earlier one, and an element goes dead
+    # once a later leading term divides its own, so those alive are minimal
+    minimal = sorted((k for k in range(len(lts)) if alive[k]),
+                     key=lambda k: ring.key(lts[k]))
+    stats["basis_size"] = len(minimal)
     stats["pure_power_degrees"] = dict(sorted(pure_power_vars.items()))
-    return GroebnerBasis(field, nvars, polys, leading, stats)
+    return GroebnerBasis(field, nvars, ring, [lts[k] for k in minimal],
+                         [tails[k] for k in minimal], stats)
 
 
 def projective_empty(gb: GroebnerBasis) -> bool:

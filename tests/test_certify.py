@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unirat import certify
+from unirat import certify, groebner
 from unirat.certify import (
     AbsorptionFails,
     IdentityFails,
@@ -165,6 +165,22 @@ def test_smooth_fermat():
     assert cert["basis_size"] == 9
     assert cert["pure_powers"] == {str(i): 3 for i in range(9)}
     assert replay_certificate(cert) == "smooth-mod-p"
+
+
+def test_smooth_certificate_never_builds_the_reduced_basis(monkeypatch):
+    calls = [0]
+    inner = groebner._normal_form
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(groebner, "_normal_form", counted)
+    cert = certify_smooth_mod_p(fermat9(), 10007)
+    # one normal form per partial; the pure cubes are coprime, so no pair is
+    # processed, and no tail is inter-reduced
+    assert cert["stats"]["s_pairs_processed"] == 0
+    assert calls[0] == 9
 
 
 def test_smooth_doubled_surface_is_inconclusive():

@@ -262,12 +262,14 @@ def test_parametrize_obstruction_on_p5(workdir, capsys):
     code = main(["parametrize", "--instance", str(inst),
                  "--out", str(workdir / "obstructed_p5.slp.json"),
                  "--report", str(rep)])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert code == 2
     assert not (workdir / "obstructed_p5.slp.json").exists()
     doc = json.loads(rep.read_text())
     assert doc["outcome"] == "Obstruction"
     block = doc["obstruction"]
+    # the printed line is the block's own message
+    assert "obstruction: " + block["message"] in out
     assert block["obstruction"] == ["1", "0", "-3", "0", "3", "0", "-1"]
     assert block["c1"] == "x0^3"
     assert block["quadrics_through_cone"] == [8, 7]
@@ -284,8 +286,10 @@ def test_parametrize_obstruction_on_the_pencil(workdir, capsys):
     rep = workdir / "n8.report.json"
     code = main(["parametrize", "--instance", str(INSTANCES / "n8_cubes.json"),
                  "--out", str(workdir / "n8.slp.json"), "--report", str(rep)])
-    capsys.readouterr()
+    out = capsys.readouterr().out
     assert code == 2
+    assert ("obstruction: the residual cubic misses the conic for every "
+            "section parameter") in out
     doc = json.loads(rep.read_text())
     assert doc["obstruction"]["obstruction"] == [
         "1/16", "0", "-3/16", "1/2*b6", "3/16", "0", "-1/16"]

@@ -4,17 +4,19 @@ import random
 
 import pytest
 
+from unirat import groebner
 from unirat.certify import _trial_partials
 from unirat.exactcore import PrimeField
 from unirat.groebner import (
     DegreeCeilingExceeded,
+    _hilbert_counts,
     _Ring,
     buchberger,
     homogeneous_dimension,
     projective_dimension,
     projective_empty,
 )
-from unirat.mpoly import MPoly, grevlex_key, parse_poly
+from unirat.mpoly import MPoly, grevlex_key, monomials, parse_poly
 
 F = PrimeField(10007)
 
@@ -303,3 +305,114 @@ def test_early_stop_reports_the_complete_pure_powers():
     assert early.stats["s_pairs_processed"] < full.stats["s_pairs_processed"]
     assert early.stats["pure_power_degrees"] == full.stats["pure_power_degrees"]
     assert projective_empty(early) and projective_empty(full)
+
+
+# --- Hilbert-count closure and the lazy reduced basis ---------------------------
+
+
+@pytest.fixture
+def nf_calls(monkeypatch):
+    """Counts the normal forms `buchberger` computes."""
+    calls = [0]
+    inner = groebner._normal_form
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(groebner, "_normal_form", counted)
+    return calls
+
+
+def closed_pairs(gens, gb, calls):
+    """Pairs the Hilbert count closed: processed pairs that formed no normal
+    form, given the normal forms of one run and no read of `polys`."""
+    return len(gens) + gb.stats["s_pairs_processed"] - calls
+
+
+def test_hilbert_count_closes_most_zero_reductions_of_a_smooth_trial(nf_calls):
+    gens = _trial_partials(4, 2, 2, 10007, 6, 0)  # five cubics, a regular sequence
+    gb = buchberger(gens, stop_when_zero_dimensional=True)
+    st = gb.stats
+    assert (st["s_pairs_processed"], st["s_pairs_skipped"], st["reductions_to_zero"],
+            st["basis_size"], st["max_degree"], st["early_stop"]) == (
+        251, 2733, 178, 78, 11, True)
+    # the count closes at least 150 of the 178 reductions to zero, and the
+    # run forms no reduced basis
+    assert nf_calls[0] <= 5 + 251 - 150
+    nf_calls[0] = 0
+    full = buchberger(gens)
+    st = full.stats
+    assert (st["s_pairs_processed"], st["reductions_to_zero"]) == (270, 197)
+    assert closed_pairs(gens, full, nf_calls[0]) >= 150
+
+
+def seeded_dense(rng, nvars, deg, skip=()):
+    return MPoly.from_terms(nvars, [(e, F.coerce(rng.randint(1, 10006)))
+                                    for e in monomials(nvars, deg) if e not in skip], F)
+
+
+def closure_ideals():
+    """(name, generators, whether the Hilbert count closes a degree, the
+    projective dimension of the zero locus)."""
+    rng = random.Random(31)
+    regular = [seeded_dense(rng, 4, 2) for _ in range(3)]
+    # four quadrics through the point (0:0:0:1): m = n but not regular
+    common_zero = [seeded_dense(rng, 4, 2, skip={(0, 0, 0, 2)}) for _ in range(4)]
+    # two cubics with a common linear factor next to two quadrics in P^4
+    lin = seeded_dense(rng, 5, 1)
+    common_factor = [lin * seeded_dense(rng, 5, 2), lin * seeded_dense(rng, 5, 2),
+                     seeded_dense(rng, 5, 2), seeded_dense(rng, 5, 2)]
+    # five quadrics in four variables: m > n, no bound to close against
+    too_many = [seeded_dense(rng, 4, 2) for _ in range(5)]
+    # seven forms in four variables whose count reads 7 in degree 8, where
+    # the quotient is already 0: with m > n the count bounds nothing
+    overshoot = [P(t, 4) for t in (
+        "6744*x2^2", "9445*x0^2 + 1804*x0*x1", "574*x0^2*x1", "1070*x1^3*x3",
+        "8571*x0 + 8872*x2", "6797*x0^2", "2974*x1^4 + 9248*x3^4")]
+    return [("regular", regular, True, 0), ("common zero", common_zero, True, 0),
+            ("common factor", common_factor, True, 1), ("m > n", too_many, False, -1),
+            ("m > n, count above the quotient", overshoot, False, -1)]
+
+
+@pytest.mark.parametrize("name, gens, closes, dim", closure_ideals(),
+                         ids=[c[0] for c in closure_ideals()])
+def test_closed_degrees_keep_the_sympy_basis(nf_calls, name, gens, closes, dim):
+    gb = buchberger(gens, degree_ceiling=30)
+    assert (closed_pairs(gens, gb, nf_calls[0]) > 0) == closes
+    assert projective_dimension(gb) == dim
+    assert as_dicts(gb.polys) == sympy_basis(gens)
+
+
+@pytest.mark.parametrize("nvars, degrees", [(3, [2, 2, 2]), (4, [3, 3, 3, 3]),
+                                            (4, [1, 2, 3]), (5, [2, 4]), (2, [5])])
+def test_hilbert_counts_are_the_pure_power_quotient(nvars, degrees):
+    # (x_0^d_0, ..., x_{m-1}^d_{m-1}) is a regular sequence, so its standard
+    # monomials in each degree number exactly c_d
+    top = 14
+    want = [sum(all(e[i] < d for i, d in enumerate(degrees))
+                for e in monomials(nvars, deg)) for deg in range(top + 1)]
+    assert _hilbert_counts(degrees, nvars, top) == want
+    # the degree-by-degree standard sets `buchberger` keeps count the same
+    ring = _Ring(nvars)
+    powers = {ring.pack([d if j == i else 0 for j in range(nvars)])
+              for i, d in enumerate(degrees)}
+    standard = {0}
+    for deg in range(1, top + 1):
+        standard = ring.standard_above(standard) - powers
+        assert len(standard) == want[deg]
+
+
+def test_polys_are_inter_reduced_on_first_read(nf_calls):
+    gens = sphere_partials()
+    gb = buchberger(gens)
+    run_calls = nf_calls[0]
+    assert len(gb) == gb.stats["basis_size"] == 5
+    assert len(gb.polys) == len(gb)
+    assert nf_calls[0] == run_calls + len(gb)  # one normal form per tail
+    assert gb.polys is gb.polys and nf_calls[0] == run_calls + len(gb)
+
+
+def test_inhomogeneous_generator_is_refused():
+    with pytest.raises(ValueError, match="homogeneous"):
+        buchberger([P("x0^2 - x1", 2)])
