@@ -10,11 +10,11 @@ and the construction cannot start (the residual cubic misses the conic).
 Every certificate is a JSON document with numbers as decimal strings that
 embeds whatever it mentions; this module is the only one that writes or
 reads one.  `replay_certificate` re-checks a document from its stored data
-alone; nothing is trusted.  The on-variety, dominance and obstruction
-kinds are rebuilt from their stored inputs by their builder, so each of
-those formats is written once.  Tampering with any embedded coefficient
-breaks a fingerprint, an exact reconstruction identity or the comparison
-with the rebuilt document.
+alone; nothing is trusted.  The on-variety, dominance, positivity and
+obstruction kinds are rebuilt from their stored inputs by their builder,
+so each of those formats is written once.  Tampering with any embedded
+coefficient breaks a fingerprint or the comparison with the rebuilt
+document.
 
 Soundness of the mod-p certificate rests on the closed-image argument: the
 singular locus over the rationals is a projective scheme whose image under
@@ -94,10 +94,17 @@ def check_on_variety(phi, F, seed=0, points=RANDOM_POINTS,
     zero polynomial); randomized mode stores the Schwartz-Zippel data: K
     sample points with coordinates uniform in [-M, M] drawn from `seed`,
     all of which evaluated to exactly zero, and the per-point failure
-    bound D / (2M + 1) whose K-th power is below 2^-64.
+    bound D / (2M + 1) whose K-th power is below 2^-64.  Programs with a
+    div node are refused with a ValueError: symbolic mode cannot divide and
+    the tracked degree undershoots on division.
     """
     if F.nvars != phi.out_arity:
         raise ValueError("the polynomial and the program disagree on the space")
+    div = next((i for i, node in enumerate(phi.nodes) if node[0] == "div"), None)
+    if div is not None:
+        # symbolic mode cannot divide, and the degree bound undershoots on div
+        raise ValueError("node %d is a div node: on-variety certificates take "
+                         "division-free programs" % div)
     tracked = F.total_degree() * max(phi.degree_bounds)
     doc = {"kind": "on-variety", "version": 1, "F": format_poly(F),
            "nvars": F.nvars, "phi": phi.to_json(), "tracked_degree": tracked}
@@ -253,8 +260,8 @@ def certify_positive_on_hyperplane(F, chart=4):
 
     where each absorbed term c * x^a was charged |c| * a_i / 4 against the
     diagonal budget of every variable in its support (weighted AM-GM), and
-    every final d_i is strictly positive.  Replay reconstructs R from the
-    decomposition coefficient for coefficient.
+    every final d_i is strictly positive.  Replay re-runs the absorption
+    on the stored R and compares the documents field by field.
     """
     if not (0 <= chart < F.nvars):
         raise ValueError("chart coordinate out of range")
@@ -299,7 +306,7 @@ def certify_positive_on_hyperplane(F, chart=4):
 
 
 def certify_obstruction(inst, conic, run):
-    """The obstruction block of an obstructed run_Y4 or run_H4 pass.
+    """The obstruction block of an obstructed run_pass.
 
     Besides the coefficients of c1 on the conic, the cone-quadric count,
     the kernel dimension of the conditions matrix and c1 itself, as a QQ
@@ -477,42 +484,14 @@ def _replay_smooth(doc):
 
 
 def _replay_positivity(doc):
-    nvars = int(doc["nvars"])
-    chart = int(doc["chart"])
-    R = parse_poly(doc["R"], nvars=nvars)
-    if any(e[chart] for e in R.terms):
-        raise ReplayRejected("the restriction still involves the chart variable")
-    diagonal = {int(i): Fraction(s) for i, s in doc["diagonal"].items()}
-    if sorted(diagonal) != [i for i in range(nvars) if i != chart]:
-        raise ReplayRejected("diagonal does not cover the hyperplane")
-    if any(d <= 0 for d in diagonal.values()):
-        raise ReplayRejected("a diagonal coefficient is not positive")
-    rebuilt = MPoly.zero(nvars, QQ)
-    for i, dcoef in diagonal.items():
-        e = [0] * nvars
-        e[i] = 4
-        rebuilt = rebuilt + MPoly(nvars, QQ, {tuple(e): dcoef})
-    for e, c in doc["blocks"]:
-        c = Fraction(c)
-        if c <= 0 or any(a % 2 for a in e):
-            raise ReplayRejected("a retained block is not an even-power term")
-        rebuilt = rebuilt + MPoly(nvars, QQ, {tuple(e): c})
-    for step in doc["absorptions"]:
-        e = tuple(step["monomial"])
-        c = Fraction(step["coefficient"])
-        if Fraction(step["scale"]) != abs(c):
-            raise ReplayRejected("absorption scale does not match the term")
-        if [Fraction(w) for w in step["weights"]] != [Fraction(a, 4) for a in e]:
-            raise ReplayRejected("absorption weights are not alpha/4")
-        rebuilt = rebuilt + MPoly(nvars, QQ, {e: c})
-        for i, a in enumerate(e):
-            if a:
-                eq = [0] * nvars
-                eq[i] = 4
-                rebuilt = rebuilt + MPoly(nvars, QQ, {tuple(eq): abs(c) * Fraction(a, 4)})
-    if not rebuilt == R:
-        raise ReplayRejected("the decomposition does not reconstruct F on the "
-                             "hyperplane")
+    """Re-run the absorption on the stored R; a stored R that still
+    involves the chart variable differs from the rebuilt one."""
+    R = parse_poly(doc["R"], nvars=int(doc["nvars"]))
+    try:
+        rebuilt = certify_positive_on_hyperplane(R, chart=int(doc["chart"]))
+    except (AbsorptionFails, ValueError) as err:
+        raise ReplayRejected(str(err))
+    _compare(rebuilt, doc)
 
 
 def _replay_obstruction(doc):
@@ -550,10 +529,10 @@ def replay_certificate(doc, kind=None):
 
     Returns the certificate kind on acceptance and raises ReplayRejected
     otherwise, also when `kind` is given and the document is of another
-    kind.  On-variety, dominance and obstruction documents are rebuilt by
-    their builder from their stored inputs and must equal the rebuilt one;
-    smoothness replay re-screens the prime and positivity replay re-sums
-    the decomposition.  All of it is cheap next to the original search.
+    kind.  On-variety, dominance, positivity and obstruction documents are
+    rebuilt by their builder from their stored inputs and must equal the
+    rebuilt one; smoothness replay re-screens the prime.  All of it is
+    cheap next to the original search.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ReplayRejected("not a certificate document")

@@ -43,8 +43,7 @@ from .pipeline import (
     build_real_example,
     circle_conic,
     load_instance,
-    run_H4,
-    run_Y4,
+    run_pass,
     save_instance,
 )
 from .slp import SlpMap
@@ -219,7 +218,7 @@ def cmd_parametrize(args):
     timings = report["timings"]
     report_path = args.report or (args.out + ".report.json")
     t0 = time.perf_counter()
-    run = (run_Y4 if inst.n == 5 else run_H4)(inst, conic, seed=args.seed)
+    run = run_pass(inst, conic, seed=args.seed)
     timings.update((k, round(v, 3)) for k, v in run.timings.items())
     if run.obstruction is not None:
         report["outcome"] = "Obstruction"
@@ -229,11 +228,11 @@ def cmd_parametrize(args):
         print("report written to %s" % report_path)
         return EX_OBSTRUCTION
     out_map = run.program
-    checks = []
-    if run.phi is not None:
-        checks += [(check_on_variety, run.phi, run.ci.q),
-                   (check_on_variety, run.phi, run.ci.c),
-                   (check_dominant, run.phi, 4)]
+    # over QQ the sweep is certified too; on a pencil its q and c have
+    # coefficients in the section parameters, which the certificates lack
+    checks = [] if run.params else [(check_on_variety, run.phi, run.ci.q),
+                                    (check_on_variety, run.phi, run.ci.c),
+                                    (check_dominant, run.phi, 4)]
     checks += [(check_on_variety, out_map, inst.F),
                (check_dominant, out_map, inst.n - 1)]
     for idx, (check, slp, target) in enumerate(checks, 1):

@@ -18,6 +18,11 @@ the cone S over a chosen conic on Q, again with vertex e6, and is swept out
 by lines through fiber quadrics sitting inside the tangent spaces along S;
 that sweep is what ci23_parametrize turns into a division-free program.
 
+A doubled quartic in P^n (n >= 6) is treated through the pencil of its P^5
+sections x_i = b_i * x5 (i >= 6): run_pass makes the same pass over the
+field of rational functions in the b_i, which stay live program inputs.
+P^5 itself is the pencil with no parameters.
+
 Whether the construction can start at all is a linear question: the cubic c
 must vanish on the conic, and since f already does, the only condition is
 lambda * c1(conic(t)) = 0 where c1 = (F5 - alpha*f^2)/x5.  A nonzero
@@ -80,10 +85,9 @@ __all__ = [
     "ci23_parametrize",
     "reverse_build",
     "solve_stage",
-    "run_Y4",
-    "parametrize_Y4",
     "generic_section",
-    "run_H4",
+    "run_pass",
+    "parametrize_Y4",
     "parametrize_H4",
     "build_real_example",
     "instance_to_json",
@@ -303,14 +307,14 @@ class ObstructionReport:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """Every stage of one pass of run_Y4 or run_H4.
+    """Every stage of one pass of run_pass.
 
     solver is the witness search, its c1 included, and section the P^5
     quartic it searched; params names the section parameters over which
-    its coefficients live (empty on P^5).  An
-    obstructed run sets obstruction and leaves the later stages None.  On
-    P^5, ci and phi are the complete intersection and its sweep; program is
-    the final map.  timings holds perf_counter seconds per stage.
+    its coefficients live (empty on P^5).  An obstructed run sets
+    obstruction and leaves the later stages None.  Otherwise ci and phi are
+    the complete intersection over the parameter field and its sweep, and
+    program is the final map.  timings holds perf_counter seconds per stage.
     """
 
     solver: SolverReport
@@ -663,25 +667,55 @@ def _dry_plan(q0, c0, conic, rng, tries=6):
     raise last if last is not None else TangentsCoincide("no usable surface point found")
 
 
+def _parameter_lift(builder, brefs):
+    """Embed rational functions of the section parameters as program nodes."""
+    def lift(co):
+        if isinstance(co, (int, Fraction)):
+            return builder.const(co)
+        num = co.num.evaluate(list(brefs), lift=builder.const)
+        if co.den.total_degree() == 0:
+            return num
+        return num / co.den.evaluate(list(brefs), lift=builder.const)
+    return lift
+
+
 def ci23_parametrize(inst, seed=0):
     """Sweep the intersection by (t, u) on the cone surface plus two fiber
-    chart coordinates, as one division-free program with seven outputs.
+    chart coordinates, as one program with seven outputs.
 
     Over a surface point s the common tangent space carries a quadric whose
     smooth point in the vertex direction projects the fiber onto a chart;
     the third intersection of each projected line with the cubic is the
-    output.  Raises TangentsCoincide / SectionSingular / LineInsideCubic
-    when the instance degenerates along the whole surface.
+    output.  Coefficients may be rational functions of section parameters
+    b6..bn, the names of inst.q.field; those stay live program inputs ahead
+    of (t, u, v1, v2), so one program covers the whole pencil, and the plan
+    is rehearsed at seeded rational b0 (up to six draws).  Over QQ the
+    program is division-free.  Raises TangentsCoincide / SectionSingular /
+    LineInsideCubic when the instance degenerates along the whole surface.
     """
-    if inst.q.field != QQ:
-        raise ValueError("parametric coefficients are handled by parametrize_H4")
-    plan, dry = _dry_plan(inst.q, inst.c, inst.conic, random.Random(seed))
-    b = SlpBuilder(4)
-    t, u, v1, v2 = b.inputs
+    fld = inst.q.field
+    k = len(getattr(fld, "names", ()))
+    rng = random.Random(seed)
+    for attempt in range(6 if k else 1):
+        b0 = [Fraction(rng.randint(-5, 5)) for _ in range(k)]
+        q0, c0 = inst.q, inst.c
+        if k:
+            q0, c0 = (p.map_coefficients(QQ, lambda r: fld.coerce(r).evaluate(b0))
+                      for p in (q0, c0))
+        try:
+            plan, dry = _dry_plan(q0, c0, inst.conic, random.Random(seed + attempt))
+            break
+        except (TangentsCoincide, SectionSingular, LineInsideCubic,
+                ValueError) as err:
+            last = err
+    else:
+        raise last
+    b = SlpBuilder(k + 4)
+    t, u, v1, v2 = b.inputs[k:]
     g = inst.conic.eval([t], lift=b.const)
     s_refs = list(g) + [b.const(0), u]
     point, _ = _fiber_construction(inst.q, inst.c, s_refs, (v1, v2), plan,
-                                   lift=b.const)
+                                   lift=_parameter_lift(b, b.inputs[:k]))
     slp = b.finish(point, chart=dry["chart"], provenance={
         "stage": "ci23-fibers",
         "seed": seed,
@@ -689,7 +723,7 @@ def ci23_parametrize(inst, seed=0):
         "span": list(plan["span"]),
         "drop": plan["drop"],
     })
-    if slp.eval([dry["t"], dry["u"], dry["v"][0], dry["v"][1]]) != dry["point"]:
+    if slp.eval(b0 + [dry["t"], dry["u"], dry["v"][0], dry["v"][1]]) != dry["point"]:
         raise ArithmeticError("symbolic replay diverged from the rehearsal")
     return slp
 
@@ -853,89 +887,7 @@ def reverse_build(f=None, conic=None, l=None, lam=Fraction(1),
     return ci, quart
 
 
-# -- the P^5 and P^n entry points --------------------------------------------------
-
-
-def _with_chart(slp, chart, provenance):
-    return SlpMap(slp.in_arity, slp.out_arity, list(slp.nodes),
-                  list(slp.outputs), chart=chart, provenance=provenance)
-
-
-def solve_stage(inst, conic, seed=0):
-    """The timed witness search, with the obstruction when it fails, on a
-    doubled quartic in P^5 or on the generic section of one in P^n."""
-    if inst.n == 5:
-        Y, params = inst, ()
-        message = ("every quadric through the cone compatible with the "
-                   "conic degenerates (lambda = 0)")
-    else:
-        fam = generic_section(inst)
-        Y = QuarticInstance(n=5, F=fam.section, f=inst.f, alpha=inst.alpha)
-        params = fam.names
-        message = ("the residual cubic misses the conic for every section "
-                   "parameter")
-    t0 = time.perf_counter()
-    rep = solve_quadric_system(Y, conic, seed=seed)
-    run = PipelineRun(solver=rep, params=params, section=Y,
-                      timings={"solve_s": time.perf_counter() - t0})
-    if rep.feasible:
-        return run
-    return replace(run, obstruction=ObstructionReport(
-        obstruction=rep.obstruction,
-        vector_dim=rep.vector_dim, proj_dim=rep.proj_dim,
-        solution_dim=len(rep.solution_basis), message=message,
-        field=Y.F.field))
-
-
-def run_Y4(Y, conic=None, seed=0):
-    """One pass onto a quartic threefold, keeping every stage.
-
-    Chains the witness search, the cone decomposition, the intersection
-    sweep and the projection from the vertex; the obstruction ends the pass
-    when every available quadric degenerates.
-    """
-    if Y.n != 5:
-        raise ValueError("expected a quartic threefold in P^5")
-    if conic is None:
-        conic = Y.conic if Y.conic is not None else circle_conic()
-    run = solve_stage(Y, conic, seed)
-    if run.obstruction is not None:
-        return run
-    rep = run.solver
-    t0 = time.perf_counter()
-    split = decompose_cone(Y, rep.witness)
-    ci = Ci23Instance(q=rep.witness, c=split.c, surface=_cone_surface(conic),
-                      vertex=ProjPoint([0] * 6 + [1]), conic=conic)
-    phi = ci23_parametrize(ci, seed=seed)
-    proj = project_from_point(ProjPoint([0] * 6 + [1]))
-    comp = proj.compose(phi)
-    rng = random.Random(seed + 13)
-    vals = None
-    for _ in range(6):
-        args = [Fraction(rng.randint(-7, 7), 1 + rng.randint(0, 2))
-                for _ in range(4)]
-        vals = comp.eval(args)
-        if any(x != 0 for x in vals):
-            break
-    else:
-        raise ArithmeticError("the projection collapsed the parametrized intersection")
-    if Y.F.evaluate(vals) != 0:
-        raise ArithmeticError("a parametrized point escaped the quartic")
-    prov = {"stage": "quartic-threefold", "seed": seed,
-            "fibers": phi.provenance}
-    psi = _with_chart(comp, next(i for i, x in enumerate(vals) if x != 0), prov)
-    run.timings["sweep_s"] = time.perf_counter() - t0
-    return replace(run, ci=ci, phi=phi, program=psi)
-
-
-def parametrize_Y4(Y, conic=None, seed=0):
-    """Four-parameter program onto a quartic threefold, or the obstruction.
-
-    Returns the SlpMap of run_Y4 on success and its ObstructionReport when
-    every available quadric degenerates.
-    """
-    run = run_Y4(Y, conic, seed=seed)
-    return run.obstruction or run.program
+# -- the entry points: P^5 is the pencil with no parameters -------------------------
 
 
 def generic_section(H):
@@ -967,89 +919,104 @@ def generic_section(H):
     return SectionFamily(names=names, field=ff, matrix=matrix, section=section)
 
 
-def _parameter_lift(builder, brefs):
-    """Embed rational functions of the section parameters as program nodes."""
-    def lift(co):
-        if isinstance(co, (int, Fraction)):
-            return builder.const(co)
-        num = co.num.evaluate(list(brefs), lift=builder.const)
-        if co.den.total_degree() == 0:
-            return num
-        return num / co.den.evaluate(list(brefs), lift=builder.const)
-    return lift
+def solve_stage(inst, conic, seed=0):
+    """The timed witness search, with the obstruction when it fails, on a
+    doubled quartic in P^5 or on the generic section of one in P^n."""
+    if inst.n == 5:
+        Y, params = inst, ()
+        message = ("every quadric through the cone compatible with the "
+                   "conic degenerates (lambda = 0)")
+    else:
+        fam = generic_section(inst)
+        Y = QuarticInstance(n=5, F=fam.section, f=inst.f, alpha=inst.alpha)
+        params = fam.names
+        message = ("the residual cubic misses the conic for every section "
+                   "parameter")
+    t0 = time.perf_counter()
+    rep = solve_quadric_system(Y, conic, seed=seed)
+    run = PipelineRun(solver=rep, params=params, section=Y,
+                      timings={"solve_s": time.perf_counter() - t0})
+    if rep.feasible:
+        return run
+    return replace(run, obstruction=ObstructionReport(
+        obstruction=rep.obstruction,
+        vector_dim=rep.vector_dim, proj_dim=rep.proj_dim,
+        solution_dim=len(rep.solution_basis), message=message,
+        field=Y.F.field))
 
 
-def run_H4(H, conic=None, seed=0):
-    """One pass onto a doubled quartic in P^n (n >= 6), keeping every stage.
+def run_pass(inst, conic=None, seed=0):
+    """One pass onto a doubled quartic in P^n (n >= 5), keeping every stage.
 
-    The section parameters b6..bn stay live program inputs followed by
-    (t, u, v1, v2), so a single program covers the whole pencil; on the
-    obstructed side the report carries coefficients from the parameter
-    field, polynomial in the b_i.
+    Chains the witness search on the section pencil, the cone decomposition,
+    the intersection sweep and the projection from the vertex; the
+    obstruction ends the pass when every available quadric degenerates.
+    The program takes the section parameters b6..bn (none on P^5) and
+    (t, u, v1, v2) to the projected point y0..y5 followed by b_i * y5, so a
+    single program covers the whole pencil.
     """
-    if H.n < 6:
-        raise ValueError("sections need an ambient space of at least P^6")
+    if inst.n < 5:
+        raise ValueError("expected a doubled quartic in P^n with n >= 5")
     if conic is None:
-        conic = H.conic if H.conic is not None else circle_conic()
-    run = solve_stage(H, conic, seed)
+        conic = inst.conic if inst.conic is not None else circle_conic()
+    run = solve_stage(inst, conic, seed)
     if run.obstruction is not None:
         return run
-    rep = run.solver
     t0 = time.perf_counter()
-    split = decompose_cone(run.section, rep.witness)
-    ff = run.section.F.field
-    nb = len(run.params)
-    rng = random.Random(seed)
-    last = None
-    plan = dry = b0 = None
-    for attempt in range(6):
-        cand = [Fraction(rng.randint(-5, 5)) for _ in range(nb)]
-        q0 = rep.witness.map_coefficients(QQ, lambda r: ff.coerce(r).evaluate(cand))
-        c0 = split.c.map_coefficients(QQ, lambda r: ff.coerce(r).evaluate(cand))
-        try:
-            plan, dry = _dry_plan(q0, c0, conic, random.Random(seed + attempt))
-        except (TangentsCoincide, SectionSingular, LineInsideCubic,
-                ValueError) as err:
-            last = err
-            continue
-        b0 = cand
-        break
-    if plan is None:
-        raise last
-
-    b = SlpBuilder(nb + 4)
-    brefs = b.inputs[:nb]
-    t, u, v1, v2 = b.inputs[nb:]
-    lift = _parameter_lift(b, brefs)
-    g = conic.eval([t], lift=b.const)
-    s_refs = list(g) + [b.const(0), u]
-    point, _ = _fiber_construction(rep.witness, split.c, s_refs, (v1, v2),
-                                   plan, lift=lift)
-    outs = list(point[:6])
-    for i in range(nb):
-        outs.append(brefs[i] * point[5])
-    slp = b.finish(outs, provenance=None)
-    args0 = list(b0) + [dry["t"], dry["u"], dry["v"][0], dry["v"][1]]
-    vals = slp.eval(args0)
-    if all(x == 0 for x in vals):
-        raise ArithmeticError("the section program collapsed at the rehearsal point")
-    if H.F.evaluate(vals) != 0:
-        raise ArithmeticError("a section point escaped the quartic")
-    prov = {"stage": "hyperplane-pencil", "seed": seed,
-            "inputs": list(run.params) + ["t", "u", "v1", "v2"],
-            "pivots": list(plan["pivots"]), "span": list(plan["span"]),
-            "drop": plan["drop"]}
-    program = _with_chart(slp, next(i for i, x in enumerate(vals) if x != 0), prov)
+    split = decompose_cone(run.section, run.solver.witness)
+    e6 = ProjPoint([0] * 6 + [1])
+    ci = Ci23Instance(q=run.solver.witness, c=split.c,
+                      surface=_cone_surface(conic), vertex=e6, conic=conic)
+    phi = ci23_parametrize(ci, seed=seed)
+    comp = project_from_point(e6).compose(phi)
+    nodes, outs = list(comp.nodes), list(comp.outputs)
+    for i in range(len(run.params)):
+        # the input b_i is node i; reuse b_i * y5 where the sweep made it
+        node = ("mul", i, outs[5])
+        if node not in nodes:
+            nodes.append(node)
+        outs.append(nodes.index(node))
+    rng = random.Random(seed + 13)
+    for _ in range(6):
+        args = [Fraction(rng.randint(-7, 7), 1 + rng.randint(0, 2))
+                for _ in range(phi.in_arity)]
+        vals = comp.eval(args)
+        if any(x != 0 for x in vals):
+            break
+    else:
+        raise ArithmeticError("the projection collapsed the parametrized intersection")
+    vals += [bi * vals[5] for bi in args[:len(run.params)]]
+    if inst.F.evaluate(vals) != 0:
+        raise ArithmeticError("a parametrized point escaped the quartic")
+    if run.params:
+        prov = dict(phi.provenance, stage="hyperplane-pencil",
+                    inputs=list(run.params) + ["t", "u", "v1", "v2"])
+    else:
+        prov = {"stage": "quartic-threefold", "seed": seed,
+                "fibers": phi.provenance}
+    program = SlpMap(phi.in_arity, len(outs), nodes, outs, provenance=prov,
+                     chart=next(i for i, x in enumerate(vals) if x != 0))
     run.timings["sweep_s"] = time.perf_counter() - t0
-    return replace(run, program=program)
+    return replace(run, ci=ci, phi=phi, program=program)
+
+
+def parametrize_Y4(Y, conic=None, seed=0):
+    """Four-parameter program onto a quartic threefold, or the obstruction:
+    the SlpMap or the ObstructionReport of run_pass."""
+    if Y.n != 5:
+        raise ValueError("expected a quartic threefold in P^5")
+    run = run_pass(Y, conic, seed=seed)
+    return run.obstruction or run.program
 
 
 def parametrize_H4(H, conic=None, seed=0):
     """(n - 1)-parameter program onto a doubled quartic in P^n (n >= 6), or the
     obstruction blocking every member of the section pencil at once: the
-    SlpMap or the ObstructionReport of run_H4.
+    SlpMap or the ObstructionReport of run_pass.
     """
-    run = run_H4(H, conic, seed=seed)
+    if H.n < 6:
+        raise ValueError("sections need an ambient space of at least P^6")
+    run = run_pass(H, conic, seed=seed)
     return run.obstruction or run.program
 
 

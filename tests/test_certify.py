@@ -29,8 +29,7 @@ from unirat.pipeline import (
     build_real_example,
     circle_conic,
     parametrize_Y4,
-    run_H4,
-    run_Y4,
+    run_pass,
     sphere_form,
 )
 from unirat.slp import SlpBuilder, SlpMap
@@ -305,7 +304,7 @@ def obstruction_block():
     x0, x5 = (MPoly.variable(i, 6, QQ) for i in (0, 5))
     Y = QuarticInstance(n=5, F=f6 * f6 + x5 * x0 ** 3, f=sphere_form())
     conic = circle_conic()
-    return certify_obstruction(Y, conic, run_Y4(Y, conic))
+    return certify_obstruction(Y, conic, run_pass(Y, conic))
 
 
 def test_replay_rejects_mutations():
@@ -360,6 +359,9 @@ def nudged(value):
         return value + 1
     if isinstance(value, str):
         return value + "1"
+    if isinstance(value, dict):
+        first = next(iter(value))
+        return dict(value, **{first: nudged(value[first])})
     return [nudged(value[0])] + value[1:]
 
 
@@ -374,8 +376,11 @@ def test_replay_rebuilds_every_derived_field():
         (check_on_variety(sph, f), {"phi", "F"}),
         (check_on_variety(psi, Y.F, seed=0), {"phi", "F", "seed", "points"}),
         (check_dominant(psi, 4, seed=0), {"phi", "witness"}),
-        (certify_obstruction(H, H.conic, run_H4(H)),
+        (certify_obstruction(H, H.conic, run_pass(H)),
          {"F", "f", "alpha", "conic"}),
+        (certify_positive_on_hyperplane(
+            build_real_example(n=8, preset="cubes").F, chart=4),
+         {"R", "chart", "nvars"}),
     ]
     assert [doc.get("mode") for doc, _ in cases[:2]] == ["symbolic", "randomized"]
     for doc, inputs in cases:
@@ -386,3 +391,7 @@ def test_replay_rebuilds_every_derived_field():
             for bad in (dict(doc, **{key: nudged(doc[key])}), missing):
                 with pytest.raises(ReplayRejected):
                     replay_certificate(bad)
+    # the absorptions sum to R in any order, but only one order is rebuilt
+    pos = roundtrip(cases[-1][0])
+    with pytest.raises(ReplayRejected):
+        replay_certificate(dict(pos, absorptions=pos["absorptions"][::-1]))

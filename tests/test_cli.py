@@ -13,7 +13,7 @@ from unirat.certify import (
     check_dominant,
 )
 from unirat.cli import main
-from unirat.mpoly import MPoly
+from unirat.mpoly import MPoly, format_poly
 from unirat.exactcore import QQ
 from unirat.pipeline import QuarticInstance, save_instance, sphere_form
 from unirat.slp import SlpBuilder, SlpMap
@@ -195,6 +195,30 @@ def test_replay_ties_each_dominance_claim_to_a_program_of_the_report(
     assert "no on-variety certificate" in capsys.readouterr().out
 
 
+def test_verify_and_replay_refuse_a_program_with_division(workdir, capsys):
+    # (1/t : u/t : v/t : w/t : 1 : 1): symbolic mode cannot divide and the
+    # randomized degree bound undershoots, so no on-variety claim is made
+    b = SlpBuilder(4)
+    t, u, v, w = b.inputs
+    one = b.const(1)
+    prog = b.finish([one / t, u / t, v / t, w / t, one, one], chart=4)
+    path = workdir / "div.slp.json"
+    prog.save(path)
+    capsys.readouterr()
+    assert main(["verify", "--slp", str(path),
+                 "--instance", str(INSTANCES / "reverse_p5.json")]) == 64
+    assert "node 5 is a div node" in capsys.readouterr().err
+    F = pipeline.load_instance(INSTANCES / "reverse_p5.json").F
+    cert = {"kind": "on-variety", "version": 1, "F": format_poly(F),
+            "nvars": 6, "phi": prog.to_json(), "tracked_degree": 4,
+            "mode": "symbolic", "expansion_hash": "0" * 64}
+    rep = workdir / "div.report.json"
+    rep.write_text(json.dumps({"version": 1, "command": "parametrize",
+                               "outcome": "Success", "certificates": [cert]}))
+    assert main(["replay", "--report", str(rep)]) == 4
+    assert "div node" in capsys.readouterr().out
+
+
 def test_replay_ties_a_certify_report_to_one_quartic(workdir, capsys):
     stored = REPO / "perfbench" / "data" / "n8_certify.json"
     assert main(["replay", "--report", str(stored)]) == 0
@@ -241,10 +265,19 @@ def test_p5_parametrize_runs_each_stage_once(workdir, monkeypatch):
         for mod in (pipeline, cli):
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, wrapper)
-    assert quiet(["parametrize", "--instance", str(INSTANCES / "reverse_p5.json"),
-                  "--out", str(workdir / "p5.once.slp.json"),
-                  "--report", str(workdir / "p5.once.report.json")]) == 0
-    assert calls == {"solve_quadric_system": 1, "ci23_parametrize": 1}
+    # P^5 and the pencil of P^5 sections of the P^6 lift take the same pass
+    Y = pipeline.load_instance(INSTANCES / "reverse_p5.json")
+    x = [MPoly.variable(i, 7, QQ) for i in range(7)]
+    lift = workdir / "p6_lift.json"
+    save_instance(QuarticInstance(
+        n=6, F=Y.F.extend_variables(7) + x[6] ** 4 + x[5] * x[6] * x[0] * x[1],
+        f=Y.f, alpha=Y.alpha), lift)
+    for inst in (INSTANCES / "reverse_p5.json", lift):
+        calls.clear()
+        assert quiet(["parametrize", "--instance", str(inst),
+                      "--out", str(workdir / "once.slp.json"),
+                      "--report", str(workdir / "once.report.json")]) == 0
+        assert calls == {"solve_quadric_system": 1, "ci23_parametrize": 1}
 
 
 # -- parametrize: obstructions ----------------------------------------------------
@@ -416,7 +449,7 @@ def test_obstruction_on_a_conic_of_degree_four(workdir, capsys):
     x0, x1, x4, x5 = (MPoly.variable(i, 6, QQ) for i in (0, 1, 4, 5))
     Y = QuarticInstance(n=5, F=f6 * f6 + x5 * x1 ** 2 * (x4 - x0),
                         f=sphere_form())
-    run = pipeline.run_Y4(Y, conic)
+    run = pipeline.run_pass(Y, conic)
     assert run.obstruction is not None
     block = certify_obstruction(Y, conic, run)
     assert block["obstruction"] == ["0"] * 8 + ["8"] + ["0"] * 4

@@ -30,7 +30,7 @@ from unirat.pipeline import (
     parametrize_H4,
     parametrize_Y4,
     reverse_build,
-    run_H4,
+    run_pass,
     save_instance,
     solve_quadric_system,
     sphere_form,
@@ -219,7 +219,7 @@ def test_section_c1_is_the_substituted_quartic_over_x5():
     # c1(x0..x5, b6..b8) = (F(x0..x5, b6*x5, b7*x5, b8*x5) - f^2) / x5, with
     # b_i in variable i, recomputed here by plain substitution
     H = build_real_example(n=8, preset="cubes", seed=0)
-    run = run_H4(H, seed=0)
+    run = run_pass(H, seed=0)
     xs = [x(i, 9) for i in range(9)]
     sub = H.F.evaluate(xs[:6] + [xs[i] * xs[5] for i in (6, 7, 8)],
                        lift=lambda c: MPoly.const(9, c, QQ))
@@ -454,18 +454,55 @@ def p6_lift():
     return QuarticInstance(n=6, F=F, f=Y.f, alpha=Y.alpha)
 
 
-@pytest.mark.parametrize("seed, digest", [
-    (0, "940fd175621e36cb0078ba98bdd1f70ade701cc627e7dc9970fdaac6268a11fa"),
-    (1, "d219c41873882e436237997d623ddb7452cf1873a9f56fcad52193da832986fa"),
-    (2, "e3f31e826125f21fc88f69cb5970885bc7db4002dd32f7b733758c523f05d1f4"),
+PINNED_INSTANCES = {
+    "reverse_p5": lambda: load_instance(INSTANCES / "reverse_p5.json"),
+    "p6_lift": p6_lift,
+}
+
+
+@pytest.mark.parametrize("name, seed, digest", [
+    ("reverse_p5", 0,
+     "7cea939f686dc190b9f86f3e0fa8c4cd493453256c390bba65c81e82815e9e51"),
+    ("reverse_p5", 1,
+     "edc46df479fbfcd26a9815505a1ed2b57a94d4fb9088009807cd22160a1f7521"),
+    ("reverse_p5", 2,
+     "6a838281504ac99c75f7d8a7480bacbca61a5fcf0cdf36bdf3a3cedbe928f8ad"),
+    ("p6_lift", 0,
+     "940fd175621e36cb0078ba98bdd1f70ade701cc627e7dc9970fdaac6268a11fa"),
+    ("p6_lift", 1,
+     "d219c41873882e436237997d623ddb7452cf1873a9f56fcad52193da832986fa"),
+    ("p6_lift", 2,
+     "e3f31e826125f21fc88f69cb5970885bc7db4002dd32f7b733758c523f05d1f4"),
 ])
-def test_run_H4_feasible_lift_program_is_pinned(seed, digest):
-    H = p6_lift()
-    program = run_H4(H, seed=seed).program
-    assert program.in_arity == 5
+def test_run_pass_program_is_pinned(name, seed, digest):
+    H = PINNED_INSTANCES[name]()
+    program = run_pass(H, seed=seed).program
+    assert program.in_arity == H.n - 1
     check_on_variety(program, H.F, seed=seed)
-    check_dominant(program, 5, seed=seed)
+    check_dominant(program, H.n - 1, seed=seed)
     assert hashlib.sha256(program.serialize().encode()).hexdigest() == digest
+
+
+def test_ci23_parametrize_sweeps_the_pencil():
+    # the section parameter b6 is the first input; every point lies on q and
+    # c specialized at that b6
+    ci = run_pass(p6_lift(), seed=0).ci
+    ff = ci.q.field
+    phi = ci23_parametrize(ci, seed=0)
+    assert (phi.in_arity, phi.out_arity) == (5, 7)
+    rng = random.Random(5)
+    hits = 0
+    while hits < 5:
+        vals = [Fraction(rng.randint(-6, 6), 1 + rng.randint(0, 2))
+                for _ in range(5)]
+        pt = phi.eval(vals)
+        if all(v == 0 for v in pt):
+            continue
+        for poly in (ci.q, ci.c):
+            spec = poly.map_coefficients(
+                QQ, lambda r: ff.coerce(r).evaluate(vals[:1]))
+            assert spec.evaluate(pt) == 0
+        hits += 1
 
 
 def test_parametrize_H4_is_deterministic():
