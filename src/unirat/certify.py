@@ -31,11 +31,11 @@ from .exactcore import QQ, BadPrime, PrimeField, rank
 from .groebner import DegreeCeilingExceeded, buchberger, projective_dimension, projective_empty
 from .mpoly import MPoly, format_poly, monomials, parse_poly
 from .pipeline import QuarticInstance, flatten_params, solve_stage
-from .slp import ChartVanishes, PoleHit, SlpMap
+from .slp import ChartVanishes, SlpMap
 
 SYMBOLIC_INPUT_LIMIT = 4
 SYMBOLIC_DEGREE_LIMIT = 60
-RANDOM_POINTS = 20
+MAX_POINTS = 20
 COORDINATE_BOUND = 2 ** 40
 CONFIDENCE_BITS = 64
 
@@ -86,7 +86,7 @@ def _sha(text):
 # -- on-variety identity ------------------------------------------------------------
 
 
-def check_on_variety(phi, F, seed=0, points=RANDOM_POINTS,
+def check_on_variety(phi, F, seed=0, points=None,
                      coordinate_bound=COORDINATE_BOUND):
     """Certify F o Phi = 0, symbolically when the expansion is small enough.
 
@@ -94,17 +94,14 @@ def check_on_variety(phi, F, seed=0, points=RANDOM_POINTS,
     zero polynomial); randomized mode stores the Schwartz-Zippel data: K
     sample points with coordinates uniform in [-M, M] drawn from `seed`,
     all of which evaluated to exactly zero, and the per-point failure
-    bound D / (2M + 1) whose K-th power is below 2^-64.  Programs with a
-    div node are refused with a ValueError: symbolic mode cannot divide and
-    the tracked degree undershoots on division.
+    bound D / (2M + 1) whose K-th power is below 2^-64.  Programs are
+    polynomial, so F o Phi has degree at most D = deg F * max deg Phi.
+    K is the smallest count that reaches 2^-64, at most MAX_POINTS (2 at
+    D = 248, M = 2^40); a program that needs more is refused with a
+    ValueError.  Replay passes the stored `points` instead.
     """
     if F.nvars != phi.out_arity:
         raise ValueError("the polynomial and the program disagree on the space")
-    div = next((i for i, node in enumerate(phi.nodes) if node[0] == "div"), None)
-    if div is not None:
-        # symbolic mode cannot divide, and the degree bound undershoots on div
-        raise ValueError("node %d is a div node: on-variety certificates take "
-                         "division-free programs" % div)
     tracked = F.total_degree() * max(phi.degree_bounds)
     doc = {"kind": "on-variety", "version": 1, "F": format_poly(F),
            "nvars": F.nvars, "phi": phi.to_json(), "tracked_degree": tracked}
@@ -121,7 +118,11 @@ def check_on_variety(phi, F, seed=0, points=RANDOM_POINTS,
     # Schwartz-Zippel: a nonzero numerator of degree at most `tracked`
     # vanishes at a uniform point of [-M, M]^n with at most this chance
     bound = Fraction(tracked, 2 * coordinate_bound + 1)
-    if bound ** points >= Fraction(1, 2 ** CONFIDENCE_BITS):
+    target = Fraction(1, 2 ** CONFIDENCE_BITS)
+    if points is None:
+        points = next((k for k in range(1, MAX_POINTS) if bound ** k < target),
+                      MAX_POINTS)
+    if bound ** points >= target:
         raise ValueError("K = %d points at M = %d give less than %d bits"
                          % (points, coordinate_bound, CONFIDENCE_BITS))
     rng = random.Random(seed)
@@ -164,7 +165,7 @@ def check_dominant(phi, target_dim, seed=0, tries=5):
               for _ in range(phi.in_arity)]
         try:
             doc = _dominance_at(phi, pt, target_dim)
-        except (PoleHit, ChartVanishes, ZeroDivisionError):
+        except ChartVanishes:
             continue
         if doc["rank"] == target_dim:
             return doc
@@ -458,8 +459,6 @@ def _replay_dominance(doc):
         raise ReplayRejected("stored rank misses the target dimension")
     try:
         rebuilt = _dominance_at(phi, [Fraction(c) for c in doc["witness"]], target)
-    except (PoleHit, ZeroDivisionError):
-        raise ReplayRejected("witness hits a pole of the program")
     except ChartVanishes:
         raise ReplayRejected("the chart coordinate vanishes at the witness")
     except ValueError as err:

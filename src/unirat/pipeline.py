@@ -668,14 +668,15 @@ def _dry_plan(q0, c0, conic, rng, tries=6):
 
 
 def _parameter_lift(builder, brefs):
-    """Embed rational functions of the section parameters as program nodes."""
+    """Embed polynomials in the section parameters as program nodes.
+    Programs cannot divide; a constant denominator is 1 after RatFn
+    normalization, and any other is refused."""
     def lift(co):
         if isinstance(co, (int, Fraction)):
             return builder.const(co)
-        num = co.num.evaluate(list(brefs), lift=builder.const)
-        if co.den.total_degree() == 0:
-            return num
-        return num / co.den.evaluate(list(brefs), lift=builder.const)
+        if co.den.total_degree() != 0:
+            raise ValueError("a coefficient is not polynomial in the parameters")
+        return co.num.evaluate(list(brefs), lift=builder.const)
     return lift
 
 
@@ -686,11 +687,15 @@ def ci23_parametrize(inst, seed=0):
     Over a surface point s the common tangent space carries a quadric whose
     smooth point in the vertex direction projects the fiber onto a chart;
     the third intersection of each projected line with the cubic is the
-    output.  Coefficients may be rational functions of section parameters
+    output.  Coefficients may be polynomials in section parameters
     b6..bn, the names of inst.q.field; those stay live program inputs ahead
     of (t, u, v1, v2), so one program covers the whole pencil, and the plan
-    is rehearsed at seeded rational b0 (up to six draws).  Over QQ the
-    program is division-free.  Raises TangentsCoincide / SectionSingular /
+    is rehearsed at seeded rational b0 (up to six draws).  run_pass hands
+    over polynomial coefficients: the witness q is rational (f vanishes on
+    the conic, so solvable witness conditions vanish identically and their
+    kernel basis is 0/1 vectors) and decompose_cone divides only by x5 and
+    the rational lambda.  Any other denominator raises a ValueError, so
+    the program never divides.  Raises TangentsCoincide / SectionSingular /
     LineInsideCubic when the instance degenerates along the whole surface.
     """
     fld = inst.q.field

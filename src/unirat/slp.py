@@ -1,9 +1,10 @@
-"""Straight-line programs for exact rational maps.
+"""Straight-line programs for polynomial maps.
 
-A map is a list of nodes (inputs, constants, ring operations) plus a set of
-output node indices.  Evaluation and forward-mode differentiation walk the
-node list once; composed maps stay small as programs even when their expanded
-polynomial form would be enormous.
+A map is a list of nodes (inputs, rational constants, add, sub and mul) plus
+a set of output node indices.  With no division the tracked degree bounds
+hold for every program the format accepts.  Evaluation and forward-mode
+differentiation walk the node list once; composed maps stay small as programs
+even when their expanded polynomial form would be enormous.
 """
 
 from __future__ import annotations
@@ -13,18 +14,11 @@ from fractions import Fraction
 
 from .exactcore import QQ, ExactMatrix, format_rational, parse_rational
 
-_OPS = ("input", "const", "add", "sub", "mul", "div")
-_BINARY = ("add", "sub", "mul", "div")
+_BINARY = ("add", "sub", "mul")
 
 
 class MalformedInput(ValueError):
     """Program fails a structural invariant (cycle, bad arity, bad op)."""
-
-
-class PoleHit(ArithmeticError):
-    def __init__(self, node):
-        super().__init__("division by zero at node %d" % node)
-        self.node = node
 
 
 class ChartVanishes(ArithmeticError):
@@ -74,7 +68,7 @@ def _degree_bounds(nodes):
             deg.append(0)
         elif op in ("add", "sub"):
             deg.append(max(deg[node[1]], deg[node[2]]))
-        else:  # mul, div: rational-function degree bound adds
+        else:  # mul: the degrees add; without division the bound is sound
             deg.append(deg[node[1]] + deg[node[2]])
     return deg
 
@@ -87,7 +81,7 @@ def _is_zero(x):
 
 
 class SlpMap:
-    """Immutable exact rational map given by a straight-line program."""
+    """Immutable polynomial map given by a straight-line program."""
 
     def __init__(self, in_arity, out_arity, nodes, outputs, chart=None, provenance=None):
         _validate(in_arity, out_arity, nodes, outputs, chart)
@@ -115,7 +109,7 @@ class SlpMap:
             raise ArityMismatch(
                 "map takes %d inputs, got %d" % (self.in_arity, len(point)))
         vals = []
-        for idx, node in enumerate(self.nodes):
+        for node in self.nodes:
             op = node[0]
             if op == "input":
                 vals.append(point[node[1]])
@@ -125,13 +119,8 @@ class SlpMap:
                 vals.append(vals[node[1]] + vals[node[2]])
             elif op == "sub":
                 vals.append(vals[node[1]] - vals[node[2]])
-            elif op == "mul":
-                vals.append(vals[node[1]] * vals[node[2]])
             else:
-                d = vals[node[2]]
-                if _is_zero(d):
-                    raise PoleHit(idx)
-                vals.append(vals[node[1]] / d)
+                vals.append(vals[node[1]] * vals[node[2]])
         return vals
 
     def eval(self, point, lift=None):
@@ -154,7 +143,7 @@ class SlpMap:
         vals = []
         # ders[idx] is the gradient of node idx w.r.t. all inputs
         ders = []
-        for idx, node in enumerate(self.nodes):
+        for node in self.nodes:
             op = node[0]
             if op == "input":
                 vals.append(lift(point[node[1]]))
@@ -171,17 +160,10 @@ class SlpMap:
                 vals.append(vals[node[1]] - vals[node[2]])
                 ders.append([da - db for da, db
                              in zip(ders[node[1]], ders[node[2]])])
-            elif op == "mul":
+            else:
                 a, b = vals[node[1]], vals[node[2]]
                 vals.append(a * b)
                 ders.append([a * db + b * da for da, db
-                             in zip(ders[node[1]], ders[node[2]])])
-            else:
-                a, b = vals[node[1]], vals[node[2]]
-                if _is_zero(b):
-                    raise PoleHit(idx)
-                vals.append(a / b)
-                ders.append([(da * b - a * db) / (b * b) for da, db
                              in zip(ders[node[1]], ders[node[2]])])
         rows = []
         if self.chart is None:
@@ -356,12 +338,6 @@ class NodeRef:
 
     def __rmul__(self, other):
         return self.builder._emit("mul", self._coerce(other), self)
-
-    def __truediv__(self, other):
-        return self.builder._emit("div", self, self._coerce(other))
-
-    def __rtruediv__(self, other):
-        return self.builder._emit("div", self._coerce(other), self)
 
     def __neg__(self):
         return self.builder.const(-1) * self

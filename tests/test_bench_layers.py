@@ -39,3 +39,18 @@ def test_every_attribute_the_workloads_read_resolves():
     for module, name in sorted(reads):
         assert hasattr(importlib.import_module("unirat." + module), name), \
             "unirat.%s has no %s" % (module, name)
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # `from unirat[.<module>] import <name>` in any benchmark file
+    imports = [(node.module, alias.name)
+               for path in sorted(PERFBENCH.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and node.module
+               and (node.module + ".").startswith("unirat.")
+               for alias in node.names]
+    assert ("unirat.exactcore", "PrimeField") in imports
+    for module, name in imports:
+        if not hasattr(importlib.import_module(module), name):
+            # a submodule, as in `from unirat import cli`
+            importlib.import_module(module + "." + name)

@@ -67,10 +67,25 @@ def test_on_variety_randomized_quartic():
     cert = check_on_variety(psi, Y.F, seed=0)
     assert cert["mode"] == "randomized"
     assert cert["tracked_degree"] == 248  # 4 * max SLP degree bound
-    assert cert["points"] == 20 and cert["coordinate_bound"] == str(2 ** 40)
-    assert Fraction(cert["per_point_bound"]) == Fraction(248, 2 ** 41 + 1)
-    assert Fraction(cert["per_point_bound"]) ** 20 < Fraction(1, 2 ** 64)
+    assert cert["points"] == 2 and cert["coordinate_bound"] == str(2 ** 40)
+    bound = Fraction(cert["per_point_bound"])
+    assert bound == Fraction(248, 2 ** 41 + 1)
+    # the fewest points the bound allows
+    assert bound ** cert["points"] < Fraction(1, 2 ** 64)
+    assert bound ** (cert["points"] - 1) >= Fraction(1, 2 ** 64)
     assert replay_certificate(cert) == "on-variety"
+
+
+def test_on_variety_replay_takes_the_stored_point_count():
+    # documents written with a fixed 20 points still replay; one point is
+    # below the confidence target, so such a document is rejected
+    Y = good_quartic()
+    psi = parametrize_Y4(Y, seed=0)
+    doc = roundtrip(check_on_variety(psi, Y.F, seed=0, points=20))
+    assert doc["points"] == 20
+    assert replay_certificate(doc) == "on-variety"
+    with pytest.raises(ReplayRejected, match="give less than 64 bits"):
+        replay_certificate(dict(doc, points=1))
 
 
 def test_on_variety_rejects_low_confidence():

@@ -196,27 +196,46 @@ def test_replay_ties_each_dominance_claim_to_a_program_of_the_report(
 
 
 def test_verify_and_replay_refuse_a_program_with_division(workdir, capsys):
-    # (1/t : u/t : v/t : w/t : 1 : 1): symbolic mode cannot divide and the
-    # randomized degree bound undershoots, so no on-variety claim is made
-    b = SlpBuilder(4)
-    t, u, v, w = b.inputs
-    one = b.const(1)
-    prog = b.finish([one / t, u / t, v / t, w / t, one, one], chart=4)
+    # (1/t : u/t : v/t : w/t : 1 : 1): programs are polynomial, so a div
+    # node is an unknown op and no on-variety claim is made
+    nodes = ([{"op": "input", "args": [i]} for i in range(4)]
+             + [{"op": "const", "args": [], "value": "1"}]
+             + [{"op": "div", "args": [i, 0]} for i in (4, 1, 2, 3)])
+    prog = {"version": 1, "in_arity": 4, "out_arity": 6, "nodes": nodes,
+            "outputs": [5, 6, 7, 8, 4, 4], "chart": 4, "provenance": {}}
     path = workdir / "div.slp.json"
-    prog.save(path)
+    path.write_text(json.dumps(prog))
     capsys.readouterr()
     assert main(["verify", "--slp", str(path),
                  "--instance", str(INSTANCES / "reverse_p5.json")]) == 64
-    assert "node 5 is a div node" in capsys.readouterr().err
+    assert "unknown op 'div' at node 5" in capsys.readouterr().err
     F = pipeline.load_instance(INSTANCES / "reverse_p5.json").F
     cert = {"kind": "on-variety", "version": 1, "F": format_poly(F),
-            "nvars": 6, "phi": prog.to_json(), "tracked_degree": 4,
+            "nvars": 6, "phi": prog, "tracked_degree": 4,
             "mode": "symbolic", "expansion_hash": "0" * 64}
     rep = workdir / "div.report.json"
     rep.write_text(json.dumps({"version": 1, "command": "parametrize",
                                "outcome": "Success", "certificates": [cert]}))
     assert main(["replay", "--report", str(rep)]) == 4
-    assert "div node" in capsys.readouterr().out
+    assert "unknown op 'div'" in capsys.readouterr().out
+
+
+def test_verify_refuses_a_program_whose_degree_no_point_count_covers(
+        workdir, capsys, monkeypatch):
+    # t^(2^70): the per-point bound 4 * 2^70 / (2^41 + 1) exceeds 1, so
+    # no count of at most 20 points reaches 2^-64 and nothing is sampled
+    b = SlpBuilder(4)
+    t, u, v, w = b.inputs
+    for _ in range(70):
+        t = t * t
+    one = b.const(1)
+    path = workdir / "squarings.slp.json"
+    b.finish([t, u, v, w, one, one], chart=4).save(path)
+    monkeypatch.setattr(SlpMap, "eval", lambda *args, **kw: pytest.fail("sampled"))
+    capsys.readouterr()
+    assert main(["verify", "--slp", str(path),
+                 "--instance", str(INSTANCES / "reverse_p5.json")]) == 64
+    assert "K = 20 points" in capsys.readouterr().err
 
 
 def test_replay_ties_a_certify_report_to_one_quartic(workdir, capsys):

@@ -18,7 +18,6 @@ from unirat.geom import (
 )
 from unirat.mpoly import MPoly, parse_poly
 from unirat.pipeline import SectionSingular, _fiber_frame, _plan_fiber, sphere_form
-from unirat.slp import PoleHit
 
 
 def sphere5():

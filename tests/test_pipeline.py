@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -503,6 +504,16 @@ def test_ci23_parametrize_sweeps_the_pencil():
                 QQ, lambda r: ff.coerce(r).evaluate(vals[:1]))
             assert spec.evaluate(pt) == 0
         hits += 1
+
+
+def test_ci23_parametrize_refuses_a_coefficient_that_is_not_polynomial():
+    # programs cannot divide, so q / (1 + b6^2) has no program
+    ci = run_pass(p6_lift(), seed=0).ci
+    ff = ci.q.field
+    b6 = ff.generator(0)
+    scaled = dataclasses.replace(ci, q=ci.q.scale(ff.one / (ff.one + b6 * b6)))
+    with pytest.raises(ValueError, match="not polynomial in the parameters"):
+        ci23_parametrize(scaled, seed=0)
 
 
 def test_parametrize_H4_is_deterministic():

@@ -9,7 +9,6 @@ from unirat.slp import (
     ArityMismatch,
     ChartVanishes,
     MalformedInput,
-    PoleHit,
     SlpBuilder,
     SlpMap,
 )
@@ -54,16 +53,6 @@ def test_eval_is_generic_over_polynomials():
     # the image satisfies the sphere equation identically
     s = out[0] * out[0] + out[1] * out[1] + out[2] * out[2] + out[3] * out[3]
     assert (s - out[4] * out[4]).is_zero()
-
-
-def test_pole_hit_carries_node_index():
-    b = SlpBuilder(1)
-    t = b.inputs[0]
-    m = b.finish([b.const(1) / t])
-    with pytest.raises(PoleHit) as err:
-        m.eval([Fraction(0)])
-    assert err.value.node == m.outputs[0]
-    assert m.eval([Fraction(1, 2)]) == [2]
 
 
 def test_eval_arity_checked():
