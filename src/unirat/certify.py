@@ -31,7 +31,7 @@ from .exactcore import QQ, BadPrime, PrimeField, rank
 from .groebner import DegreeCeilingExceeded, buchberger, projective_dimension, projective_empty
 from .mpoly import MPoly, format_poly, monomials, parse_poly
 from .pipeline import QuarticInstance, flatten_params, solve_stage
-from .slp import ChartVanishes, SlpMap
+from .slp import ChartVanishes, MalformedInput, SlpMap
 
 SYMBOLIC_INPUT_LIMIT = 4
 SYMBOLIC_DEGREE_LIMIT = 60
@@ -96,9 +96,10 @@ def check_on_variety(phi, F, seed=0, points=None,
     all of which evaluated to exactly zero, and the per-point failure
     bound D / (2M + 1) whose K-th power is below 2^-64.  Programs are
     polynomial, so F o Phi has degree at most D = deg F * max deg Phi.
-    K is the smallest count that reaches 2^-64, at most MAX_POINTS (2 at
-    D = 248, M = 2^40); a program that needs more is refused with a
-    ValueError.  Replay passes the stored `points` instead.
+    K is the smallest count that reaches 2^-64 (2 at D = 248, M = 2^40).
+    Replay passes the stored `points` instead.  A count above MAX_POINTS,
+    derived or stored, is refused with a ValueError, so replaying a
+    document costs at most MAX_POINTS evaluations.
     """
     if F.nvars != phi.out_arity:
         raise ValueError("the polynomial and the program disagree on the space")
@@ -122,6 +123,9 @@ def check_on_variety(phi, F, seed=0, points=None,
     if points is None:
         points = next((k for k in range(1, MAX_POINTS) if bound ** k < target),
                       MAX_POINTS)
+    if points > MAX_POINTS:
+        raise ValueError("K = %d points exceed the cap of %d"
+                         % (points, MAX_POINTS))
     if bound ** points >= target:
         raise ValueError("K = %d points at M = %d give less than %d bits"
                          % (points, coordinate_bound, CONFIDENCE_BITS))
@@ -310,10 +314,11 @@ def certify_obstruction(inst, conic, run):
     """The obstruction block of an obstructed run_pass.
 
     Besides the coefficients of c1 on the conic, the cone-quadric count,
-    the kernel dimension of the conditions matrix and c1 itself, as a QQ
-    polynomial in x0..x5 followed by the section parameters b6..bn written
-    x6..xn, the block stores what replay rebuilds it from: the quartic F,
-    the slice form f with its multiplier alpha, and the conic.
+    the dimension of the quadrics compatible with the conic (7, those with
+    lambda = 0) and c1 itself, as a QQ polynomial in x0..x5 followed by the
+    section parameters b6..bn written x6..xn, the block stores what replay
+    rebuilds it from: the quartic F, the slice form f with its multiplier
+    alpha, and the conic.
     """
     obs = run.obstruction
     doc = {
@@ -546,6 +551,8 @@ def replay_certificate(doc, kind=None):
         _REPLAYERS[kind](doc)
     except ReplayRejected:
         raise
+    except MalformedInput as err:
+        raise ReplayRejected("malformed %s certificate: %s" % (kind, err))
     except Exception as err:  # malformed embedded data is a rejection too
         raise ReplayRejected("replay crashed: %s" % err)
     return kind

@@ -27,7 +27,9 @@ Whether the construction can start at all is a linear question: the cubic c
 must vanish on the conic, and since f already does, the only condition is
 lambda * c1(conic(t)) = 0 where c1 = (F5 - alpha*f^2)/x5.  A nonzero
 c1(conic(t)) therefore forces lambda = 0, every available quadric
-degenerates, and the instance is reported as obstructed.
+degenerates, and the instance is reported as obstructed.  Otherwise every
+(l, lambda) qualifies and the witness is q = x5*x6 + f, nondegenerate
+because f has rank five.
 """
 
 import itertools
@@ -80,7 +82,6 @@ __all__ = [
     "circle_conic",
     "decompose_cone",
     "solve_quadric_system",
-    "witness_conditions",
     "flatten_params",
     "ci23_parametrize",
     "reverse_build",
@@ -213,6 +214,8 @@ class QuarticInstance:
             raise ValueError("F must be a homogeneous quartic")
         if self.f.nvars != 5 or self.f.total_degree() != 2 or not self.f.is_homogeneous():
             raise ValueError("f must be a quadratic form in the five slice coordinates")
+        if self.f.field.is_zero(det_fraction_free(gram_matrix(self.f))):
+            raise ValueError("f must have rank five")
         rest = self.F
         for i in range(5, self.n + 1):
             rest = rest.set_variable_zero(i)
@@ -226,15 +229,12 @@ class QuarticInstance:
 class Ci23Instance:
     """A quadric-cubic intersection in P^6 that is a cone fibration over a conic.
 
-    The surface program (t, u) -> conic(t) + u * e6 must land inside both
-    hypersurfaces; the vertex is pinned to the last coordinate point, which
-    the fiber machinery relies on.
+    The cone (t, u) -> conic(t) + u * e6 over the conic, with its vertex at
+    the last coordinate point e6, must land inside both hypersurfaces.
     """
 
     q: MPoly
     c: MPoly
-    surface: SlpMap
-    vertex: ProjPoint
     conic: SlpMap
 
     def __post_init__(self):
@@ -242,17 +242,12 @@ class Ci23Instance:
             raise ValueError("the complete intersection lives in P^6")
         if self.q.total_degree() != 2 or self.c.total_degree() != 3:
             raise ValueError("expected a quadric and a cubic")
-        if not self.vertex.proportional(ProjPoint([0] * 6 + [1])):
-            raise ValueError("the surface vertex must be the last coordinate point")
-        fld = self.q.field
-        if fld.is_zero(det_fraction_free(gram_matrix(self.q))):
+        if self.q.field.is_zero(det_fraction_free(gram_matrix(self.q))):
             raise ValueError("the quadric of the pencil must be nondegenerate")
-        vc = [fld.coerce(x) for x in self.vertex.coords]
-        if not (fld.is_zero(self.q.evaluate(vc)) and fld.is_zero(self.c.evaluate(vc))):
-            raise ValueError("the vertex does not lie on the intersection")
         tt = MPoly.variable(0, 2, QQ)
         uu = MPoly.variable(1, 2, QQ)
-        coords = self.surface.eval([tt, uu], lift=lambda c: MPoly.const(2, c, QQ))
+        coords = _cone_surface(self.conic).eval(
+            [tt, uu], lift=lambda c: MPoly.const(2, c, QQ))
         for poly in (self.q, self.c):
             if not _compose_poly(poly, coords).is_zero():
                 raise ValueError("the cone surface does not lie inside the intersection")
@@ -272,20 +267,18 @@ class SectionFamily:
 class SolverReport:
     """Quadrics q = x5*l + lambda*f through the cone K compatible with the conic.
 
-    conditions is the matrix of witness_conditions and solution_basis
-    spans its kernel.  obstruction records the
-    coefficients of c1 on the conic: when it is nonzero every solution has
-    lambda = 0 and no nondegenerate witness exists.  c1 = (F5 - alpha*f^2)/x5
-    is the cubic those coefficients come from.
+    obstruction records the t-coefficients of c1 on the conic, where
+    c1 = (F5 - alpha*f^2)/x5.  When they all vanish every (l, lambda) is
+    compatible, solution_dim is 8 and the witness is x5*x6 + f; otherwise
+    every compatible quadric has lambda = 0, solution_dim is 7 and there is
+    no witness.
     """
 
     vector_dim: int
     proj_dim: int
-    conditions: ExactMatrix
-    solution_basis: tuple
+    solution_dim: int
     obstruction: tuple
     witness: Optional[MPoly]
-    witness_vector: Optional[tuple]
     c1: MPoly
 
     @property
@@ -440,28 +433,6 @@ def _count_cone_quadrics(f, conic, seed):
         % (len(mons) - rk, p))
 
 
-def witness_conditions(f, alpha, c1, conic):
-    """The linear conditions on q = x5*l + lambda*f, over c1's field.
-
-    One row per t-degree of lambda*c1(conic(t)) minus
-    alpha*l(conic(t))*f(conic(t)), through 3 deg(conic), and one column per
-    unknown (l_0..l_6, lambda).  The last column holds the t-coefficients of
-    c1(conic(t)) with x5 = 0: c1 = (F5 - alpha*f^2)/x5 is a cubic on P^5,
-    and these coefficients are the obstruction of the cone identity.
-    """
-    fld = c1.field
-    g5 = list(_conic_polys(conic))
-    top = 3 * max(g.total_degree() for g in g5)
-    f_on = _compose_poly(f, g5)
-    a = fld.coerce(alpha)
-    zero = MPoly.zero(1, QQ)
-    cols = [_univariate_coeffs(_to_field(g * f_on, fld).scale(-a), top)
-            for g in g5 + [zero] * 2]
-    cols.append(_univariate_coeffs(_compose_poly(c1, g5 + [zero]), top))
-    return ExactMatrix(
-        fld, [[col[d] for col in cols] for d in range(top + 1)], ncols=8)
-
-
 def flatten_params(p):
     """A polynomial over QQ(b6..bn) as a QQ polynomial whose variables
     x0..x5 are followed by b6..bn; a QQ polynomial is returned as it is."""
@@ -479,15 +450,16 @@ def flatten_params(p):
 
 
 def solve_quadric_system(Y, conic, seed=0):
-    """All pairs (l, lambda) with q = x5*l + lambda*f through the cone K whose
-    residual cubic keeps the conic inside the intersection, plus a
-    nondegenerate witness when one exists.
+    """The quadrics q = x5*l + lambda*f through the cone K whose residual
+    cubic keeps the conic inside the intersection, and a nondegenerate
+    witness when one exists.
 
     The conditions are the t-coefficients of lambda*c1(conic(t)) -
-    alpha*l(conic(t))*f(conic(t)); since f vanishes on the conic they only
-    constrain lambda.  The witness search walks the kernel over a fixed
-    {0, 1, -1} grid and then up to one hundred seeded random combinations,
-    skipping lambda = 0 (those quadrics have rank at most two).
+    alpha*l(conic(t))*f(conic(t)) through 3 deg(conic).  Since f vanishes
+    on the conic they read lambda * c1(conic(t)) = 0: all eight (l, lambda)
+    qualify when c1 vanishes on the conic, and then q = x5*x6 + f is a
+    witness (rank seven, as f has rank five); otherwise lambda = 0 leaves
+    seven, each of rank at most two.
     """
     if Y.n != 5:
         raise ValueError("the witness quadric search starts from a quartic threefold")
@@ -498,54 +470,16 @@ def solve_quadric_system(Y, conic, seed=0):
 
     fld = Y.F.field
     c1 = _section_c1(Y, fld)
-    conditions = witness_conditions(Y.f, Y.alpha, c1, conic)
-    obstruction = [row[-1] for row in conditions.rows]
-    sol = kernel_basis(conditions)
-
-    f7 = _to_field(Y.f.extend_variables(7), fld)
-    xs = [MPoly.variable(j, 7, fld) for j in range(7)]
-
-    def assemble(vec):
-        l = MPoly.zero(7, fld)
-        for j in range(7):
-            if not fld.is_zero(vec[j]):
-                l = l + xs[j].scale(vec[j])
-        return xs[5] * l + f7.scale(vec[7])
-
-    rng = random.Random(seed)
-    k = len(sol)
-    if all(fld.is_zero(bv[7]) for bv in sol):
-        # lambda vanishes on the whole solution space; no combination helps
-        combos = iter(())
-    else:
-        combos = itertools.chain(
-            (tuple(1 if m == i else 0 for m in range(k)) for i in range(k)),
-            itertools.product((0, 1, -1), repeat=k),
-            (tuple(rng.randint(-9, 9) for _ in range(k)) for _ in range(100)),
-        )
+    top = 3 * max(g.total_degree() for g in g5)
+    obstruction = tuple(_univariate_coeffs(
+        _compose_poly(c1, g5 + [MPoly.zero(1, QQ)]), top))
     witness = None
-    witness_vec = None
-    for combo in combos:
-        if not any(combo):
-            continue
-        vec = [fld.zero] * 8
-        for cm, bv in zip(combo, sol):
-            if cm == 0:
-                continue
-            for idx in range(8):
-                vec[idx] = vec[idx] + fld.coerce(cm) * bv[idx]
-        if fld.is_zero(vec[7]):
-            continue
-        q_cand = assemble(vec)
-        if not fld.is_zero(det_fraction_free(gram_matrix(q_cand))):
-            witness = q_cand
-            witness_vec = tuple(vec)
-            break
+    if all(fld.is_zero(co) for co in obstruction):
+        witness = (MPoly.variable(5, 7, fld) * MPoly.variable(6, 7, fld)
+                   + _to_field(Y.f.extend_variables(7), fld))
     return SolverReport(vector_dim=vec_dim, proj_dim=proj_dim,
-                        conditions=conditions,
-                        solution_basis=tuple(tuple(v) for v in sol),
-                        obstruction=tuple(obstruction),
-                        witness=witness, witness_vector=witness_vec, c1=c1)
+                        solution_dim=7 if witness is None else 8,
+                        obstruction=obstruction, witness=witness, c1=c1)
 
 
 # -- sweeping the intersection -----------------------------------------------------
@@ -691,12 +625,11 @@ def ci23_parametrize(inst, seed=0):
     b6..bn, the names of inst.q.field; those stay live program inputs ahead
     of (t, u, v1, v2), so one program covers the whole pencil, and the plan
     is rehearsed at seeded rational b0 (up to six draws).  run_pass hands
-    over polynomial coefficients: the witness q is rational (f vanishes on
-    the conic, so solvable witness conditions vanish identically and their
-    kernel basis is 0/1 vectors) and decompose_cone divides only by x5 and
-    the rational lambda.  Any other denominator raises a ValueError, so
-    the program never divides.  Raises TangentsCoincide / SectionSingular /
-    LineInsideCubic when the instance degenerates along the whole surface.
+    over polynomial coefficients: the witness q = x5*x6 + f is rational
+    and decompose_cone divides only by x5 and the rational lambda.  Any
+    other denominator raises a ValueError, so the program never divides.
+    Raises TangentsCoincide / SectionSingular / LineInsideCubic when the
+    instance degenerates along the whole surface.
     """
     fld = inst.q.field
     k = len(getattr(fld, "names", ()))
@@ -842,8 +775,6 @@ def reverse_build(f=None, conic=None, l=None, lam=Fraction(1),
     rng = random.Random(seed)
     f7 = f.extend_variables(7)
     q = MPoly.variable(5, 7, QQ) * l + f7.scale(lam)
-    surface = _cone_surface(conic)
-    vertex = ProjPoint([0] * 6 + [1])
     last = None
     for attempt in range(8):
         if c1 is not None:
@@ -866,7 +797,7 @@ def reverse_build(f=None, conic=None, l=None, lam=Fraction(1),
                 continue
         c = pick.extend_variables(7) - (l * f7).scale(alpha / lam)
         try:
-            ci = Ci23Instance(q=q, c=c, surface=surface, vertex=vertex, conic=conic)
+            ci = Ci23Instance(q=q, c=c, conic=conic)
             slp = ci23_parametrize(ci, seed=seed + attempt)
         except (TangentsCoincide, SectionSingular, LineInsideCubic,
                 ArithmeticError) as err:
@@ -946,7 +877,7 @@ def solve_stage(inst, conic, seed=0):
     return replace(run, obstruction=ObstructionReport(
         obstruction=rep.obstruction,
         vector_dim=rep.vector_dim, proj_dim=rep.proj_dim,
-        solution_dim=len(rep.solution_basis), message=message,
+        solution_dim=rep.solution_dim, message=message,
         field=Y.F.field))
 
 
@@ -969,11 +900,9 @@ def run_pass(inst, conic=None, seed=0):
         return run
     t0 = time.perf_counter()
     split = decompose_cone(run.section, run.solver.witness)
-    e6 = ProjPoint([0] * 6 + [1])
-    ci = Ci23Instance(q=run.solver.witness, c=split.c,
-                      surface=_cone_surface(conic), vertex=e6, conic=conic)
+    ci = Ci23Instance(q=run.solver.witness, c=split.c, conic=conic)
     phi = ci23_parametrize(ci, seed=seed)
-    comp = project_from_point(e6).compose(phi)
+    comp = project_from_point(ProjPoint([0] * 6 + [1])).compose(phi)
     nodes, outs = list(comp.nodes), list(comp.outputs)
     for i in range(len(run.params)):
         # the input b_i is node i; reuse b_i * y5 where the sweep made it

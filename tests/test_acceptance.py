@@ -48,7 +48,6 @@ from unirat.pipeline import (
     load_instance,
     reverse_build,
     solve_quadric_system,
-    _cone_surface,
     _compose_poly,
     _conic_polys,
     _to_field,
@@ -79,8 +78,7 @@ def p5():
     t0 = perf_counter()
     rep = solve_quadric_system(inst, conic, seed=0)
     split = decompose_cone(inst, rep.witness)
-    ci = Ci23Instance(q=rep.witness, c=split.c, surface=_cone_surface(conic),
-                      vertex=ProjPoint([0] * 6 + [1]), conic=conic)
+    ci = Ci23Instance(q=rep.witness, c=split.c, conic=conic)
     phi = ci23_parametrize(ci, seed=0)
     onq = check_on_variety(phi, ci.q, seed=0)
     onc = check_on_variety(phi, ci.c, seed=0)

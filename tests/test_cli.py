@@ -11,6 +11,7 @@ from unirat.certify import (
     certify_positive_on_hyperplane,
     certify_smooth_mod_p,
     check_dominant,
+    check_on_variety,
 )
 from unirat.cli import main
 from unirat.mpoly import MPoly, format_poly
@@ -217,7 +218,8 @@ def test_verify_and_replay_refuse_a_program_with_division(workdir, capsys):
     rep.write_text(json.dumps({"version": 1, "command": "parametrize",
                                "outcome": "Success", "certificates": [cert]}))
     assert main(["replay", "--report", str(rep)]) == 4
-    assert "unknown op 'div'" in capsys.readouterr().out
+    assert ("malformed on-variety certificate: unknown op 'div'"
+            in capsys.readouterr().out)
 
 
 def test_verify_refuses_a_program_whose_degree_no_point_count_covers(
@@ -236,6 +238,29 @@ def test_verify_refuses_a_program_whose_degree_no_point_count_covers(
     assert main(["verify", "--slp", str(path),
                  "--instance", str(INSTANCES / "reverse_p5.json")]) == 64
     assert "K = 20 points" in capsys.readouterr().err
+
+
+def test_replay_caps_the_stored_point_count(p5_run, workdir, capsys):
+    # each stored point costs one evaluation of the program, so a count
+    # above MAX_POINTS is refused before sampling; the genuine 2-point
+    # document and one written with 20 points still replay
+    slp_path, rep_path = p5_run
+    doc = json.loads(rep_path.read_text())
+    cert = doc["certificates"][3]
+    assert (cert["mode"], cert["points"]) == ("randomized", 2)
+    assert main(["replay", "--report", str(rep_path)]) == 0
+    F = pipeline.load_instance(INSTANCES / "reverse_p5.json").F
+    program = SlpMap.from_json(json.loads(slp_path.read_text()))
+    doc["certificates"][3] = check_on_variety(program, F, seed=0, points=20)
+    full = workdir / "p5.twenty-points.json"
+    full.write_text(json.dumps(doc))
+    assert main(["replay", "--report", str(full)]) == 0
+    doc["certificates"][3] = dict(cert, points=40)
+    bad = workdir / "p5.forty-points.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "K = 40 points exceed the cap of 20" in capsys.readouterr().out
 
 
 def test_replay_ties_a_certify_report_to_one_quartic(workdir, capsys):
@@ -334,6 +359,22 @@ def test_parametrize_obstruction_on_p5(workdir, capsys):
     assert main(["replay", "--report", str(bad)]) == 4
 
 
+def test_parametrize_refuses_a_slice_form_of_lower_rank(workdir, capsys):
+    # f = x0^2 + x1^2 - x4^2 holds the circle and c1 = x0^2*x2 vanishes on
+    # it, yet every x5*l + lambda*f is degenerate: a malformed input, not an
+    # obstruction
+    inst = workdir / "rank3.json"
+    inst.write_text(json.dumps({
+        "version": 1, "n": 5, "alpha": "1", "f": "x0^2 + x1^2 - x4^2",
+        "F": "x0^4 + 2*x0^2*x1^2 + x1^4 - 2*x0^2*x4^2 - 2*x1^2*x4^2 + x4^4"
+             " + x5^4 + x0^2*x2*x5"}))
+    capsys.readouterr()
+    assert main(["parametrize", "--instance", str(inst),
+                 "--out", str(workdir / "rank3.slp.json")]) == 64
+    assert "f must have rank five" in capsys.readouterr().err
+    assert not (workdir / "rank3.slp.json.report.json").exists()
+
+
 def test_parametrize_obstruction_on_the_pencil(workdir, capsys):
     rep = workdir / "n8.report.json"
     code = main(["parametrize", "--instance", str(INSTANCES / "n8_cubes.json"),
@@ -414,7 +455,7 @@ def test_obstruction_replay_ties_the_block_to_its_quartic(workdir, capsys):
 
 def test_obstruction_replay_recounts_the_quadrics_and_the_solutions(workdir, capsys):
     # the block stores f and alpha; replay recounts the quadrics through the
-    # cone and takes the solution dimension from the conditions' kernel
+    # cone and takes the solution dimension from c1 on the conic
     rep = workdir / "n8.count.report.json"
     assert quiet(["parametrize", "--instance", str(INSTANCES / "n8_cubes.json"),
                   "--out", str(workdir / "n8.count.slp.json"),

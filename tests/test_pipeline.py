@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from unirat.certify import check_dominant, check_on_variety
 from unirat.exactcore import QQ, ExactMatrix, rank
-from unirat.geom import ProjPoint, TangentsCoincide
+from unirat.geom import TangentsCoincide
 from unirat.mpoly import MPoly, NotDivisible, format_poly, monomials, parse_poly
 from unirat.pipeline import (
     Ci23Instance,
@@ -34,12 +34,11 @@ from unirat.pipeline import (
     run_pass,
     save_instance,
     solve_quadric_system,
+    solve_stage,
     sphere_form,
-    witness_conditions,
 )
 from unirat.pipeline import (
     _cone_samples,
-    _cone_surface,
     _count_cone_quadrics,
     _eval_monomial,
     _int_rank,
@@ -103,18 +102,11 @@ def test_quartic_instance_scales_by_alpha():
 def test_ci23_instance_rejections():
     q = x(5) * x(6) + f7()
     c = x(0) ** 2 * x(2) - x(6) * f7()
-    surf = _cone_surface(circle_conic())
-    e6 = ProjPoint([0] * 6 + [1])
-    Ci23Instance(q=q, c=c, surface=surf, vertex=e6, conic=circle_conic())
-    with pytest.raises(ValueError):  # vertex must be the last coordinate point
-        Ci23Instance(q=q, c=c, surface=surf,
-                     vertex=ProjPoint([1] + [0] * 6), conic=circle_conic())
+    Ci23Instance(q=q, c=c, conic=circle_conic())
     with pytest.raises(ValueError):  # degenerate pencil quadric
-        Ci23Instance(q=x(5) * x(6), c=c, surface=surf, vertex=e6,
-                     conic=circle_conic())
+        Ci23Instance(q=x(5) * x(6), c=c, conic=circle_conic())
     with pytest.raises(ValueError):  # surface escapes the cubic
-        Ci23Instance(q=q, c=c + x(1) ** 3, surface=surf, vertex=e6,
-                     conic=circle_conic())
+        Ci23Instance(q=q, c=c + x(1) ** 3, conic=circle_conic())
 
 
 # -- cone decomposition -------------------------------------------------------
@@ -165,8 +157,7 @@ def test_solver_finds_the_standard_witness():
     assert (rep.vector_dim, rep.proj_dim) == (8, 7)
     assert rep.obstruction == (0,) * 7
     assert rep.feasible
-    assert len(rep.solution_basis) == 8
-    assert rep.witness_vector == (0, 0, 0, 0, 0, 0, 1, 1)
+    assert rep.solution_dim == 8
     assert format_poly(rep.witness) == "x0^2 + x1^2 + x2^2 + x3^2 - x4^2 + x5*x6"
     # the witness really contains the cone: restrict to x5 = 0
     assert rep.witness.set_variable_zero(5) == f7()
@@ -176,11 +167,68 @@ def test_solver_reports_the_obstruction():
     rep = solve_quadric_system(bad_quartic(), circle_conic())
     assert rep.obstruction == (1, 0, -3, 0, 3, 0, -1)
     assert not rep.feasible
-    assert rep.witness is None and rep.witness_vector is None
+    assert rep.witness is None
     # every solution of the linear system kills the f-component
-    assert len(rep.solution_basis) == 7
-    assert all(v[7] == 0 for v in rep.solution_basis)
-    assert rep.conditions.nrows == 7 and rep.conditions.ncols == 8
+    assert rep.solution_dim == 7
+
+
+def oracle_case(name):
+    """(P^5 quartic, conic, b) for the witness system: the n8 case is the
+    section pencil of n8_cubes, which sympy specializes at b = (1, 2, 3)."""
+    if name == "good":
+        return good_quartic(), circle_conic(), ()
+    if name == "bad":
+        return bad_quartic(), circle_conic(), ()
+    if name == "reverse_p5":
+        Y = load_instance(INSTANCES / "reverse_p5.json")
+        return Y, Y.conic, ()
+    H = load_instance(INSTANCES / "n8_cubes.json")
+    return H, H.conic, (1, 2, 3)
+
+
+@pytest.mark.parametrize("name", ["good", "bad", "reverse_p5", "n8-section"])
+def test_closed_form_witness_solves_the_full_system(name):
+    # the eight unknowns (l_0..l_6, lambda) of q = x5*l + lambda*f, with the
+    # conditions lambda*c1(conic(t)) - alpha*l(conic(t))*f(conic(t)) = 0
+    # built and solved by sympy from the instance text
+    import sympy as sp
+    inst, conic, bvals = oracle_case(name)
+    xs = sp.symbols("x0:%d" % (inst.n + 1))
+    t = sp.Symbol("t")
+    text = lambda p: sp.sympify(format_poly(p).replace("^", "**"),
+                                locals={str(v): v for v in xs})
+    F, f = text(inst.F), text(inst.f)
+    F = F.subs({xs[i]: b * xs[5] for i, b in zip(range(6, inst.n + 1), bvals)})
+    c1 = sp.cancel((F - sp.Rational(inst.alpha) * f ** 2) / xs[5])
+    g = conic.eval([t], lift=lambda c: sp.Rational(c.numerator, c.denominator))
+    on_conic = dict(zip(xs, list(g) + [0] * (inst.n - 4)))
+    ls, lam = sp.symbols("l0:7"), sp.Symbol("lam")
+    expr = sp.expand(lam * c1.subs(on_conic)
+                     - sp.Rational(inst.alpha) * sum(
+                         li * gi for li, gi in zip(ls, g)) * f.subs(on_conic))
+    top = 3 * max(sp.degree(gi, t) for gi in g)
+    unknowns = list(ls) + [lam]
+    M = sp.Matrix([[expr.coeff(t, d).coeff(u) for u in unknowns]
+                   for d in range(top + 1)])
+    run = solve_stage(inst, conic)
+    rep = run.solver
+    assert len(M.nullspace()) == rep.solution_dim
+    assert (M * sp.Matrix([0] * 6 + [1, 1])).is_zero_matrix == rep.feasible
+    ff = run.section.F.field
+    want = [ff.coerce(co) for co in rep.obstruction]
+    if bvals:
+        want = [co.evaluate([Fraction(b) for b in bvals]) for co in want]
+    assert list(M[:, 7]) == [sp.Rational(co.numerator, co.denominator)
+                             for co in want]
+
+
+def test_quartic_instance_refuses_a_slice_form_of_lower_rank():
+    # the circle lies on x0^2 + x1^2 - x4^2 too, but no x5*l + lambda*f has
+    # rank seven when f has rank three
+    f = parse_poly("x0^2 + x1^2 - x4^2", nvars=5)
+    F = (f * f).extend_variables(6) + parse_poly("x5^4 + x0^2*x2*x5", nvars=6)
+    with pytest.raises(ValueError, match="rank five"):
+        QuarticInstance(n=5, F=F, f=f)
 
 
 def cone_count_case(name):
@@ -227,8 +275,6 @@ def test_section_c1_is_the_substituted_quartic_over_x5():
     f9 = H.f.extend_variables(9)
     flat = flatten_params(run.solver.c1)
     assert flat == (sub - f9 * f9).exact_divide(xs[5])
-    conditions = witness_conditions(H.f, H.alpha, run.solver.c1, H.conic)
-    assert [row[-1] for row in conditions.rows] == list(run.solver.obstruction)
     assert run.obstruction is not None and run.program is None
 
 
@@ -248,8 +294,7 @@ def test_solver_rejects_a_conic_off_the_surface():
 def worked_ci23():
     q = x(5) * x(6) + f7()
     c = x(0) ** 2 * x(2) - x(6) * f7()
-    return Ci23Instance(q=q, c=c, surface=_cone_surface(circle_conic()),
-                        vertex=ProjPoint([0] * 6 + [1]), conic=circle_conic())
+    return Ci23Instance(q=q, c=c, conic=circle_conic())
 
 
 def test_ci23_parametrize_frozen_shape():
@@ -304,17 +349,13 @@ def test_ci23_membership_is_identical(nums, dens):
 
 
 def test_ci23_degenerate_cubics():
-    surf = _cone_surface(circle_conic())
-    e6 = ProjPoint([0] * 6 + [1])
     q = x(5) * x(6) + f7()
     # c = x5*x0^2 pushes the vertex direction into the radical of every fiber
-    inst = Ci23Instance(q=q, c=x(5) * x(0) ** 2, surface=surf, vertex=e6,
-                        conic=circle_conic())
+    inst = Ci23Instance(q=q, c=x(5) * x(0) ** 2, conic=circle_conic())
     with pytest.raises(SectionSingular):
         ci23_parametrize(inst, seed=0)
     # c = x0*q makes both tangent hyperplanes coincide along the surface
-    inst = Ci23Instance(q=q, c=x(0) * q, surface=surf, vertex=e6,
-                        conic=circle_conic())
+    inst = Ci23Instance(q=q, c=x(0) * q, conic=circle_conic())
     with pytest.raises(TangentsCoincide):
         ci23_parametrize(inst, seed=0)
 
