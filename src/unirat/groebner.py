@@ -33,6 +33,25 @@ initial ideal in degree d and every pair still queued there has normal
 form zero; such a pair is counted as processed and reduced to zero without
 being formed.  With m > n there is no bound and no closure.
 
+Since the count closes a degree without looking at its queued pairs, the
+order within a degree decides how many zero reductions are formed first.
+Each element carries a signature (k, m): generator k of the canonical
+input order has (k, 1), and an element born of a pair takes the larger of
+its two sides' signatures, (k_i, m_i lcm / lt_i) and (k_j, m_j lcm / lt_j),
+by index and then grevlex (Faugere, "A new efficient algorithm for
+computing Groebner bases without reduction to zero (F5)", ISSAC 2002).
+The first time a pair of an open degree is popped, `_defer` may send it
+behind every pair of its degree not yet deferred: when its signature was
+already processed in the degree, or the F5 or the rewrite criterion flags
+it.  On a regular sequence those pairs are the syzygies, so the count
+mostly closes the degree before they come up again.  A deferred pair is
+never dropped: it is formed, or closed by the count, like any other.  The
+criteria thus only permute pairs inside one degree, and soundness does
+not rest on them: every element is still the normal form of an
+S-polynomial of ideal members, every degree still ends with every pair
+processed, closed or discarded by Gebauer-Moller, and the reduced basis
+of a complete run and the pure powers do not depend on the order.
+
 A run stops at the minimal leading terms, which is all the readers below
 use; `GroebnerBasis.polys` inter-reduces the tails on first read.
 
@@ -196,6 +215,29 @@ def _normal_form(terms, lts, tails, ring, p, memo):
     return out
 
 
+def _defer(sig, source, seen, lts_by_index, later_by_index, guard):
+    """Whether a pair of signature `sig` = (k, m), taken from element
+    `source`, waits behind the other pairs of its degree: its signature
+    was already processed in this degree (`seen`), m is divisible by the
+    leading term of an element of smaller index (F5), or by the multiplier
+    of a later element of index k (rewrite).  `lts_by_index[k]` lists the
+    leading terms of the elements of index k, `later_by_index[k]` their
+    (element, multiplier) pairs, both in insertion order."""
+    if sig in seen:
+        return True
+    k, m = sig
+    mg = m | guard
+    for lts in lts_by_index[:k]:
+        if any((mg - lt) & guard == guard for lt in lts):
+            return True
+    for e, me in reversed(later_by_index[k]):
+        if e <= source:
+            break
+        if (mg - me) & guard == guard:
+            return True
+    return False
+
+
 def _hilbert_counts(degrees, nvars, top):
     """c_0..c_top, the coefficients of prod_i (1 - t^d_i) / (1 - t)^nvars."""
     c = [1] + [0] * top
@@ -256,17 +298,26 @@ def buchberger(
 ) -> GroebnerBasis:
     """Groebner basis of homogeneous generators over GF(p), grevlex.
 
-    Pairs are processed degree first with a deterministic tiebreak, and the
-    Gebauer-Moller update (module docstring) prunes them as each basis
-    element is inserted.  `stats["s_pairs_skipped"]` counts a pair when the
-    criteria discard it, so processed + skipped is every pair formed, less
-    those still queued at an early stop.  `stats["reductions_to_zero"]`
-    counts the processed pairs whose S-polynomial has normal form zero,
-    whether it was reduced or the Hilbert count closed its degree (module
-    docstring).  Any surviving S-pair whose lcm degree exceeds
-    `degree_ceiling` aborts the run with DegreeCeilingExceeded.  Pairs the
-    criteria discard never reach that check, so a run may finish where a
-    weaker pruning would abort; it never returns a basis that is wrong.
+    Pairs are processed degree first, signature-flagged pairs last within
+    a degree, with a deterministic tiebreak, and the Gebauer-Moller update
+    (module docstring) prunes them as each basis element is inserted.
+
+    `stats` holds:
+    - "s_pairs_processed": pairs processed, whether reduced or closed;
+    - "s_pairs_skipped": pairs the Gebauer-Moller criteria discard, so
+      processed + skipped is every pair formed, less those still queued
+      at an early stop;
+    - "reductions_to_zero": processed pairs whose S-polynomial has normal
+      form zero, whether it was reduced or the Hilbert count closed its
+      degree (module docstring);
+    - "reductions_closed": those of them the count closed, never formed;
+    - "max_degree", "early_stop", "basis_size" and "pure_power_degrees"
+      (variable -> least d with x_v^d a leading term).
+
+    Any surviving S-pair whose lcm degree exceeds `degree_ceiling` aborts
+    the run with DegreeCeilingExceeded.  Pairs the criteria discard never
+    reach that check, so a run may finish where a weaker pruning would
+    abort; it never returns a basis that is wrong.
     Identical inputs yield identical bases.  The run stops at the minimal
     leading terms; the tails are inter-reduced when `polys` is first read.
     """
@@ -295,6 +346,9 @@ def buchberger(
     lts = []  # leading packed exponents, parallel to tails
     tails = []  # list of (packed, coeff) below the leading term, monic scale
     alive = []  # redundant elements stay as reducers but spawn no pairs
+    sigs = []  # (generator index, packed multiplier) of each element
+    lts_by_index = [[] for _ in raw]  # see `_defer`
+    later_by_index = [[] for _ in raw]
     memo = {}  # reducer memo shared by every normal form of this run
 
     pure_power_vars = {}
@@ -302,13 +356,15 @@ def buchberger(
         "s_pairs_processed": 0,
         "s_pairs_skipped": 0,
         "reductions_to_zero": 0,
+        "reductions_closed": 0,
         "max_degree": 0,
         "early_stop": False,
     }
 
     guard = ring.guard
     pending = {}  # (i, j) -> lcm of the queued pairs
-    heap = []  # (degree, key, i, j); entries dropped from `pending` go stale
+    # (degree, deferred, key, i, j); entries dropped from `pending` go stale
+    heap = []
 
     def note_pure_power(lt):
         exp = ring.unpack(lt)
@@ -319,7 +375,7 @@ def buchberger(
             if v not in pure_power_vars or d < pure_power_vars[v]:
                 pure_power_vars[v] = d
 
-    def insert(terms):
+    def insert(terms, sig):
         items = sorted(terms.items())  # one degree: largest monomial first
         lt, lc = items[0]
         inv = pow(lc, p - 2, p)
@@ -354,7 +410,7 @@ def buchberger(
             i = rep[l]
             if i >= 0:
                 pending[(i, idx)] = l
-                heapq.heappush(heap, (ring.degree(l), ring.key(l), i, idx))
+                heapq.heappush(heap, (ring.degree(l), 0, ring.key(l), i, idx))
                 kept += 1
         stats["s_pairs_skipped"] += len(dropped) + formed - kept
         for i in range(idx):
@@ -363,12 +419,15 @@ def buchberger(
         lts.append(lt)
         tails.append(tail)
         alive.append(True)
+        sigs.append(sig)
+        lts_by_index[sig[0]].append(lt)
+        later_by_index[sig[0]].append((idx, sig[1]))
         note_pure_power(lt)
 
-    for terms in raw:
+    for k, terms in enumerate(raw):
         nf = _normal_form(terms, lts, tails, ring, p, memo)
         if nf:
-            insert(nf)
+            insert(nf, (k, 0))
 
     # Hilbert-count closure (module docstring): `standard` holds the degree
     # `std_deg` monomials that no leading term divides
@@ -382,17 +441,17 @@ def buchberger(
     def zero_dimensional():
         return len(pure_power_vars) == nvars
 
+    seen_deg = -1
     while heap:
         if stop_when_zero_dimensional and zero_dimensional():
             stats["early_stop"] = True
             break
-        deg, _, i, j = heapq.heappop(heap)
+        deg, deferred, key, i, j = heapq.heappop(heap)
         l = pending.pop((i, j), None)
         if l is None:
             continue
         if deg > degree_ceiling:
             raise DegreeCeilingExceeded(deg, degree_ceiling)
-        stats["s_pairs_processed"] += 1
         stats["max_degree"] = max(stats["max_degree"], deg)
         if closable:
             while std_deg < deg:
@@ -405,11 +464,26 @@ def buchberger(
                         "internal error: %d standard monomials of degree %d "
                         "fall below the Hilbert bound %d"
                         % (len(standard), deg, counts[deg]))
-                stats["reductions_to_zero"] += 1
+                stats["reductions_closed"] += 1
                 continue
-        # S-polynomial of the monic pair
         qi = l - lts[i]
         qj = l - lts[j]
+        # the pair's signature: the larger of its two sides', on a tie j's
+        (ki, mi), (kj, mj) = sigs[i], sigs[j]
+        if (ki, ring.key(mi + qi)) > (kj, ring.key(mj + qj)):
+            sig, source = (ki, mi + qi), i
+        else:
+            sig, source = (kj, mj + qj), j
+        if deg != seen_deg:
+            seen, seen_deg = set(), deg  # signatures processed in `deg`
+        if not deferred and _defer(sig, source, seen, lts_by_index,
+                                   later_by_index, guard):
+            pending[(i, j)] = l
+            heapq.heappush(heap, (deg, 1, key, i, j))
+            continue
+        seen.add(sig)
+        stats["s_pairs_processed"] += 1
+        # S-polynomial of the monic pair
         terms = {}
         for e, c in tails[i]:
             terms[e + qi] = c
@@ -422,11 +496,15 @@ def buchberger(
                 terms.pop(e2, None)
         nf = _normal_form(terms, lts, tails, ring, p, memo)
         if nf:
-            insert(nf)
+            insert(nf, sig)
             if closable:
                 standard.discard(lts[-1])
         else:
             stats["reductions_to_zero"] += 1
+
+    # a closed pair counts as processed and reduced to zero
+    stats["s_pairs_processed"] += stats["reductions_closed"]
+    stats["reductions_to_zero"] += stats["reductions_closed"]
 
     # the minimal leading terms, in increasing grevlex order: a normal form's
     # leading term is divisible by no earlier one, and an element goes dead

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -340,11 +341,12 @@ def test_hilbert_count_closes_most_zero_reductions_of_a_smooth_trial(nf_calls):
     # the count closes at least 150 of the 178 reductions to zero, and the
     # run forms no reduced basis
     assert nf_calls[0] <= 5 + 251 - 150
+    assert closed_pairs(gens, gb, nf_calls[0]) == st["reductions_closed"]
     nf_calls[0] = 0
     full = buchberger(gens)
     st = full.stats
     assert (st["s_pairs_processed"], st["reductions_to_zero"]) == (270, 197)
-    assert closed_pairs(gens, full, nf_calls[0]) >= 150
+    assert closed_pairs(gens, full, nf_calls[0]) == st["reductions_closed"] >= 150
 
 
 def seeded_dense(rng, nvars, deg, skip=()):
@@ -379,7 +381,8 @@ def closure_ideals():
                          ids=[c[0] for c in closure_ideals()])
 def test_closed_degrees_keep_the_sympy_basis(nf_calls, name, gens, closes, dim):
     gb = buchberger(gens, degree_ceiling=30)
-    assert (closed_pairs(gens, gb, nf_calls[0]) > 0) == closes
+    assert closed_pairs(gens, gb, nf_calls[0]) == gb.stats["reductions_closed"]
+    assert (gb.stats["reductions_closed"] > 0) == closes
     assert projective_dimension(gb) == dim
     assert as_dicts(gb.polys) == sympy_basis(gens)
 
@@ -401,6 +404,51 @@ def test_hilbert_counts_are_the_pure_power_quotient(nvars, degrees):
     for deg in range(1, top + 1):
         standard = ring.standard_above(standard) - powers
         assert len(standard) == want[deg]
+
+
+# sha256 of `canonical(sympy_basis(gens))` for the smooth (2, 2) trial below;
+# sympy takes about 45 s to recompute it
+SMOOTH_TRIAL_SYMPY = "d573995f700a39f0ebb42fddc1345eeed9dbb250c0d9a454430d5b04580a4cb8"
+
+
+def canonical(dicts):
+    return repr(sorted(sorted(d.items()) for d in dicts))
+
+
+@pytest.fixture(scope="module")
+def closure_references():
+    """(name, generators, dimension, sympy basis, pure powers) of each
+    closure ideal, the pure powers from a run with the shipped order."""
+    return [(name, gens, dim, sympy_basis(gens),
+             buchberger(gens, degree_ceiling=30).stats["pure_power_degrees"])
+            for name, gens, _, dim in closure_ideals()]
+
+
+@pytest.mark.parametrize("rule", ["every pair", "no pair", "seeded coin", "signatures"])
+def test_deferral_changes_only_the_pair_order(monkeypatch, closure_references, rule):
+    # deferring a pair moves it behind the rest of its degree; which pairs
+    # move must not change the basis, the dimension or the pure powers
+    rng = random.Random(3)
+    monkeypatch.setattr(groebner, "_defer", {
+        "every pair": lambda *args: True,
+        "no pair": lambda *args: False,
+        "seeded coin": lambda *args: rng.random() < 0.5,
+        "signatures": groebner._defer}[rule])
+    for name, gens, dim, basis, powers in closure_references:
+        gb = buchberger(gens, degree_ceiling=30)
+        assert as_dicts(gb.polys) == basis, name
+        assert projective_dimension(gb) == dim, name
+        assert gb.stats["pure_power_degrees"] == powers, name
+    gens = _trial_partials(4, 2, 2, 10007, 6, 0)
+    powers = {0: 3, 1: 3, 2: 6, 3: 6, 4: 11}
+    full = buchberger(gens)
+    digest = hashlib.sha256(canonical(as_dicts(full.polys)).encode()).hexdigest()
+    assert digest == SMOOTH_TRIAL_SYMPY
+    assert projective_dimension(full) == -1
+    assert full.stats["pure_power_degrees"] == powers
+    early = buchberger(gens, stop_when_zero_dimensional=True)
+    assert projective_empty(early) and early.stats["early_stop"]
+    assert early.stats["pure_power_degrees"] == powers
 
 
 def test_polys_are_inter_reduced_on_first_read(nf_calls):
