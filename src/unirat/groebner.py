@@ -17,6 +17,17 @@ Moller, "On an installation of Buchberger's algorithm", J. Symb. Comp. 6,
   product criterion keeps none for an lcm that a pair with coprime leading
   terms reaches.
 
+Since lt(h) is a normal form, no earlier leading term divides it, so
+every lcm(i, h) is a proper multiple of lt(h), and two facts follow that
+keep the update cheap.  When lt(h) divides the lcm l of a queued pair
+(i, j), lcm(i, h) divides l too, so it equals l if deg l = deg h + 1:
+criterion B only looks at queued pairs at least two degrees above h.  A
+candidate lt(h) x_v of degree deg(h) + 1 is minimal; it rules out every
+candidate in which x_v has a higher exponent than in lt(h), and only the
+others are scanned for a minimal divisor.  The degree and x_v tests run on
+every element at once, with the leading terms side by side in one integer
+(`_Ring.quotients`); only the candidates that pass them are unpacked.
+
 Reductions look their reducer up in a per-run memo: the first basis index
 whose leading term divides a monomial never changes, because the basis
 only grows and redundant elements stay reducers.
@@ -97,9 +108,9 @@ class _Ring:
         # chunk of b borrows from its guard bit
         self.guard = g
         self.low_guard = g & self.low_mask
-        # times `ones`, the top variable chunk holds the sum of all chunks
         self.ones = sum(1 << (CHUNK * i) for i in range(nvars))
-        self.sum_shift = CHUNK * (nvars - 1)
+        self.width = CHUNK * (nvars + 1)
+        self.deg_mask = ((1 << CHUNK) - 1) << self.shift_deg
         self.steps = [(1 << (CHUNK * i)) | (1 << self.shift_deg)
                       for i in range(nvars)]
 
@@ -126,23 +137,31 @@ class _Ring:
         d = packed >> self.shift_deg
         return ((d + 1) << self.shift_deg) - (packed & self.low_mask)
 
-    def lcm(self, a, b):
-        """Chunkwise max without a loop.
+    def quotients(self, row, rep, b):
+        """Slot i of the result holds lcm(a_i, b) / b, packed with its
+        degree, where slot i of `row` holds the low part of a_i and `rep`
+        holds 1; a slot is `width` bits, the size of a packed monomial.
 
         The guard bit of a chunk survives (a | guard) - b exactly where
-        a_i >= b_i; spread to a 6-bit mask it selects the larger chunk.  The
-        degree is deg(a) plus the chunk sum of b's excess over a, exact
-        while that sum stays below 128, as it does whenever deg(b) < 128;
-        the guard-bit divisibility test already needs exponents below 64.
+        a_i >= b_i, and there the chunk holds a_i - b_i; spread to a 6-bit
+        mask it keeps q = max(a - b, 0), with no borrow between chunks.
         """
-        low = self.low_mask
-        al = a & low
-        bl = b & low
-        wins = (((al | self.low_guard) - bl) & self.low_guard) >> (CHUNK - 1)
-        mask = wins * _CHUNK_MAX
-        top = (al & mask) | (bl & ~mask)
-        excess = ((top - al) * self.ones >> self.sum_shift) & ((1 << CHUNK) - 1)
-        return top | (((a >> self.shift_deg) + excess) << self.shift_deg)
+        lg = self.low_guard * rep
+        g = (row | lg) - (b & self.low_mask) * rep
+        w = g & lg
+        q = g & (w - (w >> (CHUNK - 1)))
+        return q | self.chunk_sums(q, rep)
+
+    def chunk_sums(self, x, rep):
+        """The sum of the low chunks of each slot of x, in its degree chunk.
+
+        Times `ones` shifted up one chunk, a slot's sum lands in its own
+        degree chunk, and the spill into the next slot stays below that
+        slot's degree chunk.  No chunk reaches 128 while each slot sums
+        below 64, as the slots of `quotients` do: q <= a, and every degree
+        is below 64, as the guard-bit divisibility test already needs.
+        """
+        return (x * self.ones << CHUNK) & (self.deg_mask * rep)
 
     def standard_above(self, prev):
         """The monomials one degree above the set `prev` whose every divisor
@@ -300,7 +319,9 @@ def buchberger(
 
     Pairs are processed degree first, signature-flagged pairs last within
     a degree, with a deterministic tiebreak, and the Gebauer-Moller update
-    (module docstring) prunes them as each basis element is inserted.
+    (module docstring) prunes them as each basis element h is inserted.
+    It rests on two facts: criterion B drops no queued pair of degree at
+    most deg(h) + 1, and a candidate lcm of degree deg(h) + 1 is minimal.
 
     `stats` holds:
     - "s_pairs_processed": pairs processed, whether reduced or closed;
@@ -345,7 +366,9 @@ def buchberger(
 
     lts = []  # leading packed exponents, parallel to tails
     tails = []  # list of (packed, coeff) below the leading term, monic scale
-    alive = []  # redundant elements stay as reducers but spawn no pairs
+    # indices of the elements that spawn pairs, in insertion order; the
+    # others are redundant but stay as reducers
+    live = []
     sigs = []  # (generator index, packed multiplier) of each element
     lts_by_index = [[] for _ in raw]  # see `_defer`
     later_by_index = [[] for _ in raw]
@@ -362,7 +385,8 @@ def buchberger(
     }
 
     guard = ring.guard
-    pending = {}  # (i, j) -> lcm of the queued pairs
+    low, shift = ring.low_mask, ring.shift_deg
+    pending = {}  # degree -> {(i, j): lcm} of the queued pairs
     # (degree, deferred, key, i, j); entries dropped from `pending` go stale
     heap = []
 
@@ -375,50 +399,90 @@ def buchberger(
             if v not in pure_power_vars or d < pure_power_vars[v]:
                 pure_power_vars[v] = d
 
+    # the leading terms as one row of slots (`_Ring.quotients`): slot i of
+    # `row` holds the low part of lts[i], and of `rep` a 1
+    width = ring.width
+    row = rep = 0
+    dead = 0  # the degree guard bit of the slot of each element not live
+
     def insert(terms, sig):
+        nonlocal row, rep, dead
         items = sorted(terms.items())  # one degree: largest monomial first
         lt, lc = items[0]
         inv = pow(lc, p - 2, p)
         tail = [(e, c * inv % p) for e, c in items[1:]]
         idx = len(lts)
-        with_new = [ring.lcm(old, lt) for old in lts]
-        # criterion B on the queued pairs
-        dropped = [ij for ij, l in pending.items()
-                   if ((l | guard) - lt) & guard == guard
-                   and l != with_new[ij[0]] and l != with_new[ij[1]]]
-        for ij in dropped:
-            del pending[ij]
+        deg = lt >> shift
+        quo = ring.quotients(row, rep, lt)  # one pass over every element
+        one = rep << shift  # a 1 in the degree chunk of each slot
+        top = one << (CHUNK - 1)  # the guard bit of each degree chunk
+
+        def lcm(i):
+            return lt + ((quo >> (width * i)) & ((1 << width) - 1))
+
+        def at_least(x, k):  # the slots whose degree chunk in x is >= k
+            return ((x | top) - k * one) & top
+
+        # criterion B, on the queued pairs two degrees above lt and more
+        dropped = 0
+        for d, queued in pending.items():
+            if d > deg + 1:
+                gone = [ij for ij, l in queued.items()
+                        if ((l | guard) - lt) & guard == guard
+                        and l != lcm(ij[0]) and l != lcm(ij[1])]
+                for ij in gone:
+                    del queued[ij]
+                dropped += len(gone)
         # criteria M and F: one pair per minimal lcm; -1 marks an lcm that a
         # coprime pair reaches, which the product criterion discards
-        formed = sum(alive)
-        rep = {}
-        for i in range(idx):
-            if not alive[i]:
-                continue
-            l = with_new[i]
-            if l == lts[i] + lt:
-                rep[l] = -1
-            elif l not in rep:
-                rep[l] = i
-        minimal = []
+        rep_of = {}
+
+        def add(bits):  # the live elements whose degree guard bit is set
+            bits &= ~dead
+            while bits:
+                b = bits & -bits
+                bits ^= b
+                i = b.bit_length() // width - 1
+                l = lcm(i)
+                if l == lts[i] + lt:
+                    rep_of[l] = -1
+                elif l not in rep_of:
+                    rep_of[l] = i
+
+        above = at_least(quo, 2)
+        add(top & ~above)  # lt * x_v, minimal (module docstring)
+        near = 0  # chunk v is full when lt * x_v is a candidate
+        for l in rep_of:
+            near |= ((l - lt) & low) * _CHUNK_MAX
+        # the others, less those with an x_v of `near` in their quotient
+        add(above & ~at_least(ring.chunk_sums(quo & near * rep, rep), 1))
+        minimal = []  # the minimal candidates above degree deg + 1
         kept = 0
-        for l in sorted(rep):  # degree is the top chunk: divisors come first
-            lg = l | guard
-            if any((lg - m) & guard == guard for m in minimal):
-                continue
-            minimal.append(l)
-            i = rep[l]
+        for l in sorted(rep_of):  # degree is the top chunk: divisors first
+            d = l >> shift
+            if d > deg + 1:
+                lg = l | guard
+                if any((lg - m) & guard == guard for m in minimal):
+                    continue
+                minimal.append(l)
+            i = rep_of[l]
             if i >= 0:
-                pending[(i, idx)] = l
-                heapq.heappush(heap, (ring.degree(l), 0, ring.key(l), i, idx))
+                pending.setdefault(d, {})[(i, idx)] = l
+                heapq.heappush(heap, (d, 0, ring.key(l), i, idx))
                 kept += 1
-        stats["s_pairs_skipped"] += len(dropped) + formed - kept
-        for i in range(idx):
-            if alive[i] and ((lts[i] | guard) - lt) & guard == guard:
-                alive[i] = False
+        stats["s_pairs_skipped"] += dropped + len(live) - kept
+        # lt divides only leading terms of higher degree; generators enter
+        # by degree and pairs pop by degree, so only a generator, one of the
+        # first elements, can have one
+        for i in [i for i in live[:len(raw)]
+                  if ((lts[i] | guard) - lt) & guard == guard]:
+            live.remove(i)
+            dead |= 1 << (width * i + width - 1)
+        row |= (lt & low) << (width * idx)
+        rep |= 1 << (width * idx)
         lts.append(lt)
         tails.append(tail)
-        alive.append(True)
+        live.append(idx)
         sigs.append(sig)
         lts_by_index[sig[0]].append(lt)
         later_by_index[sig[0]].append((idx, sig[1]))
@@ -447,7 +511,7 @@ def buchberger(
             stats["early_stop"] = True
             break
         deg, deferred, key, i, j = heapq.heappop(heap)
-        l = pending.pop((i, j), None)
+        l = pending[deg].pop((i, j), None)
         if l is None:
             continue
         if deg > degree_ceiling:
@@ -478,7 +542,7 @@ def buchberger(
             seen, seen_deg = set(), deg  # signatures processed in `deg`
         if not deferred and _defer(sig, source, seen, lts_by_index,
                                    later_by_index, guard):
-            pending[(i, j)] = l
+            pending[deg][(i, j)] = l
             heapq.heappush(heap, (deg, 1, key, i, j))
             continue
         seen.add(sig)
@@ -507,10 +571,9 @@ def buchberger(
     stats["reductions_to_zero"] += stats["reductions_closed"]
 
     # the minimal leading terms, in increasing grevlex order: a normal form's
-    # leading term is divisible by no earlier one, and an element goes dead
-    # once a later leading term divides its own, so those alive are minimal
-    minimal = sorted((k for k in range(len(lts)) if alive[k]),
-                     key=lambda k: ring.key(lts[k]))
+    # leading term is divisible by no earlier one, and an element leaves
+    # `live` once a later leading term divides its own
+    minimal = sorted(live, key=lambda k: ring.key(lts[k]))
     stats["basis_size"] = len(minimal)
     stats["pure_power_degrees"] = dict(sorted(pure_power_vars.items()))
     return GroebnerBasis(field, nvars, ring, [lts[k] for k in minimal],

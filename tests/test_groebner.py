@@ -266,36 +266,49 @@ def test_experiment_jacobian_matches_sympy_and_counts_every_pair():
     assert st["s_pairs_processed"] + st["s_pairs_skipped"] == math.comb(inserted, 2)
 
 
+# elements found later, at lower degree, have leading terms that divide the
+# degree-5 generator's; the pair each forms with it must still be processed
+# although the generator then stops spawning pairs
+MIXED_DEGREE = ("5601*x1^2 + 2118*x1*x2 + 775*x2^2", "8029*x0^2*x1 + 985*x1*x2^2",
+                "7915*x0^3*x1^2*x2")
+# criterion B must keep a queued pair whose lcm equals that of one of the new
+# pairs; dropping it loses an element of this basis
+CRITERION_B = ("6774*x0*x2 + 9084*x1*x2", "8823*x0*x1^3 + 7507*x1*x2^3",
+               "2904*x0^2 + 4183*x0*x2 + 2962*x2^2")
+
+
 def test_mixed_degree_ideal_matches_sympy():
-    # elements found later, at lower degree, have leading terms that divide
-    # the degree-5 generator's; the pair each forms with it must still be
-    # processed although the generator then stops spawning pairs
-    gens = [P("5601*x1^2 + 2118*x1*x2 + 775*x2^2", 3),
-            P("8029*x0^2*x1 + 985*x1*x2^2", 3),
-            P("7915*x0^3*x1^2*x2", 3)]
+    gens = [P(t, 3) for t in MIXED_DEGREE]
     assert as_dicts(buchberger(gens, degree_ceiling=30).polys) == sympy_basis(gens)
 
 
 def test_criterion_b_spares_pairs_whose_lcm_a_new_pair_repeats():
-    # criterion B must keep a queued pair whose lcm equals that of one of the
-    # new pairs; dropping it loses an element of this basis
-    gens = [P("6774*x0*x2 + 9084*x1*x2", 3),
-            P("8823*x0*x1^3 + 7507*x1*x2^3", 3),
-            P("2904*x0^2 + 4183*x0*x2 + 2962*x2^2", 3)]
+    gens = [P(t, 3) for t in CRITERION_B]
     assert as_dicts(buchberger(gens, degree_ceiling=30).polys) == sympy_basis(gens)
 
 
 def test_packed_lcm_matches_unpacked_max():
+    # the row form `insert` uses: slot i of `quotients` is lcm(a_i, b) / b
     rng = random.Random(5)
     for nvars in range(1, 10):
         ring = _Ring(nvars)
-        for _ in range(300):
-            a, b = ([0] * nvars for _ in range(2))
-            for exp in (a, b):
+        slot = (1 << ring.width) - 1
+        for _ in range(20):
+            exps = [[0] * nvars for _ in range(16)]
+            for exp in exps:
                 for _ in range(rng.randrange(64)):  # total degree <= 63
                     exp[rng.randrange(nvars)] += 1
-            want = ring.pack([max(x, y) for x, y in zip(a, b)])
-            assert ring.lcm(ring.pack(a), ring.pack(b)) == want
+            b = exps.pop()
+            row = rep = 0
+            for i, a in enumerate(exps):
+                row |= (ring.pack(a) & ring.low_mask) << (ring.width * i)
+                rep |= 1 << (ring.width * i)
+            quo = ring.quotients(row, rep, ring.pack(b))
+            got = [ring.pack(b) + ((quo >> (ring.width * i)) & slot)
+                   for i in range(len(exps))]
+            assert got == [ring.pack([max(x, y) for x, y in zip(a, b)]) for a in exps]
+            assert quo >> (ring.width * len(exps)) == 0
+        assert ring.quotients(0, 0, ring.pack(b)) == 0
 
 
 def test_early_stop_reports_the_complete_pure_powers():
@@ -464,3 +477,80 @@ def test_polys_are_inter_reduced_on_first_read(nf_calls):
 def test_inhomogeneous_generator_is_refused():
     with pytest.raises(ValueError, match="homogeneous"):
         buchberger([P("x0^2 - x1", 2)])
+
+
+# --- the pair set, pinned -------------------------------------------------------
+
+
+def random_mixed_ideals():
+    """Six seeded ideals in 3-5 variables with generators of mixed degrees."""
+    out = []
+    for k, (nvars, degrees) in enumerate([(3, (2, 3, 4)), (3, (2, 2, 3, 5)),
+                                          (4, (2, 3, 3)), (4, (2, 3, 3, 4)),
+                                          (5, (2, 2, 3, 3)), (5, (1, 2, 2, 3, 4))]):
+        rng = random.Random(1500 + k)
+        out.append(("random %d" % k,
+                    [random_homogeneous(rng, nvars, d, 5) for d in degrees]))
+    return out
+
+
+# the linear leading term x0 is coprime to every later one, so each later
+# insert meets lt*x0, an lcm of degree d + 1 that the product criterion
+# discards and that still rules out its multiples
+LINEAR_GENERATOR = ("3*x0 + 5*x2 + x3", "x1^2 + 4*x1*x3 + 2*x2^2",
+                    "x1*x2^2 + 6*x0*x3^2 + x2*x3^2", "x2^3*x3 + x1^4 + 9*x0*x1*x2*x3")
+# x1^2*x2, the leading term of the degree-3 element from the first pair,
+# divides x1^3*x2^2, so the degree-5 generator stops spawning pairs
+LATE_DIVISOR = ("x0*x1 - x2^2", "x0^2 - x1*x2", "x1^3*x2^2 + x2^5")
+
+
+def pinned_ideals():
+    return ([(name, gens) for name, gens, _, _ in closure_ideals()]
+            + [("mixed degree", [P(t, 3) for t in MIXED_DEGREE]),
+               ("criterion B", [P(t, 3) for t in CRITERION_B]),
+               ("linear generator", [P(t, 4) for t in LINEAR_GENERATOR]),
+               ("late divisor", [P(t, 3) for t in LATE_DIVISOR])]
+            + random_mixed_ideals())
+
+
+def pair_stats(gb):
+    st = gb.stats
+    return tuple(st[k] for k in ("s_pairs_processed", "s_pairs_skipped",
+                                 "reductions_to_zero", "reductions_closed",
+                                 "basis_size", "max_degree"))
+
+
+# (processed, skipped, reductions to zero, closed, basis size, max degree) at
+# degree ceiling 30, from the pair update that scanned every queued pair for
+# criterion B and every candidate lcm for criteria M and F; a faster update
+# must keep exactly the same pairs
+PAIR_STATS = {
+    "regular": (8, 7, 5, 5, 6, 5),
+    "common zero": (23, 32, 16, 7, 11, 5),
+    "common factor": (28, 50, 19, 1, 13, 7),
+    "m > n": (23, 32, 17, 0, 11, 4),
+    "m > n, count above the quotient": (8, 13, 6, 0, 7, 8),
+    "mixed degree": (11, 13, 6, 1, 7, 9),
+    "criterion B": (8, 7, 5, 1, 6, 6),
+    "linear generator": (14, 31, 8, 8, 10, 8),
+    "late divisor": (4, 5, 2, 1, 4, 7),
+    "random 0": (10, 11, 6, 1, 7, 7),
+    "random 1": (9, 11, 6, 0, 6, 5),
+    "random 2": (12, 16, 7, 7, 8, 7),
+    "random 3": (50, 160, 33, 10, 21, 8),
+    "random 4": (29, 49, 20, 19, 13, 9),
+    "random 5": (38, 103, 25, 10, 17, 8),
+}
+
+
+@pytest.mark.parametrize("name, gens", pinned_ideals(),
+                         ids=[name for name, _ in pinned_ideals()])
+def test_pair_set_is_pinned(name, gens):
+    gb = buchberger(gens, degree_ceiling=30)
+    assert pair_stats(gb) == PAIR_STATS[name]
+    assert as_dicts(gb.polys) == sympy_basis(gens)
+
+
+def test_late_divisor_retires_a_generator():
+    lts = buchberger([P(t, 3) for t in LATE_DIVISOR]).leading_exponents()
+    assert (0, 2, 1) in lts and (0, 3, 2) not in lts
