@@ -500,8 +500,8 @@ def _replay_positivity(doc):
 
 def _replay_obstruction(doc):
     """Rerun the witness search on the stored F, f, alpha and conic.  It
-    draws nothing at random when c1 misses the conic, so the seed of the
-    original run plays no part in the block."""
+    draws nothing at random, so the seed of the original run plays no part
+    in the block."""
     params = doc.get("parameters", ())
     alpha = Fraction(doc["alpha"])
     if alpha == 0:
@@ -564,6 +564,9 @@ def replay_report(report):
     make one claim: the smooth-mod-p ones agree on F, each positivity one
     restricts that F, and each dominance one is about a program that an
     on-variety one maps into its variety."""
+    if not (isinstance(report, dict)
+            and isinstance(report.get("certificates", []), list)):
+        raise ReplayRejected("not a report document")
     certs = report.get("certificates", [])
     kinds = [replay_certificate(doc) for doc in certs]
     quartics = {parse_poly(doc["F"], nvars=int(doc["nvars"]))

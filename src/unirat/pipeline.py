@@ -43,15 +43,12 @@ from typing import Optional
 
 from .exactcore import QQ, ExactMatrix, det_fraction_free, kernel_basis
 from .geom import (
-    LinearSubspace,
     LineInsideCubic,
     ProjPoint,
-    QuadricHypersurface,
     TangentsCoincide,
     project_from_point,
     residual_formula,
     stereo_image,
-    stereographic_param,
     two_row_kernel,
 )
 from .mpoly import (
@@ -267,16 +264,18 @@ class SectionFamily:
 class SolverReport:
     """Quadrics q = x5*l + lambda*f through the cone K compatible with the conic.
 
-    obstruction records the t-coefficients of c1 on the conic, where
-    c1 = (F5 - alpha*f^2)/x5.  When they all vanish every (l, lambda) is
-    compatible, solution_dim is 8 and the witness is x5*x6 + f; otherwise
-    every compatible quadric has lambda = 0, solution_dim is 7 and there is
-    no witness.
+    Those quadrics form a space of vector dimension 8 (projective 7) for
+    every accepted instance, since (x5, f) is the prime ideal of K when f
+    has rank five (see solve_quadric_system).  obstruction records the
+    t-coefficients of c1 on the conic, where c1 = (F5 - alpha*f^2)/x5.
+    When they all vanish every (l, lambda) is compatible, solution_dim is 8
+    and the witness is x5*x6 + f; otherwise every compatible quadric has
+    lambda = 0, solution_dim is 7 and there is no witness.
     """
 
-    vector_dim: int
-    proj_dim: int
-    solution_dim: int
+    vector_dim = 8
+    proj_dim = 7
+
     obstruction: tuple
     witness: Optional[MPoly]
     c1: MPoly
@@ -285,15 +284,21 @@ class SolverReport:
     def feasible(self):
         return self.witness is not None
 
+    @property
+    def solution_dim(self):
+        return 8 if self.feasible else 7
+
 
 @dataclass(frozen=True)
 class ObstructionReport:
-    """Why no nondegenerate quadric fits: the residual cubic misses the conic."""
+    """Why no nondegenerate quadric fits: the residual cubic misses the conic,
+    so of the 8 quadrics through the cone only the 7 with lambda = 0 remain."""
+
+    vector_dim = 8
+    proj_dim = 7
+    solution_dim = 7
 
     obstruction: tuple
-    vector_dim: int
-    proj_dim: int
-    solution_dim: int
     message: str
     field: object = QQ
 
@@ -370,69 +375,6 @@ def decompose_cone(Y, q):
 # -- the linear system for the witness quadric -------------------------------------
 
 
-# one prime per sampling round of the mod-p rank counts
-_ROUND_PRIMES = (1000003, 1000033, 1000037)
-
-
-def _int_rows(points, mons, p):
-    """Evaluation rows mod p of rational points, each scaled to integers.
-
-    Every monomial has the same degree, so scaling a point scales its row
-    and leaves the row space unchanged.
-    """
-    rows = []
-    for y in points:
-        dens = math.lcm(*(x.denominator for x in y))
-        iy = [int(x * dens) % p for x in y]
-        rows.append([_eval_monomial(iy, e) % p for e in mons])
-    return rows
-
-
-def _cone_samples(f, conic, seed):
-    """Seeded points of the cone K with the prime of each sampling round:
-    36, 72, then 108 points, the vertex first and then points over the
-    quadric surface {f = 0} of the slice."""
-    base = conic.eval([Fraction(0)])
-    p0 = ProjPoint(base)
-    j0 = next(i for i, x in enumerate(p0.coords) if x != 0)
-    cut = ExactMatrix(QQ, [[QQ.one if m == j0 else QQ.zero for m in range(5)]])
-    sph = stereographic_param(QuadricHypersurface(f), p0,
-                              LinearSubspace(QQ, cutting=cut))
-    rng = random.Random(seed + 101)
-    for round_, p in enumerate(_ROUND_PRIMES):
-        want = 36 * (round_ + 1)
-        pts = [[Fraction(0)] * 6 + [Fraction(1)]]
-        while len(pts) < want:
-            vals = [Fraction(rng.randint(-9, 9)) for _ in range(4)]
-            five = sph.eval(vals)
-            if all(x == 0 for x in five):
-                continue
-            pts.append(list(five) + [Fraction(0), Fraction(rng.randint(-3, 3))])
-        for pt in pts:
-            assert pt[5] == 0 and f.evaluate(pt[:5]) == 0
-        yield pts, p
-
-
-def _count_cone_quadrics(f, conic, seed):
-    """Pin the space of quadrics on P^6 vanishing on the cone K to dimension 8.
-
-    The eight quadrics x5*x_j and f vanish on K structurally, so they lie in
-    the kernel of any sampled evaluation matrix on the 28 quadratic
-    monomials, and its rank over QQ is at most 28 - 8 = 20.  The rank mod p
-    of the integer-scaled rows bounds the rank over QQ from below, so a rank
-    of 20 mod p proves the count; a rank drop falls through to the next,
-    larger round.
-    """
-    mons = monomials(7, 2)
-    for pts, p in _cone_samples(f, conic, seed):
-        rk = _int_rank(_int_rows(pts, mons, p), p)
-        if rk == len(mons) - 8:
-            return 8, 7
-    raise ArithmeticError(
-        "quadrics through the cone: sampled dimension %d mod %d instead of 8"
-        % (len(mons) - rk, p))
-
-
 def flatten_params(p):
     """A polynomial over QQ(b6..bn) as a QQ polynomial whose variables
     x0..x5 are followed by b6..bn; a QQ polynomial is returned as it is."""
@@ -449,10 +391,16 @@ def flatten_params(p):
     return MPoly(p.nvars + nb, QQ, terms)
 
 
-def solve_quadric_system(Y, conic, seed=0):
+def solve_quadric_system(Y, conic):
     """The quadrics q = x5*l + lambda*f through the cone K whose residual
     cubic keeps the conic inside the intersection, and a nondegenerate
     witness when one exists.
+
+    The quadrics through the cone K = {x5 = 0, f = 0} form a space of
+    dimension 8 (a P^7) for every accepted Y, with no count needed: f has
+    rank five, a quadratic form of rank at least three is irreducible, so
+    (x5, f) is prime and is the ideal of K, and its degree-2 part
+    x5*R_1 + <f> has dimension 7 + 1.
 
     The conditions are the t-coefficients of lambda*c1(conic(t)) -
     alpha*l(conic(t))*f(conic(t)) through 3 deg(conic).  Since f vanishes
@@ -466,8 +414,6 @@ def solve_quadric_system(Y, conic, seed=0):
     g5 = _conic_polys(conic)
     if not _compose_poly(Y.f, g5).is_zero():
         raise ValueError("the conic does not lie on the quadric surface {f = 0}")
-    vec_dim, proj_dim = _count_cone_quadrics(Y.f, conic, seed)
-
     fld = Y.F.field
     c1 = _section_c1(Y, fld)
     top = 3 * max(g.total_degree() for g in g5)
@@ -477,9 +423,7 @@ def solve_quadric_system(Y, conic, seed=0):
     if all(fld.is_zero(co) for co in obstruction):
         witness = (MPoly.variable(5, 7, fld) * MPoly.variable(6, 7, fld)
                    + _to_field(Y.f.extend_variables(7), fld))
-    return SolverReport(vector_dim=vec_dim, proj_dim=proj_dim,
-                        solution_dim=7 if witness is None else 8,
-                        obstruction=obstruction, witness=witness, c1=c1)
+    return SolverReport(obstruction=obstruction, witness=witness, c1=c1)
 
 
 # -- sweeping the intersection -----------------------------------------------------
@@ -686,6 +630,24 @@ def _conic_vanishing_cubics(conic):
     return mons, ker
 
 
+# one prime per sampling round of _interpolate_quartic
+_ROUND_PRIMES = (1000003, 1000033, 1000037)
+
+
+def _int_rows(points, mons, p):
+    """Evaluation rows mod p of rational points, each scaled to integers.
+
+    Every monomial has the same degree, so scaling a point scales its row
+    and leaves the row space unchanged.
+    """
+    rows = []
+    for y in points:
+        dens = math.lcm(*(x.denominator for x in y))
+        iy = [int(x * dens) % p for x in y]
+        rows.append([_eval_monomial(iy, e) % p for e in mons])
+    return rows
+
+
 def _int_rank(rows, p):
     """Row rank over Z/p, plain echelon elimination on integer rows."""
     mat = [[x % p for x in row] for row in rows]
@@ -855,7 +817,7 @@ def generic_section(H):
     return SectionFamily(names=names, field=ff, matrix=matrix, section=section)
 
 
-def solve_stage(inst, conic, seed=0):
+def solve_stage(inst, conic):
     """The timed witness search, with the obstruction when it fails, on a
     doubled quartic in P^5 or on the generic section of one in P^n."""
     if inst.n == 5:
@@ -869,16 +831,13 @@ def solve_stage(inst, conic, seed=0):
         message = ("the residual cubic misses the conic for every section "
                    "parameter")
     t0 = time.perf_counter()
-    rep = solve_quadric_system(Y, conic, seed=seed)
+    rep = solve_quadric_system(Y, conic)
     run = PipelineRun(solver=rep, params=params, section=Y,
                       timings={"solve_s": time.perf_counter() - t0})
     if rep.feasible:
         return run
     return replace(run, obstruction=ObstructionReport(
-        obstruction=rep.obstruction,
-        vector_dim=rep.vector_dim, proj_dim=rep.proj_dim,
-        solution_dim=rep.solution_dim, message=message,
-        field=Y.F.field))
+        obstruction=rep.obstruction, message=message, field=Y.F.field))
 
 
 def run_pass(inst, conic=None, seed=0):
@@ -895,7 +854,7 @@ def run_pass(inst, conic=None, seed=0):
         raise ValueError("expected a doubled quartic in P^n with n >= 5")
     if conic is None:
         conic = inst.conic if inst.conic is not None else circle_conic()
-    run = solve_stage(inst, conic, seed)
+    run = solve_stage(inst, conic)
     if run.obstruction is not None:
         return run
     t0 = time.perf_counter()
@@ -1027,7 +986,7 @@ def instance_to_json(inst):
 
 
 def instance_from_json(doc):
-    if doc.get("version") != 1:
+    if not isinstance(doc, dict) or doc.get("version") != 1:
         raise ValueError("unsupported instance format")
     n = int(doc["n"])
     gamma = doc.get("Gamma")

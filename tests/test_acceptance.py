@@ -76,7 +76,7 @@ def p5():
     inst = load_instance(REVERSE_P5)
     conic = inst.conic
     t0 = perf_counter()
-    rep = solve_quadric_system(inst, conic, seed=0)
+    rep = solve_quadric_system(inst, conic)
     split = decompose_cone(inst, rep.witness)
     ci = Ci23Instance(q=rep.witness, c=split.c, conic=conic)
     phi = ci23_parametrize(ci, seed=0)
@@ -132,7 +132,7 @@ def test_criterion_1_quadrics_through_the_cone_form_a_p7(p5):
     # the containment conditions leave a kernel of vector dimension exactly
     # 8, i.e. a projective P^7 of quadrics; exact arithmetic, zero tolerance
     t0 = perf_counter()
-    rep = solve_quadric_system(p5["inst"], p5["inst"].conic, seed=0)
+    rep = solve_quadric_system(p5["inst"], p5["inst"].conic)
     elapsed = perf_counter() - t0
     assert (rep.vector_dim, rep.proj_dim) == (8, 7)
     assert rep.feasible

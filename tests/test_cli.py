@@ -179,6 +179,16 @@ def test_replay_accepts_then_rejects_after_tampering(p5_run, workdir, capsys):
     assert "replay rejected" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("text", [
+    "[]", '"abc"', '{"certificates": null}', '{"certificates": 5}'])
+def test_replay_rejects_a_document_that_is_not_a_report(text, workdir, capsys):
+    bad = workdir / "not-a-report.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "replay rejected: not a report document" in capsys.readouterr().out
+
+
 def test_replay_ties_each_dominance_claim_to_a_program_of_the_report(
         p5_run, workdir, capsys):
     # a genuine dominance certificate of a program that maps into nothing
@@ -373,6 +383,17 @@ def test_parametrize_refuses_a_slice_form_of_lower_rank(workdir, capsys):
                  "--out", str(workdir / "rank3.slp.json")]) == 64
     assert "f must have rank five" in capsys.readouterr().err
     assert not (workdir / "rank3.slp.json.report.json").exists()
+
+
+def test_parametrize_and_certify_refuse_an_instance_that_is_not_an_object(
+        workdir, capsys):
+    inst = workdir / "array.json"
+    inst.write_text("[1, 2]")
+    capsys.readouterr()
+    assert main(["parametrize", "--instance", str(inst),
+                 "--out", str(workdir / "array.slp.json")]) == 64
+    assert main(["certify", "--instance", str(inst)]) == 64
+    assert capsys.readouterr().err.count("unsupported instance format") == 2
 
 
 def test_parametrize_obstruction_on_the_pencil(workdir, capsys):

@@ -37,13 +37,7 @@ from unirat.pipeline import (
     solve_stage,
     sphere_form,
 )
-from unirat.pipeline import (
-    _cone_samples,
-    _count_cone_quadrics,
-    _eval_monomial,
-    _int_rank,
-    _int_rows,
-)
+from unirat.pipeline import _ROUND_PRIMES, _eval_monomial, _int_rank, _int_rows
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -231,37 +225,92 @@ def test_quartic_instance_refuses_a_slice_form_of_lower_rank():
         QuarticInstance(n=5, F=F, f=f)
 
 
-def cone_count_case(name):
-    """(f, conic, seed) that `parametrize` hands to the cone-quadric count."""
-    if name == "reverse_p5":
-        inst = load_instance(INSTANCES / "reverse_p5.json")
-        return inst.f, inst.conic, 0
-    if name.startswith("reverse_build"):
-        build_seed = int(name.rsplit("-", 1)[1])
-        _, inst = reverse_build(seed=build_seed)
-        return inst.f, inst.conic, build_seed
-    # every section of the n8 pencil keeps the f and the conic of H
-    H = load_instance(INSTANCES / "n8_cubes.json")
-    return H.f, H.conic, 0
+def cone_points(f, base, seed, count=120):
+    """Rational points of the cone K = {x5 = 0, f = 0} in P^6, for a sympy
+    quadratic form f in x0..x4 and a point base of {f = 0}: the vertex e6,
+    then seeded multiples of e6 added to points of {f = 0}.  A line through
+    base in direction d meets {f = 0} again at f(d)*base - 2B(base, d)*d,
+    and lies inside it when f(d) = 0, so then d itself is a point."""
+    import sympy as sp
+    xs = sp.symbols("x0:5")
+    val = lambda v: f.subs(dict(zip(xs, v)))
+    rng = random.Random(seed)
+    pts = [[0] * 6 + [1]]
+    while len(pts) < count:
+        d = [sp.Rational(rng.randint(-3, 3)) for _ in range(5)]
+        fd = val(d)
+        bd = val([a + b for a, b in zip(base, d)]) - fd
+        y = d if fd == 0 else [fd * a - bd * b for a, b in zip(base, d)]
+        if all(v == 0 for v in y):
+            continue
+        assert val(y) == 0
+        pts.append(list(y) + [0, sp.Rational(rng.randint(-3, 3))])
+    return pts
 
 
-@pytest.mark.parametrize("name", ["reverse_p5", "reverse_build-1",
-                                  "reverse_build-2", "n8-section"])
-def test_modular_cone_count_equals_the_rank_over_QQ(name):
-    # the rank mod p of the integer-scaled rows is the rank over QQ of the
-    # same sampled matrix, computed by sympy, in every sampling round; the
-    # eight quadrics through the cone leave 28 - 8 = 20
-    # (sympy's DomainMatrix over QQ: Matrix.rank takes ~20 s per round)
+@pytest.mark.parametrize("form, base, want", [
+    ("x0**2 + x1**2 + x2**2 + x3**2 - x4**2", (1, 0, 0, 0, 1), 8),
+    ("x0*x1 + x2*x3 - x4**2", (1, 0, 0, 0, 0), 8),
+    # rank one: {f = 0} is the plane x0 = 0, so K is a linear P^4 and the
+    # quadrics through it are x0*R_1 + x5*R_1, of dimension 7 + 7 - 1
+    ("x0**2", (0, 1, 0, 0, 0), 13),
+], ids=["sphere", "rank5-nondiagonal", "square"])
+def test_cone_quadrics_counted_over_QQ(form, base, want):
+    # the exact nullspace over QQ of the 28 quadratic monomials evaluated at
+    # points of the cone itself: 8 for a form of rank five, the dimension
+    # the witness search reports without counting
+    import sympy as sp
+    from sympy.polys.matrices import DomainMatrix
+    f = sp.sympify(form)
+    mons = monomials(7, 2)
+    rows = [[sp.QQ.convert(_eval_monomial(pt, e)) for e in mons]
+            for pt in cone_points(f, [sp.Rational(v) for v in base], seed=5)]
+    M = DomainMatrix(rows, (len(rows), len(mons)), sp.QQ)
+    assert M.nullspace().shape[0] == want
+
+
+@pytest.mark.parametrize("nvars, degree, k", [(7, 2, 3), (7, 2, 5), (6, 4, 4)])
+def test_modular_rank_equals_the_rank_over_QQ(nvars, degree, k):
+    # rational points spanning a linear subspace of dimension k: the forms of
+    # the given degree on it, C(k + degree - 1, degree) of them, plant the
+    # rank of the evaluation rows over QQ, which sympy computes; the rank mod
+    # p of the integer-scaled rows (the check of _interpolate_quartic)
+    # must agree
+    from math import comb
     from sympy import QQ as SQQ
     from sympy.polys.matrices import DomainMatrix
-    f, conic, seed = cone_count_case(name)
-    mons = monomials(7, 2)
-    for pts, p in _cone_samples(f, conic, seed):
-        rows = [[SQQ(v.numerator, v.denominator)
-                 for v in (_eval_monomial(pt, e) for e in mons)] for pt in pts]
-        want = DomainMatrix(rows, (len(rows), len(mons)), SQQ).rank()
-        assert _int_rank(_int_rows(pts, mons, p), p) == want == len(mons) - 8
-    assert _count_cone_quadrics(f, conic, seed) == (8, 7)
+    rng = random.Random(nvars + degree + k)
+    frac = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+    basis = [[frac() for _ in range(nvars)] for _ in range(k)]
+    want = comb(k + degree - 1, degree)
+    pts = []
+    while len(pts) < want + 10:
+        coef = [frac() for _ in range(k)]
+        pt = [sum(c * b[i] for c, b in zip(coef, basis)) for i in range(nvars)]
+        if any(pt):
+            pts.append(pt)
+    mons = monomials(nvars, degree)
+    rows = [[SQQ(v.numerator, v.denominator)
+             for v in (_eval_monomial(pt, e) for e in mons)] for pt in pts]
+    over_qq = DomainMatrix(rows, (len(rows), len(mons)), SQQ).rank()
+    assert over_qq == want
+    for p in _ROUND_PRIMES:
+        assert _int_rank(_int_rows(pts, mons, p), p) == want
+
+
+def test_solve_stage_draws_nothing_at_random(monkeypatch):
+    insts = [load_instance(INSTANCES / name)
+             for name in ("reverse_p5.json", "n8_cubes.json")]
+    key = lambda run: (run.solver, run.params, run.section, run.obstruction)
+    before = [solve_stage(inst, inst.conic) for inst in insts]
+    assert [run.solver.feasible for run in before] == [True, False]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness search drew a random number")
+
+    monkeypatch.setattr(random, "Random", refuse)
+    after = [solve_stage(inst, inst.conic) for inst in insts]
+    assert [key(r) for r in after] == [key(r) for r in before]
 
 
 def test_section_c1_is_the_substituted_quartic_over_x5():
