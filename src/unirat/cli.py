@@ -262,7 +262,7 @@ def cmd_verify(args):
     try:
         cert = check_on_variety(slp, inst.F, seed=args.seed)
         print("on-variety: pass (%s mode)" % cert["mode"])
-        dom = check_dominant(slp, slp.in_arity, seed=args.seed)
+        dom = check_dominant(slp, inst.n - 1, seed=args.seed)
         print("dominance: pass (rank %d)" % dom["rank"])
     except (IdentityFails, RankDeficient) as err:
         print("verification failed: %s" % err)

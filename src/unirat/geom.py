@@ -7,7 +7,7 @@ projection from a coordinate point.  The fiber quadrics in the common
 tangent spaces live in `pipeline`, which builds them on program nodes.
 
 Everything is ring-generic where feasible: coordinates may be rationals,
-prime-field residues, rational functions in parameters, or program nodes, as
+prime-field residues, polynomials in parameters, or program nodes, as
 long as they support +, -, *.
 """
 

@@ -1,9 +1,9 @@
-"""Sparse multivariate polynomials, rational functions, Gram matrices.
+"""Sparse multivariate polynomials, Gram matrices, parameter rings.
 
 Polynomials are dictionaries from exponent tuples to nonzero coefficients,
-over any field from `exactcore` (rationals, prime fields) or the rational
-function fields defined here.  Iteration order is graded reverse
-lexicographic so printing and Groebner input are canonical.
+over any field from `exactcore` (rationals, prime fields) or the ring of
+polynomials in named parameters defined here.  Iteration order is graded
+reverse lexicographic so printing and Groebner input are canonical.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactcore import QQ, ExactMatrix, format_rational, parse_rational
+from .exactcore import QQ, ExactMatrix, parse_rational
 
 
 class NotDivisible(ArithmeticError):
@@ -290,6 +290,12 @@ class MPoly:
                     rem[t_exp] = acc
         return MPoly(self.nvars, f, quo)
 
+    def __truediv__(self, other):
+        """Exact quotient by a polynomial or a scalar; NotDivisible otherwise."""
+        if isinstance(other, MPoly):
+            return self.exact_divide(other)
+        return self.scale(self.field.one / self.field.coerce(other))
+
     def restrict_to_line(self, base, direction, lift=None):
         """Coefficients g_0..g_d of p(base + tau * direction) in tau.
 
@@ -471,175 +477,48 @@ def gram_matrix(q: MPoly) -> ExactMatrix:
 
 
 # ---------------------------------------------------------------------------
-# rational functions and function fields
+# polynomial coefficients in named parameters
 
 
-def _poly_content(p: MPoly) -> Fraction:
-    """Positive rational c such that p/c has coprime integer coefficients."""
-    if p.is_zero():
-        return Fraction(1)
-    from math import gcd
+class ParameterRing:
+    """The ring QQ[names] as a coefficient domain.
 
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = gcd(num, c.numerator)
-        den = den * c.denominator // gcd(den, c.denominator)
-    return Fraction(num, den)
-
-
-class RatFn:
-    """Quotient of two rational-coefficient polynomials.
-
-    Always reduced by scalar content and sign-normalized on the leading
-    denominator term; full gcd cancellation is not attempted, equality is
-    decided by cross multiplication.
+    Elements are plain MPoly over QQ in the parameters.  Division is exact
+    or raises NotDivisible, so no denominator in the parameters can arise.
     """
 
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MPoly, den: MPoly):
-        if den.is_zero():
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.nvars != den.nvars or num.field != den.field:
-            raise TypeError("numerator and denominator from different rings")
-        if num.is_zero():
-            den = MPoly.const(den.nvars, 1, den.field)
-        else:
-            c = _poly_content(den)
-            lead = den.sorted_terms()[0][1]
-            if lead < 0:
-                c = -c
-            inv = Fraction(1) / c
-            num = num.scale(inv)
-            den = den.scale(inv)
-        self.num = num
-        self.den = den
-
-    @classmethod
-    def const(cls, nvars, c, base=QQ):
-        return cls(MPoly.const(nvars, c, base), MPoly.const(nvars, 1, base))
-
-    @classmethod
-    def from_poly(cls, p: MPoly):
-        return cls(p, MPoly.const(p.nvars, 1, p.field))
-
-    def is_zero(self):
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        other = self._coerce_other(other)
-        if self.den == other.den:
-            return RatFn(self.num + other.num, self.den)
-        return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __radd__(self, other):
-        return self + other
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return RatFn(-self.num, self.den)
-
-    def __mul__(self, other):
-        other = self._coerce_other(other)
-        return RatFn(self.num * other.num, self.den * other.den)
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __truediv__(self, other):
-        other = self._coerce_other(other)
-        if other.num.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFn(self.num * other.den, self.den * other.num)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return RatFn(self.den, self.num) ** (-e)
-        return RatFn(self.num**e, self.den**e)
-
-    def _coerce_other(self, other):
-        if isinstance(other, RatFn):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return RatFn.const(self.num.nvars, other, self.num.field)
-        raise TypeError("cannot mix RatFn with %r" % (other,))
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFn.const(self.num.nvars, other, self.num.field)
-        if not isinstance(other, RatFn):
-            return NotImplemented
-        return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def evaluate(self, point):
-        n = self.num.evaluate(point)
-        d = self.den.evaluate(point)
-        return n / d
-
-    def __repr__(self):
-        if self.den == MPoly.const(self.den.nvars, 1, self.den.field):
-            return "(%s)" % (self.num,)
-        return "(%s)/(%s)" % (self.num, self.den)
-
-
-class FunctionField:
-    """Field of rational functions over QQ in named parameters."""
-
     characteristic = 0
-    name = "FunctionField"
 
     def __init__(self, names):
         self.names = tuple(names)
         self.nvars = len(self.names)
-        self.zero = RatFn.const(self.nvars, 0)
-        self.one = RatFn.const(self.nvars, 1)
+        self.zero = MPoly.zero(self.nvars)
+        self.one = MPoly.const(self.nvars, 1)
 
-    def generator(self, i) -> RatFn:
-        return RatFn.from_poly(MPoly.variable(i, self.nvars, QQ))
+    def generator(self, i) -> MPoly:
+        return MPoly.variable(i, self.nvars)
 
     def coerce(self, x):
-        if isinstance(x, RatFn):
-            if x.num.nvars != self.nvars:
-                raise TypeError("rational function arity mismatch")
-            return x
         if isinstance(x, MPoly):
             if x.nvars != self.nvars or x.field is not QQ:
-                raise TypeError("polynomial does not embed in this field")
-            return RatFn.from_poly(x)
-        if isinstance(x, (int, Fraction, str)):
-            return RatFn.const(self.nvars, QQ.coerce(x))
-        raise TypeError("cannot coerce %r into %r" % (x, self))
+                raise TypeError("polynomial does not embed in this ring")
+            return x
+        return MPoly.const(self.nvars, QQ.coerce(x))
 
     def is_zero(self, x) -> bool:
         return x.is_zero()
 
     def format(self, x) -> str:
-        x = self.coerce(x)
-
-        def render(p):
-            s = format_poly(p)
-            for i in reversed(range(self.nvars)):
-                s = s.replace("x%d" % i, self.names[i])
-            return s
-
-        if x.den == MPoly.const(self.nvars, 1, QQ):
-            return render(x.num)
-        return "(%s)/(%s)" % (render(x.num), render(x.den))
+        s = format_poly(self.coerce(x))
+        for i in reversed(range(self.nvars)):
+            s = s.replace("x%d" % i, self.names[i])
+        return s
 
     def __eq__(self, other):
-        return isinstance(other, FunctionField) and other.names == self.names
+        return isinstance(other, ParameterRing) and other.names == self.names
 
     def __hash__(self):
-        return hash(("FunctionField", self.names))
+        return hash(("ParameterRing", self.names))
 
     def __repr__(self):
-        return "QQ(%s)" % ", ".join(self.names)
+        return "QQ[%s]" % ", ".join(self.names)

@@ -19,8 +19,9 @@ by lines through fiber quadrics sitting inside the tangent spaces along S;
 that sweep is what ci23_parametrize turns into a division-free program.
 
 A doubled quartic in P^n (n >= 6) is treated through the pencil of its P^5
-sections x_i = b_i * x5 (i >= 6): run_pass makes the same pass over the
-field of rational functions in the b_i, which stay live program inputs.
+sections x_i = b_i * x5 (i >= 6): run_pass makes the same pass with
+coefficients in the polynomial ring QQ[b6..bn], whose parameters stay live
+program inputs.
 P^5 itself is the pencil with no parameters.
 
 Whether the construction can start at all is a linear question: the cubic c
@@ -52,9 +53,9 @@ from .geom import (
     two_row_kernel,
 )
 from .mpoly import (
-    FunctionField,
     MPoly,
     NotDivisible,
+    ParameterRing,
     format_poly,
     gram_matrix,
     monomials,
@@ -255,7 +256,7 @@ class SectionFamily:
     """The pencil of P^5 sections x_i = b_i * x5 (i >= 6) of a larger quartic."""
 
     names: tuple
-    field: FunctionField
+    field: ParameterRing
     matrix: ExactMatrix
     section: MPoly
 
@@ -311,7 +312,7 @@ class PipelineRun:
     quartic it searched; params names the section parameters over which
     its coefficients live (empty on P^5).  An obstructed run sets
     obstruction and leaves the later stages None.  Otherwise ci and phi are
-    the complete intersection over the parameter field and its sweep, and
+    the complete intersection over the parameter ring and its sweep, and
     program is the final map.  timings holds perf_counter seconds per stage.
     """
 
@@ -376,19 +377,12 @@ def decompose_cone(Y, q):
 
 
 def flatten_params(p):
-    """A polynomial over QQ(b6..bn) as a QQ polynomial whose variables
+    """A polynomial over QQ[b6..bn] as a QQ polynomial whose variables
     x0..x5 are followed by b6..bn; a QQ polynomial is returned as it is."""
     if p.field == QQ:
         return p
-    nb = p.field.nvars
-    terms = {}
-    for e, c in p.terms.items():
-        if c.den.total_degree() != 0:
-            raise ValueError("a coefficient is not polynomial in the parameters")
-        inv = 1 / c.den.coefficient((0,) * nb)
-        for be, bc in c.num.terms.items():
-            terms[e + be] = bc * inv
-    return MPoly(p.nvars + nb, QQ, terms)
+    return MPoly(p.nvars + p.field.nvars, QQ,
+                 {e + be: bc for e, c in p.terms.items() for be, bc in c.terms.items()})
 
 
 def solve_quadric_system(Y, conic):
@@ -545,19 +539,6 @@ def _dry_plan(q0, c0, conic, rng, tries=6):
     raise last if last is not None else TangentsCoincide("no usable surface point found")
 
 
-def _parameter_lift(builder, brefs):
-    """Embed polynomials in the section parameters as program nodes.
-    Programs cannot divide; a constant denominator is 1 after RatFn
-    normalization, and any other is refused."""
-    def lift(co):
-        if isinstance(co, (int, Fraction)):
-            return builder.const(co)
-        if co.den.total_degree() != 0:
-            raise ValueError("a coefficient is not polynomial in the parameters")
-        return co.num.evaluate(list(brefs), lift=builder.const)
-    return lift
-
-
 def ci23_parametrize(inst, seed=0):
     """Sweep the intersection by (t, u) on the cone surface plus two fiber
     chart coordinates, as one program with seven outputs.
@@ -568,10 +549,8 @@ def ci23_parametrize(inst, seed=0):
     output.  Coefficients may be polynomials in section parameters
     b6..bn, the names of inst.q.field; those stay live program inputs ahead
     of (t, u, v1, v2), so one program covers the whole pencil, and the plan
-    is rehearsed at seeded rational b0 (up to six draws).  run_pass hands
-    over polynomial coefficients: the witness q = x5*x6 + f is rational
-    and decompose_cone divides only by x5 and the rational lambda.  Any
-    other denominator raises a ValueError, so the program never divides.
+    is rehearsed at seeded rational b0 (up to six draws).  The coefficients
+    lie in the ring QQ[b6..bn], so the program never divides.
     Raises TangentsCoincide / SectionSingular / LineInsideCubic when the
     instance degenerates along the whole surface.
     """
@@ -582,7 +561,7 @@ def ci23_parametrize(inst, seed=0):
         b0 = [Fraction(rng.randint(-5, 5)) for _ in range(k)]
         q0, c0 = inst.q, inst.c
         if k:
-            q0, c0 = (p.map_coefficients(QQ, lambda r: fld.coerce(r).evaluate(b0))
+            q0, c0 = (p.map_coefficients(QQ, lambda r: r.evaluate(b0))
                       for p in (q0, c0))
         try:
             plan, dry = _dry_plan(q0, c0, inst.conic, random.Random(seed + attempt))
@@ -593,11 +572,14 @@ def ci23_parametrize(inst, seed=0):
     else:
         raise last
     b = SlpBuilder(k + 4)
+    lift = b.const
+    if k:
+        lift = lambda co: co.evaluate(b.inputs[:k], lift=b.const)
     t, u, v1, v2 = b.inputs[k:]
     g = inst.conic.eval([t], lift=b.const)
     s_refs = list(g) + [b.const(0), u]
     point, _ = _fiber_construction(inst.q, inst.c, s_refs, (v1, v2), plan,
-                                   lift=_parameter_lift(b, b.inputs[:k]))
+                                   lift=lift)
     slp = b.finish(point, chart=dry["chart"], provenance={
         "stage": "ci23-fibers",
         "seed": seed,
@@ -790,7 +772,7 @@ def reverse_build(f=None, conic=None, l=None, lam=Fraction(1),
 
 def generic_section(H):
     """Restrict a doubled quartic on P^n to the pencil x_i = b_i * x5 (i >= 6)
-    of P^5 sections, over the rational function field in the b_i.
+    of P^5 sections, with coefficients in the polynomial ring QQ[b6..bn].
 
     The slice M and the surface Q are untouched by the substitution, so
     every member of the pencil is again doubled along Q; the restriction
@@ -799,7 +781,7 @@ def generic_section(H):
     if H.n < 6:
         raise ValueError("sections need an ambient space of at least P^6")
     names = tuple("b%d" % i for i in range(6, H.n + 1))
-    ff = FunctionField(names)
+    ff = ParameterRing(names)
     rows = []
     for i in range(H.n + 1):
         row = [ff.zero] * 6

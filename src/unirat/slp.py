@@ -58,6 +58,13 @@ def _validate(in_arity, out_arity, nodes, outputs, chart):
         raise MalformedInput("all outputs are literally zero")
 
 
+def _int_field(value, where):
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput("%s: %s" % (where, exc))
+
+
 def _degree_bounds(nodes):
     deg = []
     for node in nodes:
@@ -248,6 +255,15 @@ class SlpMap:
             outputs = [int(o) for o in doc["outputs"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput("missing or invalid field: %s" % exc)
+        chart = doc.get("chart")
+        provenance = doc.get("provenance")
+        declared = doc.get("degree_bounds")
+        if not isinstance(raw_nodes, list):
+            raise MalformedInput("nodes must be a list")
+        if not isinstance(provenance, (dict, type(None))):
+            raise MalformedInput("provenance must be an object")
+        if not isinstance(declared, (list, type(None))):
+            raise MalformedInput("degree_bounds must be a list")
         nodes = []
         for idx, entry in enumerate(raw_nodes):
             try:
@@ -255,10 +271,12 @@ class SlpMap:
                 args = entry["args"]
             except (KeyError, TypeError) as exc:
                 raise MalformedInput("bad node %d: %s" % (idx, exc))
+            if not isinstance(args, list):
+                raise MalformedInput("the args of node %d must be a list" % idx)
             if op == "input":
                 if len(args) != 1:
                     raise MalformedInput("input node %d needs one index" % idx)
-                nodes.append(("input", int(args[0])))
+                nodes.append(("input", _int_field(args[0], "node %d" % idx)))
             elif op == "const":
                 try:
                     nodes.append(("const", parse_rational(str(entry["value"]))))
@@ -267,17 +285,17 @@ class SlpMap:
             elif op in _BINARY:
                 if len(args) != 2:
                     raise MalformedInput("node %d needs two operands" % idx)
-                nodes.append((op, int(args[0]), int(args[1])))
+                nodes.append((op, _int_field(args[0], "node %d" % idx),
+                              _int_field(args[1], "node %d" % idx)))
             else:
                 raise MalformedInput("unknown op %r at node %d" % (op, idx))
-        chart = doc.get("chart")
         m = cls(in_arity, out_arity, nodes, outputs,
-                chart=None if chart is None else int(chart),
-                provenance=doc.get("provenance"))
+                chart=None if chart is None else _int_field(chart, "chart"),
+                provenance=provenance)
         # declared bounds are advisory; recomputed ones win, disagreement is
         # a sign of a tampered file
-        declared = doc.get("degree_bounds")
-        if declared is not None and [int(d) for d in declared] != list(m.degree_bounds):
+        if (declared is not None and [_int_field(d, "degree_bounds") for d in declared]
+                != list(m.degree_bounds)):
             raise MalformedInput("degree bounds do not match the node list")
         return m
 

@@ -167,6 +167,35 @@ def test_verify_accepts_the_written_program(p5_run, capsys):
     assert "on-variety: pass" in text and "dominance: pass (rank 4)" in text
 
 
+def test_verify_refuses_a_curve_as_a_dominant_map(workdir, capsys):
+    # t -> (1 - t^2 : 2t : 0 : 0 : 1 + t^2 : 0) is the conic inside the
+    # doubled surface, so it lies on reverse_p5; dominance asks for rank
+    # n - 1 = 4 whatever the arity of the program
+    b = SlpBuilder(1)
+    (t,) = b.inputs
+    one, zero = b.const(1), b.const(0)
+    path = workdir / "conic.slp.json"
+    b.finish([one - t * t, t + t, zero, zero, one + t * t, zero],
+             chart=4).save(path)
+    capsys.readouterr()
+    assert main(["verify", "--slp", str(path),
+                 "--instance", str(INSTANCES / "reverse_p5.json")]) == 4
+    text = capsys.readouterr().out
+    assert "on-variety: pass" in text and "stayed below the target 4" in text
+
+
+def test_verify_refuses_a_malformed_program_as_usage(p5_run, workdir, capsys):
+    slp_path, _ = p5_run
+    doc = json.loads(slp_path.read_text())
+    doc["nodes"][0]["args"] = None
+    bad = workdir / "bad-args.slp.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", "--slp", str(bad),
+                 "--instance", str(INSTANCES / "reverse_p5.json")]) == 64
+    assert "the args of node 0 must be a list" in capsys.readouterr().err
+
+
 def test_replay_accepts_then_rejects_after_tampering(p5_run, workdir, capsys):
     _, rep_path = p5_run
     assert main(["replay", "--report", str(rep_path)]) == 0

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unirat.exactcore import QQ, ExactMatrix, PrimeField
+from unirat.exactcore import QQ, ExactMatrix, PrimeField, det_fraction_free
 from unirat.mpoly import (
     CharacteristicTwoError,
-    FunctionField,
     MPoly,
     NotDivisible,
-    RatFn,
+    ParameterRing,
     format_poly,
     gram_matrix,
     monomials,
@@ -246,7 +245,7 @@ def test_format_leading_term_order_is_grevlex():
     assert format_poly(p).startswith("x1^2")
 
 
-# --- prime field and function field coefficients --------------------------------
+# --- prime field and parameter ring coefficients --------------------------------
 
 
 def test_poly_over_prime_field():
@@ -257,39 +256,69 @@ def test_poly_over_prime_field():
     assert (p * p).evaluate([F.coerce(1), F.coerce(1)]) == F.coerce(0)
 
 
-def test_ratfn_arithmetic_and_content_reduction():
-    K = FunctionField(["b0", "b1"])
+def test_parameter_ring_divides_exactly():
+    K = ParameterRing(["b0", "b1"])
     b0, b1 = K.generator(0), K.generator(1)
-    x = b0 / b1
-    assert x * b1 == b0
-    y = (b0 + b1) / (b0 - b1)
-    assert y - y == K.zero
-    # cross-multiplied equality with unreduced representatives
-    z = (b0 * b0 - b1 * b1) / (b0 - b1)
-    assert z == b0 + b1
-    # content reduction keeps denominators primitive with positive lead
-    w = RatFn(
-        parse_poly("2*b0", nvars=2, family="b"),
-        parse_poly("-4*b1", nvars=2, family="b"),
-    )
-    assert w.den == parse_poly("b1", nvars=2, family="b")
+    assert (b0 * b0 - b1 * b1) / (b0 - b1) == b0 + b1
+    assert (b0 * b1 + b1 * b1) / (b0 + b1) == b1
+    assert (b0 * 2) / K.coerce(2) == b0
+    assert (b0 * 2) / Fraction(2, 3) == b0 * 3
+    with pytest.raises(ZeroDivisionError):
+        b0 / K.zero
 
 
-def test_mpoly_over_function_field_section_style():
-    K = FunctionField(["b0"])
-    p = MPoly.from_terms(2, [((1, 0), K.one), ((0, 1), K.generator(0))], K)
-    v = p.evaluate([K.one, K.one])
-    assert v == K.generator(0) + K.one
+def test_parameter_ring_refuses_a_denominator():
+    K = ParameterRing(["b0"])
+    b0 = K.generator(0)
+    with pytest.raises(NotDivisible):
+        K.one / (K.one + b0 * b0)
+    with pytest.raises(NotDivisible):
+        (b0 * b0 + K.one) / (b0 + K.one)
+
+
+def test_parameter_ring_formats_each_name():
+    K = ParameterRing(["b6", "b7"])
+    b6, b7 = K.generator(0), K.generator(1)
+    x = b6 * Fraction(3, 16) - b7 * Fraction(1, 4) - K.coerce(Fraction(1, 16))
+    assert K.format(x) == "3/16*b6 - 1/4*b7 - 1/16"
+    assert K.format(b6 * b7 ** 2 - b6) == "b6*b7^2 - b6"
+    assert K.format(Fraction(-5, 2)) == "-5/2" and K.format(K.zero) == "0"
+    assert repr(K) == "QQ[b6, b7]"
+    # two-digit indices are renamed before their one-digit prefixes
+    L = ParameterRing(["b%d" % i for i in range(6, 17)])
+    assert L.format(L.generator(10) + L.generator(1)) == "b7 + b16"
+
+
+def test_parameter_ring_coefficients_section_style():
+    K = ParameterRing(["b0"])
+    b0 = K.generator(0)
+    p = MPoly.from_terms(2, [((1, 0), K.one), ((0, 1), b0)], K)
+    assert p.evaluate([K.one, K.one]) == b0 + K.one
+    # the Gram matrix needs 1/2 and Bareiss divides by earlier pivots,
+    # both exact in QQ[b0]
+    q = MPoly.from_terms(3, [((2, 0, 0), K.one), ((1, 1, 0), b0 * 2),
+                             ((0, 0, 2), b0 - K.one), ((0, 2, 0), b0)], K)
+    G = gram_matrix(q)
+    assert G.entry(0, 1) == b0 and G.entry(1, 0) == b0
+    assert det_fraction_free(G) == (b0 - b0 * b0) * (b0 - K.one)
+    with pytest.raises(TypeError):
+        K.coerce(MPoly.variable(0, 2, QQ))
+
+
+def _ring_elements():
+    coeff = st.integers(-6, 6)
+    return st.tuples(coeff, coeff, coeff, coeff).map(
+        lambda c: MPoly.from_terms(2, [((0, 0), c[0]), ((1, 0), c[1]),
+                                       ((0, 1), c[2]), ((1, 1), c[3])]))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9))
-def test_ratfn_field_axioms(a, b, c):
-    K = FunctionField(["b0"])
-    g = K.generator(0)
-    x = g * K.coerce(a) + K.one
-    y = g * K.coerce(b) - K.one
-    z = K.coerce(Fraction(c))
+@given(_ring_elements(), _ring_elements(), _ring_elements())
+def test_parameter_ring_axioms(x, y, z):
+    K = ParameterRing(["b0", "b1"])
+    x, y, z = K.coerce(x), K.coerce(y), K.coerce(z)
     assert (x + y) * z == x * z + y * z
-    if not y.is_zero():
-        assert (x / y) * y == x
+    assert (x * y) * z == x * (y * z)
+    assert x + K.zero == x and x * K.one == x and x - x == K.zero
+    if not K.is_zero(y):
+        assert (x * y) / y == x

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import random
@@ -496,14 +495,20 @@ def test_generic_section_matches_direct_substitution():
     assert spec == direct
 
 
-def test_parametrize_H4_obstructed_cubes():
-    H = build_real_example(n=8, preset="cubes", seed=0)
+@pytest.mark.parametrize("n, preset, seed, obstruction", [
+    (8, "cubes", 0, ["1/16", "0", "-3/16", "1/2*b6", "3/16", "0", "-1/16"]),
+    (7, "seeded", 3, ["3/16*b6 - 1/4*b7 - 1/16", "1/8*b6 - 1/2",
+                      "13/16*b6 + 1/4*b7 + 9/16", "1/4*b6 - 1/2*b7",
+                      "9/16*b6 - 1/4*b7 - 3/16", "1/8*b6 - 1/2*b7",
+                      "-1/16*b6 - 1/4*b7 - 5/16"]),
+], ids=["n8_cubes", "n7_seeded3"])
+def test_parametrize_H4_obstructed_cubes(n, preset, seed, obstruction):
+    H = build_real_example(n=n, preset=preset, seed=seed)
     rep = parametrize_H4(H, seed=0)
     assert isinstance(rep, ObstructionReport)
     assert rep.message == ("the residual cubic misses the conic for every "
                            "section parameter")
-    assert [rep.field.format(c) for c in rep.obstruction] == [
-        "1/16", "0", "-3/16", "1/2*b6", "3/16", "0", "-1/16"]
+    assert [rep.field.format(c) for c in rep.obstruction] == obstruction
     assert (rep.vector_dim, rep.proj_dim, rep.solution_dim) == (8, 7, 7)
 
 
@@ -578,7 +583,6 @@ def test_ci23_parametrize_sweeps_the_pencil():
     # the section parameter b6 is the first input; every point lies on q and
     # c specialized at that b6
     ci = run_pass(p6_lift(), seed=0).ci
-    ff = ci.q.field
     phi = ci23_parametrize(ci, seed=0)
     assert (phi.in_arity, phi.out_arity) == (5, 7)
     rng = random.Random(5)
@@ -590,20 +594,20 @@ def test_ci23_parametrize_sweeps_the_pencil():
         if all(v == 0 for v in pt):
             continue
         for poly in (ci.q, ci.c):
-            spec = poly.map_coefficients(
-                QQ, lambda r: ff.coerce(r).evaluate(vals[:1]))
+            spec = poly.map_coefficients(QQ, lambda r: r.evaluate(vals[:1]))
             assert spec.evaluate(pt) == 0
         hits += 1
 
 
 def test_ci23_parametrize_refuses_a_coefficient_that_is_not_polynomial():
-    # programs cannot divide, so q / (1 + b6^2) has no program
+    # programs cannot divide; the sweep's coefficients live in QQ[b6], where
+    # q / (1 + b6^2) cannot even be formed
     ci = run_pass(p6_lift(), seed=0).ci
     ff = ci.q.field
+    assert repr(ff) == "QQ[b6]"
     b6 = ff.generator(0)
-    scaled = dataclasses.replace(ci, q=ci.q.scale(ff.one / (ff.one + b6 * b6)))
-    with pytest.raises(ValueError, match="not polynomial in the parameters"):
-        ci23_parametrize(scaled, seed=0)
+    with pytest.raises(NotDivisible):
+        ff.one / (ff.one + b6 * b6)
 
 
 def test_parametrize_H4_is_deterministic():

@@ -208,6 +208,27 @@ def test_unknown_op_rejected():
         SlpMap.deserialize(json.dumps(doc))
 
 
+@pytest.mark.parametrize("path, value, message", [
+    ((), ("nodes", 5), "nodes must be a list"),
+    (("nodes", 0), ("args", 0), "the args of node 0 must be a list"),
+    (("nodes", 0), ("args", None), "the args of node 0 must be a list"),
+    (("nodes", 2), ("args", [[0], 0]), "node 2"),
+    ((), ("provenance", [1]), "provenance must be an object"),
+    ((), ("degree_bounds", 3), "degree_bounds must be a list"),
+    ((), ("degree_bounds", [[2], 2, 2]), "degree_bounds"),
+    ((), ("chart", [0]), "chart"),
+], ids=["nodes", "args-int", "args-null", "arg-list", "provenance",
+        "bounds", "bound-list", "chart"])
+def test_malformed_fields_rejected(path, value, message):
+    doc = conic_map().to_json()
+    target = doc
+    for key in path:
+        target = target[key]
+    target[value[0]] = value[1]
+    with pytest.raises(MalformedInput, match=message):
+        SlpMap.from_json(doc)
+
+
 def test_all_zero_outputs_rejected():
     with pytest.raises(MalformedInput):
         SlpMap(1, 1, [("const", Fraction(0))], [0])
