@@ -154,8 +154,9 @@ def _nonzero_witness(poly):
 # -- dominance ----------------------------------------------------------------------
 
 
-def check_dominant(phi, target_dim, seed=0, tries=5):
-    """Find a seeded rational witness where the Jacobian has full rank.
+def check_dominant(phi, target_dim, seed=0):
+    """Find a seeded rational witness where the Jacobian has full rank,
+    trying up to five points.
 
     Rank is lower-semicontinuous, so full rank at one rational point gives
     full rank on a dense open set: the image has the dimension of the
@@ -164,7 +165,7 @@ def check_dominant(phi, target_dim, seed=0, tries=5):
     """
     rng = random.Random(seed)
     best = -1
-    for _ in range(tries):
+    for _ in range(5):
         pt = [Fraction(rng.randint(-9, 9), 1 + rng.randint(0, 3))
               for _ in range(phi.in_arity)]
         try:
@@ -339,15 +340,15 @@ def certify_obstruction(inst, conic, run):
 # -- the singular-dimension experiment ----------------------------------------------
 
 
-def _trial_partials(d, N, k, p, seed, t):
+def _trial_partials(N, k, p, seed, t):
     """The partials mod p of trial t's quartic: the doubled quadric in P^N
-    plus seeded x_j-multiples of (d-1)-forms for the k new coordinates."""
+    plus seeded x_j-multiples of cubic forms for the k new coordinates."""
     gf = PrimeField(p)
     n = N + k + 1
     q = sum((MPoly.variable(i, n, QQ) ** 2 for i in range(N)),
             MPoly.zero(n, QQ)) - MPoly.variable(N, n, QQ) ** 2
     F = q * q
-    mons = monomials(n, d - 1)
+    mons = monomials(n, 3)
     rng = random.Random(seed * 1000003 + t)
     for j in range(N + 1, N + 1 + k):
         terms = {}
@@ -364,8 +365,8 @@ def _experiment_trial(params):
     """One seeded trial: the projective dimension found, or None on a
     ceiling abort.  Trials are seeded individually so a parallel batch
     reproduces the sequential run exactly."""
-    d, N, k, p, seed, t, degree_ceiling = params
-    parts = _trial_partials(d, N, k, p, seed, t)
+    N, k, p, seed, t, degree_ceiling = params
+    parts = _trial_partials(N, k, p, seed, t)
     try:
         gb = buchberger(parts, degree_ceiling=degree_ceiling,
                         stop_when_zero_dimensional=True)
@@ -374,22 +375,20 @@ def _experiment_trial(params):
     return projective_dimension(gb)
 
 
-def singular_dimension_experiment(d=4, N=2, k=2, trials=50, p=10007, seed=0,
+def singular_dimension_experiment(N=2, k=2, trials=50, p=10007, seed=0,
                                   degree_ceiling=20, jobs=1):
-    """How often a random degree-d hypersurface through a fixed singular one
-    drops the singular dimension by exactly k.
+    """How often a random quartic through a fixed singular one drops the
+    singular dimension by exactly k.
 
     The base is the doubled quadric in P^N (singular locus of projective
-    dimension N - 1); each trial adds random x_j-multiples of (d-1)-forms
+    dimension N - 1); each trial adds random x_j-multiples of cubic forms
     for the k new coordinates and reads the projective dimension of the
     Jacobian ideal mod p.  Ceiling-aborted trials are excluded from the
     statistics but counted.  Per-trial seeding makes jobs > 1 bit-identical
     to the sequential run.
     """
-    if N > 5 or d > 4:
+    if N > 5:
         raise ValueError("the experiment is sized for small desk parameters")
-    if d != 4:
-        raise ValueError("only the doubled-quadric base (d = 4) is wired up")
     if k < 0 or trials <= 0:
         raise ValueError("need k >= 0 and at least one trial")
     m = N - 1
@@ -398,7 +397,7 @@ def singular_dimension_experiment(d=4, N=2, k=2, trials=50, p=10007, seed=0,
     matches = 0
     ceiling = 0
     runs = 1 if k == 0 else trials
-    params = [(d, N, k, p, seed, t, degree_ceiling) for t in range(runs)]
+    params = [(N, k, p, seed, t, degree_ceiling) for t in range(runs)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -414,7 +413,7 @@ def singular_dimension_experiment(d=4, N=2, k=2, trials=50, p=10007, seed=0,
             matches += 1
     completed = runs - ceiling
     return {
-        "d": d, "N": N, "k": k, "p": p, "trials": runs, "seed": seed,
+        "d": 4, "N": N, "k": k, "p": p, "trials": runs, "seed": seed,
         "predicted_dimension": predicted,
         "completed": completed,
         "matches": matches,

@@ -37,7 +37,7 @@ from .certify import (
     replay_report,
     singular_dimension_experiment,
 )
-from .exactcore import BadPrime, PrimeField
+from .exactcore import PrimeField
 from .groebner import DegreeCeilingExceeded
 from .pipeline import (
     build_real_example,
@@ -98,12 +98,6 @@ def _new_report(command, seed, instance=None):
     if instance is not None:
         doc["instance"] = instance
     return doc
-
-
-def _conic_from_spec(spec):
-    if spec == "circle":
-        return circle_conic()
-    raise _UsageError("unknown conic spec %r (only 'circle' is wired up)" % spec)
 
 
 def _chart_index(text):
@@ -213,7 +207,7 @@ def cmd_certify(args):
 
 def cmd_parametrize(args):
     inst = load_instance(args.instance)
-    conic = _conic_from_spec(args.conic)
+    conic = inst.conic if inst.conic is not None else circle_conic()
     report = _new_report("parametrize", args.seed, _instance_summary(inst))
     timings = report["timings"]
     report_path = args.report or (args.out + ".report.json")
@@ -342,7 +336,6 @@ def _build_parser():
     p = sub.add_parser("parametrize", help="build the rational parametrization "
                        "or archive the obstruction")
     p.add_argument("--instance", required=True)
-    p.add_argument("--conic", default="circle")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
@@ -377,22 +370,15 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as err:
-        print("usage error: %s" % err, file=sys.stderr)
-        return EX_USAGE
-    except BadPrime as err:
-        print("usage error: %s" % err, file=sys.stderr)
-        return EX_USAGE
     except NotEmptyModP as err:
         print("inconclusive: %s" % err, file=sys.stderr)
         return EX_INCONCLUSIVE
     except (IdentityFails, RankDeficient, AbsorptionFails, ReplayRejected) as err:
         print("certificate failure: %s" % err, file=sys.stderr)
         return EX_CERTFAIL
-    except FileNotFoundError as err:
-        print("usage error: %s" % err, file=sys.stderr)
-        return EX_USAGE
-    except (ValueError, KeyError, json.JSONDecodeError) as err:
+    # ReplayRejected is a ValueError, so usage errors come after it
+    except (_UsageError, FileNotFoundError, ValueError, KeyError,
+            json.JSONDecodeError) as err:
         print("usage error: %s" % err, file=sys.stderr)
         return EX_USAGE
     except Exception as err:  # pragma: no cover - the contract's catch-all

@@ -31,11 +31,14 @@ c1(conic(t)) therefore forces lambda = 0, every available quadric
 degenerates, and the instance is reported as obstructed.  Otherwise every
 (l, lambda) qualifies and the witness is q = x5*x6 + f, nondegenerate
 because f has rank five.
+
+reverse_build runs the same pass from the other end: it picks a cubic c1
+vanishing on the conic, so the condition above holds by construction, and
+runs run_pass on F5 = alpha*f^2 + x5*c1.
 """
 
 import itertools
 import json
-import math
 import random
 import time
 from dataclasses import dataclass, replace
@@ -66,8 +69,6 @@ from .slp import SlpBuilder, SlpMap
 __all__ = [
     "LambdaZero",
     "SectionSingular",
-    "InterpolationAmbiguous",
-    "InterpolationEmpty",
     "NotDivisible",
     "ConeSplit",
     "QuarticInstance",
@@ -102,14 +103,6 @@ class LambdaZero(ArithmeticError):
 
 class SectionSingular(ArithmeticError):
     """The vertex direction is a singular point of the fiber quadric."""
-
-
-class InterpolationAmbiguous(ArithmeticError):
-    """More than one quartic fits the projected sample points."""
-
-
-class InterpolationEmpty(ArithmeticError):
-    """The projected sample points do not lie on the expected quartic."""
 
 
 # -- canonical ingredients ---------------------------------------------------------
@@ -167,15 +160,6 @@ def _compose_poly(p, coords):
 
 def _univariate_coeffs(p, through_degree):
     return [p.coefficient((d,)) for d in range(through_degree + 1)]
-
-
-def _eval_monomial(point, exp):
-    acc = None
-    for i, e in enumerate(exp):
-        if e:
-            v = point[i] ** e
-            acc = v if acc is None else acc * v
-    return acc if acc is not None else Fraction(1)
 
 
 # -- instance types ----------------------------------------------------------------
@@ -511,10 +495,11 @@ def _fiber_construction(q, c, s, chart_vals, plan, lift=None):
     return residual_formula(g[2], g[3], list(s), d_amb), g
 
 
-def _dry_plan(q0, c0, conic, rng, tries=6):
-    """Numeric rehearsal at seeded parameters: fix the plan and an output chart."""
+def _dry_plan(q0, c0, conic, rng):
+    """Numeric rehearsal at up to six seeded surface points: fix the plan and
+    an output chart."""
     last = None
-    for _ in range(tries):
+    for _ in range(6):
         t0 = Fraction(rng.randint(-19, 19), 1 + rng.randint(0, 5))
         u0 = Fraction(1 + rng.randint(0, 9), 1 + rng.randint(0, 3))
         s0 = list(conic.eval([t0])) + [Fraction(0), u0]
@@ -612,113 +597,37 @@ def _conic_vanishing_cubics(conic):
     return mons, ker
 
 
-# one prime per sampling round of _interpolate_quartic
-_ROUND_PRIMES = (1000003, 1000033, 1000037)
-
-
-def _int_rows(points, mons, p):
-    """Evaluation rows mod p of rational points, each scaled to integers.
-
-    Every monomial has the same degree, so scaling a point scales its row
-    and leaves the row space unchanged.
-    """
-    rows = []
-    for y in points:
-        dens = math.lcm(*(x.denominator for x in y))
-        iy = [int(x * dens) % p for x in y]
-        rows.append([_eval_monomial(iy, e) % p for e in mons])
-    return rows
-
-
-def _int_rank(rows, p):
-    """Row rank over Z/p, plain echelon elimination on integer rows."""
-    mat = [[x % p for x in row] for row in rows]
-    r = 0
-    for col in range(len(mat[0])):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = pow(mat[r][col], p - 2, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(r + 1, len(mat)):
-            if mat[i][col]:
-                ci = mat[i][col]
-                mat[i] = [(x - ci * y) % p for x, y in zip(mat[i], mat[r])]
-        r += 1
-        if r == len(mat):
-            break
-    return r
-
-
-def _interpolate_quartic(slp, F5, seed):
-    """Re-derive the projected quartic from >= 200 sampled points.
-
-    Exact membership of the closed form in the sample ideal combines with a
-    mod-p rank computation: the sampled kernel contains the closed form, so
-    sampled dimension one pins the space of fitting quartics exactly.
-    """
-    mons = monomials(6, 4)
-    rng = random.Random(seed + 7)
-    for round_ in range(3):
-        samples = []
-        while len(samples) < 210 + 40 * round_:
-            args = [Fraction(rng.randint(-9, 9), 1 + rng.randint(0, 3))
-                    for _ in range(4)]
-            pt = slp.eval(args)
-            y = pt[:6]
-            if all(x == 0 for x in y):
-                continue
-            samples.append(y)
-        for y in samples:
-            if F5.evaluate(y) != 0:
-                raise InterpolationEmpty(
-                    "a projected sample point misses the expected quartic")
-        p = _ROUND_PRIMES[round_]
-        rk = _int_rank(_int_rows(samples, mons, p), p)
-        if rk == len(mons) - 1:
-            return len(samples)
-    raise InterpolationAmbiguous(
-        "sampled quartic space has dimension %d" % (len(mons) - rk))
-
-
-def reverse_build(f=None, conic=None, l=None, lam=Fraction(1),
-                  alpha=Fraction(1), c1=None, seed=0):
+def reverse_build(f=None, conic=None, alpha=Fraction(1), c1=None, seed=0):
     """Build a matched (intersection, quartic threefold) pair from scratch.
 
     Chooses a cubic c1 vanishing on the conic (the solvability condition),
-    takes the witness q = x5*l + lam*f with residual cubic c, and forms
-    F5 = alpha*f^2 + x5*c1.  The quartic is then re-derived by interpolating
-    through sampled points of the parametrized intersection, and the cone
-    identity is checked exactly.  Returns (Ci23Instance, QuarticInstance).
+    forms F5 = alpha*f^2 + x5*c1 and runs the forward pass on it: the
+    witness is q = x5*x6 + f with residual cubic c.  Up to eight seeded
+    cubics are drawn until the pass goes through.  The final program is
+    then certified as parametrize certifies it, on {F5 = 0} and of
+    Jacobian rank 4, so its image is dense in the quartic threefold.
+    Returns (Ci23Instance, QuarticInstance).
     """
+    # certify imports this module, so its checks are imported on use
+    from .certify import check_dominant, check_on_variety
     if f is None:
         f = sphere_form()
     if conic is None:
         conic = circle_conic()
-    if l is None:
-        l = MPoly.variable(6, 7, QQ)
-    if l.nvars != 7 or l.total_degree() != 1:
-        raise ValueError("the witness linear form lives on P^6")
-    lam = Fraction(lam)
     alpha = Fraction(alpha)
-    if lam == 0:
-        raise LambdaZero("lam = 0 never yields a nondegenerate witness")
     g5 = _conic_polys(conic)
     if not _compose_poly(f, g5).is_zero():
         raise ValueError("the conic must lie on {f = 0}")
 
     mons, ker = _conic_vanishing_cubics(conic)
-    g6 = list(g5) + [MPoly.zero(1, QQ)]
     if c1 is not None:
         if c1.nvars != 6 or c1.total_degree() != 3:
             raise ValueError("c1 must be a cubic on P^5")
-        if not _compose_poly(c1, g6).is_zero():
+        if not _compose_poly(c1, g5 + [MPoly.zero(1, QQ)]).is_zero():
             raise ValueError("the chosen cubic does not vanish on the conic")
 
     rng = random.Random(seed)
-    f7 = f.extend_variables(7)
-    q = MPoly.variable(5, 7, QQ) * l + f7.scale(lam)
+    f6 = f.extend_variables(6)
     last = None
     for attempt in range(8):
         if c1 is not None:
@@ -739,10 +648,12 @@ def reverse_build(f=None, conic=None, l=None, lam=Fraction(1),
             pick = MPoly(6, QQ, terms)
             if pick.is_zero():
                 continue
-        c = pick.extend_variables(7) - (l * f7).scale(alpha / lam)
+        F5 = (f6 * f6).scale(alpha) + MPoly.variable(5, 6, QQ) * pick
+        quart = QuarticInstance(n=5, F=F5, f=f, alpha=alpha, conic=conic,
+                                seeds={"seed": seed, "attempt": attempt,
+                                       "fiber_seed": seed + attempt})
         try:
-            ci = Ci23Instance(q=q, c=c, conic=conic)
-            slp = ci23_parametrize(ci, seed=seed + attempt)
+            run = run_pass(quart, seed=seed + attempt)
         except (TangentsCoincide, SectionSingular, LineInsideCubic,
                 ArithmeticError) as err:
             if c1 is not None:
@@ -753,18 +664,9 @@ def reverse_build(f=None, conic=None, l=None, lam=Fraction(1),
     else:
         raise last if last is not None else ArithmeticError("no usable cubic found")
 
-    f6 = f.extend_variables(6)
-    F5 = (f6 * f6).scale(alpha) + MPoly.variable(5, 6, QQ) * pick
-    n_samples = _interpolate_quartic(slp, F5, seed)
-    split = decompose_cone(
-        QuarticInstance(n=5, F=F5, f=f, alpha=alpha), q)
-    if not (split.c == c and split.c1 == pick):
-        raise ArithmeticError("the rebuilt quartic does not reproduce the cone split")
-    quart = QuarticInstance(n=5, F=F5, f=f, alpha=alpha, conic=conic,
-                            seeds={"seed": seed, "attempt": attempt,
-                                   "fiber_seed": seed + attempt,
-                                   "samples": n_samples})
-    return ci, quart
+    check_on_variety(run.program, F5, seed=seed)
+    check_dominant(run.program, 4, seed=seed)
+    return run.ci, quart
 
 
 # -- the entry points: P^5 is the pencil with no parameters -------------------------

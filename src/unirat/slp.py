@@ -59,10 +59,10 @@ def _validate(in_arity, out_arity, nodes, outputs, chart):
 
 
 def _int_field(value, where):
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput("%s: %s" % (where, exc))
+    """A JSON integer as it is; floats, strings and booleans are refused."""
+    if type(value) is not int:
+        raise MalformedInput("%s: %r is not an integer" % (where, value))
+    return value
 
 
 def _degree_bounds(nodes):
@@ -134,7 +134,7 @@ class SlpMap:
         vals = self._sweep(point, lift)
         return [vals[o] for o in self.outputs]
 
-    def jacobian(self, point, field=QQ, lift=None):
+    def jacobian(self, point, field=QQ):
         """Exact Jacobian of the affine-chart outputs at a point.
 
         With a recorded chart c the rows are d(out_m/out_c) for m != c;
@@ -143,8 +143,7 @@ class SlpMap:
         if len(point) != self.in_arity:
             raise ArityMismatch(
                 "map takes %d inputs, got %d" % (self.in_arity, len(point)))
-        if lift is None:
-            lift = field.coerce
+        lift = field.coerce
         zero = field.zero
         one = field.one
         vals = []
@@ -249,12 +248,15 @@ class SlpMap:
     @classmethod
     def from_json(cls, doc):
         try:
-            in_arity = int(doc["in_arity"])
-            out_arity = int(doc["out_arity"])
+            in_arity = _int_field(doc["in_arity"], "in_arity")
+            out_arity = _int_field(doc["out_arity"], "out_arity")
             raw_nodes = doc["nodes"]
-            outputs = [int(o) for o in doc["outputs"]]
-        except (KeyError, TypeError, ValueError) as exc:
+            raw_outputs = doc["outputs"]
+        except (KeyError, TypeError) as exc:
             raise MalformedInput("missing or invalid field: %s" % exc)
+        if not isinstance(raw_outputs, list):
+            raise MalformedInput("outputs must be a list")
+        outputs = [_int_field(o, "outputs") for o in raw_outputs]
         chart = doc.get("chart")
         provenance = doc.get("provenance")
         declared = doc.get("degree_bounds")

@@ -296,14 +296,12 @@ def test_experiment_identity_case():
 def test_trial_partials_are_pinned(t, digest):
     # the seeded draws run over the monomials in one fixed order, so the
     # partials of each (2, 2) trial stay the same
-    assert _partials_fingerprint(_trial_partials(4, 2, 2, 10007, 0, t)) == digest
+    assert _partials_fingerprint(_trial_partials(2, 2, 10007, 0, t)) == digest
 
 
 def test_experiment_rejects_large_parameters():
     with pytest.raises(ValueError):
         singular_dimension_experiment(N=6)
-    with pytest.raises(ValueError):
-        singular_dimension_experiment(d=3)
 
 
 # -- replay hostility ------------------------------------------------------------

@@ -14,7 +14,7 @@ from unirat.certify import (
     check_on_variety,
 )
 from unirat.cli import main
-from unirat.mpoly import MPoly, format_poly
+from unirat.mpoly import MPoly, format_poly, parse_poly
 from unirat.exactcore import QQ
 from unirat.pipeline import QuarticInstance, save_instance, sphere_form
 from unirat.slp import SlpBuilder, SlpMap
@@ -329,6 +329,25 @@ def test_parametrize_tries_the_next_witness_when_the_chart_vanishes(workdir):
                   "--seed", "3", "--out", str(workdir / "p5.seed3.slp.json"),
                   "--report", str(rep)]) == 0
     assert quiet(["replay", "--report", str(rep)]) == 0
+
+
+def test_parametrize_uses_the_conic_the_instance_stores(workdir):
+    # the circle misses {f = 0} for this rank-five form, so the pass starts
+    # only from the conic the instance stores
+    f = parse_poly("x0^2 + x1^2 - x2^2 + x3^2 - 2*x4^2", nvars=5)
+    b = SlpBuilder(1)
+    t = b.inputs[0]
+    one, zero = b.const(1), b.const(0)
+    conic = b.finish([one - t * t, t + t, one + t * t, zero, zero], chart=2)
+    _, quart = pipeline.reverse_build(f=f, conic=conic)
+    inst = workdir / "own_conic.json"
+    save_instance(quart, inst)
+    slp = workdir / "own_conic.slp.json"
+    rep = workdir / "own_conic.report.json"
+    assert main(["parametrize", "--instance", str(inst), "--out", str(slp),
+                 "--report", str(rep)]) == 0
+    assert main(["replay", "--report", str(rep)]) == 0
+    assert main(["verify", "--slp", str(slp), "--instance", str(inst)]) == 0
 
 
 def test_p5_parametrize_runs_each_stage_once(workdir, monkeypatch):

@@ -256,7 +256,7 @@ def test_sphere_partials_match_sympy():
 
 
 def test_experiment_jacobian_matches_sympy_and_counts_every_pair():
-    gens = _trial_partials(4, 2, 1, 10007, 3, 0)  # (N, k) = (2, 1)
+    gens = _trial_partials(2, 1, 10007, 3, 0)  # (N, k) = (2, 1)
     gb = buchberger(gens)
     assert as_dicts(gb.polys) == sympy_basis(gens)
     st = gb.stats
@@ -312,7 +312,7 @@ def test_packed_lcm_matches_unpacked_max():
 
 
 def test_early_stop_reports_the_complete_pure_powers():
-    gens = _trial_partials(4, 2, 2, 10007, 6, 0)  # a smooth (2, 2) trial
+    gens = _trial_partials(2, 2, 10007, 6, 0)  # a smooth (2, 2) trial
     early = buchberger(gens, stop_when_zero_dimensional=True)
     full = buchberger(gens)
     assert early.stats["early_stop"] and not full.stats["early_stop"]
@@ -345,7 +345,7 @@ def closed_pairs(gens, gb, calls):
 
 
 def test_hilbert_count_closes_most_zero_reductions_of_a_smooth_trial(nf_calls):
-    gens = _trial_partials(4, 2, 2, 10007, 6, 0)  # five cubics, a regular sequence
+    gens = _trial_partials(2, 2, 10007, 6, 0)  # five cubics, a regular sequence
     gb = buchberger(gens, stop_when_zero_dimensional=True)
     st = gb.stats
     assert (st["s_pairs_processed"], st["s_pairs_skipped"], st["reductions_to_zero"],
@@ -452,7 +452,7 @@ def test_deferral_changes_only_the_pair_order(monkeypatch, closure_references, r
         assert as_dicts(gb.polys) == basis, name
         assert projective_dimension(gb) == dim, name
         assert gb.stats["pure_power_degrees"] == powers, name
-    gens = _trial_partials(4, 2, 2, 10007, 6, 0)
+    gens = _trial_partials(2, 2, 10007, 6, 0)
     powers = {0: 3, 1: 3, 2: 6, 3: 6, 4: 11}
     full = buchberger(gens)
     digest = hashlib.sha256(canonical(as_dicts(full.polys)).encode()).hexdigest()

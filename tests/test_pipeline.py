@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unirat.certify import check_dominant, check_on_variety
+from unirat import pipeline
+from unirat.certify import IdentityFails, check_dominant, check_on_variety
 from unirat.exactcore import QQ, ExactMatrix, rank
 from unirat.geom import TangentsCoincide
 from unirat.mpoly import MPoly, NotDivisible, format_poly, monomials, parse_poly
@@ -36,7 +38,7 @@ from unirat.pipeline import (
     solve_stage,
     sphere_form,
 )
-from unirat.pipeline import _ROUND_PRIMES, _eval_monomial, _int_rank, _int_rows
+from unirat.slp import SlpMap
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
@@ -262,39 +264,11 @@ def test_cone_quadrics_counted_over_QQ(form, base, want):
     from sympy.polys.matrices import DomainMatrix
     f = sp.sympify(form)
     mons = monomials(7, 2)
-    rows = [[sp.QQ.convert(_eval_monomial(pt, e)) for e in mons]
+    value = lambda pt, e: sp.Mul(*[v ** k for v, k in zip(pt, e)])
+    rows = [[sp.QQ.convert(value(pt, e)) for e in mons]
             for pt in cone_points(f, [sp.Rational(v) for v in base], seed=5)]
     M = DomainMatrix(rows, (len(rows), len(mons)), sp.QQ)
     assert M.nullspace().shape[0] == want
-
-
-@pytest.mark.parametrize("nvars, degree, k", [(7, 2, 3), (7, 2, 5), (6, 4, 4)])
-def test_modular_rank_equals_the_rank_over_QQ(nvars, degree, k):
-    # rational points spanning a linear subspace of dimension k: the forms of
-    # the given degree on it, C(k + degree - 1, degree) of them, plant the
-    # rank of the evaluation rows over QQ, which sympy computes; the rank mod
-    # p of the integer-scaled rows (the check of _interpolate_quartic)
-    # must agree
-    from math import comb
-    from sympy import QQ as SQQ
-    from sympy.polys.matrices import DomainMatrix
-    rng = random.Random(nvars + degree + k)
-    frac = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-    basis = [[frac() for _ in range(nvars)] for _ in range(k)]
-    want = comb(k + degree - 1, degree)
-    pts = []
-    while len(pts) < want + 10:
-        coef = [frac() for _ in range(k)]
-        pt = [sum(c * b[i] for c, b in zip(coef, basis)) for i in range(nvars)]
-        if any(pt):
-            pts.append(pt)
-    mons = monomials(nvars, degree)
-    rows = [[SQQ(v.numerator, v.denominator)
-             for v in (_eval_monomial(pt, e) for e in mons)] for pt in pts]
-    over_qq = DomainMatrix(rows, (len(rows), len(mons)), SQQ).rank()
-    assert over_qq == want
-    for p in _ROUND_PRIMES:
-        assert _int_rank(_int_rows(pts, mons, p), p) == want
 
 
 def test_solve_stage_draws_nothing_at_random(monkeypatch):
@@ -455,8 +429,7 @@ def test_reverse_build_reproduces_the_worked_pair():
 
 def test_reverse_build_seeded_is_deterministic():
     ci, quart = reverse_build(seed=0)
-    assert quart.seeds == {"seed": 0, "attempt": 2, "fiber_seed": 2,
-                           "samples": 210}
+    assert quart.seeds == {"seed": 0, "attempt": 2, "fiber_seed": 2}
     ci2, quart2 = reverse_build(seed=0)
     assert quart2.F == quart.F and ci2.q == ci.q and ci2.c == ci.c
     # the manufactured pair closes the loop through the forward solver
@@ -467,8 +440,44 @@ def test_reverse_build_seeded_is_deterministic():
 def test_reverse_build_rejects_a_cubic_off_the_conic():
     with pytest.raises(ValueError):
         reverse_build(c1=x(0, 6) ** 3)
-    with pytest.raises(LambdaZero):
-        reverse_build(lam=0)
+
+
+def test_reverse_build_refuses_a_wrong_program(monkeypatch):
+    # a sweep with one constant bumped no longer lands on the quartic, so
+    # no attempt yields a pair
+    honest = pipeline.ci23_parametrize
+
+    def bumped(inst, seed=0):
+        phi = honest(inst, seed=seed)
+        nodes = list(phi.nodes)
+        i = next(i for i, nd in enumerate(nodes)
+                 if nd[0] == "const" and nd[1] not in (0, 1))
+        nodes[i] = ("const", nodes[i][1] + 1)
+        return SlpMap(phi.in_arity, phi.out_arity, nodes, phi.outputs,
+                      chart=phi.chart, provenance=phi.provenance)
+
+    monkeypatch.setattr(pipeline, "ci23_parametrize", bumped)
+    with pytest.raises(ArithmeticError):
+        reverse_build(seed=0)
+
+
+def test_reverse_build_certifies_the_final_program(monkeypatch):
+    # past the pass's own one-point check, the on-variety certificate on F5
+    # refuses a final program off the quartic
+    honest = pipeline.run_pass
+
+    def shifted(inst, conic=None, seed=0):
+        run = honest(inst, conic, seed=seed)
+        prog = run.program
+        nodes = list(prog.nodes) + [("const", Fraction(1))]
+        nodes.append(("add", prog.outputs[0], len(nodes) - 1))
+        outs = (len(nodes) - 1,) + prog.outputs[1:]
+        return replace(run, program=SlpMap(prog.in_arity, prog.out_arity,
+                                           nodes, outs, chart=prog.chart))
+
+    monkeypatch.setattr(pipeline, "run_pass", shifted)
+    with pytest.raises(IdentityFails):
+        reverse_build(seed=0)
 
 
 # -- hyperplane sections of higher quartics -----------------------------------

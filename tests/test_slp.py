@@ -217,8 +217,20 @@ def test_unknown_op_rejected():
     ((), ("degree_bounds", 3), "degree_bounds must be a list"),
     ((), ("degree_bounds", [[2], 2, 2]), "degree_bounds"),
     ((), ("chart", [0]), "chart"),
+    # only JSON integers index: nothing is truncated or parsed from text
+    (("nodes", 0), ("args", [0.9]), "node 0"),
+    (("nodes", 2), ("args", ["0", 0]), "node 2"),
+    (("nodes", 2), ("args", [0, False]), "node 2"),
+    ((), ("outputs", [1, "0", 2]), "outputs"),
+    ((), ("outputs", 5), "outputs must be a list"),
+    ((), ("chart", 1.5), "chart"),
+    ((), ("in_arity", True), "in_arity"),
+    ((), ("out_arity", 3.0), "out_arity"),
+    ((), ("degree_bounds", [0, 1, 2.0]), "degree_bounds"),
 ], ids=["nodes", "args-int", "args-null", "arg-list", "provenance",
-        "bounds", "bound-list", "chart"])
+        "bounds", "bound-list", "chart", "arg-float", "arg-string",
+        "arg-bool", "output-string", "outputs-int", "chart-float",
+        "in-arity-bool", "out-arity-float", "bound-float"])
 def test_malformed_fields_rejected(path, value, message):
     doc = conic_map().to_json()
     target = doc
