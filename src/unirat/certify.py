@@ -24,14 +24,15 @@ against denominators and content so the reduction is faithful.
 """
 
 import hashlib
+import json
 import random
 from fractions import Fraction
 
-from .exactcore import QQ, BadPrime, PrimeField, rank
+from .exactcore import QQ, BadPrime, PrimeField, parse_rational, rank
 from .groebner import DegreeCeilingExceeded, buchberger, projective_dimension, projective_empty
 from .mpoly import MPoly, format_poly, monomials, parse_poly
 from .pipeline import QuarticInstance, flatten_params, solve_stage
-from .slp import ChartVanishes, MalformedInput, SlpMap
+from .slp import ChartVanishes, MalformedInput, SlpMap, read, read_list
 
 SYMBOLIC_INPUT_LIMIT = 4
 SYMBOLIC_DEGREE_LIMIT = 60
@@ -435,34 +436,47 @@ _MISMATCH = {
 
 
 def _compare(rebuilt, doc):
-    """Reject unless the stored document is the rebuilt one, field by field."""
+    """Reject unless the stored document is the rebuilt one, field by field.
+    Fields compare as JSON text, where 1, 1.0 and true differ; a program,
+    read strictly by SlpMap.from_json, compares as a value."""
     for key in sorted(set(rebuilt) | set(doc)):
         if key not in doc:
             raise ReplayRejected("the %s document lacks %s" % (doc["kind"], key))
-        if doc[key] != rebuilt.get(key):
+        stored, want = doc[key], rebuilt.get(key)
+        if key not in ("phi", "conic"):
+            stored = json.dumps(stored, sort_keys=True)
+            want = json.dumps(want, sort_keys=True)
+        if stored != want:
             raise ReplayRejected(_MISMATCH.get(
                 key, "the stored %s is not the rebuilt one" % key))
 
 
+def _poly(doc, key):
+    """The stored polynomial doc[key] in doc["nvars"] variables."""
+    return parse_poly(read(doc, key, str), nvars=read(doc, "nvars", int))
+
+
 def _replay_on_variety(doc):
-    phi = SlpMap.from_json(doc["phi"])
-    F = parse_poly(doc["F"], nvars=int(doc["nvars"]))
-    sampling = {key: int(doc[key]) for key in ("seed", "points", "coordinate_bound")
-                if key in doc}
+    phi = SlpMap.from_json(read(doc, "phi", dict))
+    F = _poly(doc, "F")
+    seed, points = read(doc, "seed", int, 0), read(doc, "points", int, None)
+    bound = read(doc, "coordinate_bound", str, str(COORDINATE_BOUND))
     try:
-        rebuilt = check_on_variety(phi, F, **sampling)
+        rebuilt = check_on_variety(phi, F, seed=seed, points=points,
+                                   coordinate_bound=int(bound))
     except (IdentityFails, ValueError) as err:
         raise ReplayRejected(str(err))
     _compare(rebuilt, doc)
 
 
 def _replay_dominance(doc):
-    phi = SlpMap.from_json(doc["phi"])
-    target = int(doc["target_dim"])
-    if int(doc["rank"]) != target:
+    phi = SlpMap.from_json(read(doc, "phi", dict))
+    target = read(doc, "target_dim", int)
+    if read(doc, "rank", int) != target:
         raise ReplayRejected("stored rank misses the target dimension")
+    witness = read_list(doc, "witness", str)
     try:
-        rebuilt = _dominance_at(phi, [Fraction(c) for c in doc["witness"]], target)
+        rebuilt = _dominance_at(phi, [parse_rational(c) for c in witness], target)
     except ChartVanishes:
         raise ReplayRejected("the chart coordinate vanishes at the witness")
     except ValueError as err:
@@ -471,27 +485,27 @@ def _replay_dominance(doc):
 
 
 def _replay_smooth(doc):
-    p = int(doc["p"])
-    F = parse_poly(doc["F"], nvars=int(doc["nvars"]))
+    p = read(doc, "p", int)
+    F = _poly(doc, "F")
     try:
         parts = _screen_prime(F, p)
     except (BadPrime, NotEmptyModP) as err:
         raise ReplayRejected("prime screening failed: %s" % err)
-    if _partials_fingerprint(parts) != doc["partials_hash"]:
+    if _partials_fingerprint(parts) != read(doc, "partials_hash", str):
         raise ReplayRejected("partials fingerprint mismatch")
-    pure = {int(i): int(d) for i, d in doc["pure_powers"].items()}
-    if sorted(pure) != list(range(F.nvars)):
+    pure = read(doc, "pure_powers", dict)
+    if pure.keys() != {str(i) for i in range(F.nvars)}:
         raise ReplayRejected("pure powers do not cover every variable")
-    if any(d < 1 for d in pure.values()):
+    if any(read(pure, i, int) < 1 for i in pure):
         raise ReplayRejected("pure power degrees must be positive")
 
 
 def _replay_positivity(doc):
     """Re-run the absorption on the stored R; a stored R that still
     involves the chart variable differs from the rebuilt one."""
-    R = parse_poly(doc["R"], nvars=int(doc["nvars"]))
+    R, chart = _poly(doc, "R"), read(doc, "chart", int)
     try:
-        rebuilt = certify_positive_on_hyperplane(R, chart=int(doc["chart"]))
+        rebuilt = certify_positive_on_hyperplane(R, chart=chart)
     except (AbsorptionFails, ValueError) as err:
         raise ReplayRejected(str(err))
     _compare(rebuilt, doc)
@@ -501,17 +515,17 @@ def _replay_obstruction(doc):
     """Rerun the witness search on the stored F, f, alpha and conic.  It
     draws nothing at random, so the seed of the original run plays no part
     in the block."""
-    params = doc.get("parameters", ())
-    alpha = Fraction(doc["alpha"])
+    params = read_list(doc, "parameters", str, [])
+    alpha = parse_rational(read(doc, "alpha", str))
     if alpha == 0:
         raise ReplayRejected("alpha is zero, so nothing is doubled")
     try:
         inst = QuarticInstance(n=5 + len(params),
-                               F=parse_poly(doc["F"], nvars=6 + len(params)),
-                               f=parse_poly(doc["f"], nvars=5), alpha=alpha)
+                               F=parse_poly(read(doc, "F", str), nvars=6 + len(params)),
+                               f=parse_poly(read(doc, "f", str), nvars=5), alpha=alpha)
     except ValueError as err:
         raise ReplayRejected("the stored quartic: %s" % err)
-    conic = SlpMap.from_json(doc["conic"])
+    conic = SlpMap.from_json(read(doc, "conic", dict))
     run = solve_stage(inst, conic)
     if all(run.section.F.field.is_zero(c) for c in run.solver.obstruction):
         raise ReplayRejected("c1 vanishes on the conic, so nothing is obstructed")
@@ -537,24 +551,25 @@ def replay_certificate(doc, kind=None):
     rebuilt one; smoothness replay re-screens the prime.  All of it is
     cheap next to the original search.
     """
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ReplayRejected("not a certificate document")
-    if kind is not None and doc["kind"] != kind:
-        raise ReplayRejected("expected kind %r, found %r" % (kind, doc["kind"]))
-    kind = doc["kind"]
-    if kind not in _REPLAYERS:
-        raise ReplayRejected("unknown certificate kind %r" % (kind,))
-    if int(doc.get("version", 0)) != 1:
-        raise ReplayRejected("unsupported certificate version")
     try:
-        _REPLAYERS[kind](doc)
+        found = read(doc, "kind", str)
+    except MalformedInput as err:
+        raise ReplayRejected("not a certificate document: %s" % err)
+    if kind is not None and found != kind:
+        raise ReplayRejected("expected kind %r, found %r" % (kind, found))
+    if found not in _REPLAYERS:
+        raise ReplayRejected("unknown certificate kind %r" % (found,))
+    try:
+        if read(doc, "version", int) != 1:
+            raise ReplayRejected("unsupported certificate version")
+        _REPLAYERS[found](doc)
     except ReplayRejected:
         raise
     except MalformedInput as err:
-        raise ReplayRejected("malformed %s certificate: %s" % (kind, err))
+        raise ReplayRejected("malformed %s certificate: %s" % (found, err))
     except Exception as err:  # malformed embedded data is a rejection too
         raise ReplayRejected("replay crashed: %s" % err)
-    return kind
+    return found
 
 
 def replay_report(report):
@@ -563,26 +578,29 @@ def replay_report(report):
     make one claim: the smooth-mod-p ones agree on F, each positivity one
     restricts that F, and each dominance one is about a program that an
     on-variety one maps into its variety."""
-    if not (isinstance(report, dict)
-            and isinstance(report.get("certificates", []), list)):
-        raise ReplayRejected("not a report document")
-    certs = report.get("certificates", [])
+    try:
+        certs = read_list(report, "certificates", dict)
+        version = read(report, "version", int)
+        outcome = read(report, "outcome", str)
+    except MalformedInput as err:
+        raise ReplayRejected("not a report document: %s" % err)
+    if version != 1:
+        raise ReplayRejected("unsupported report version")
     kinds = [replay_certificate(doc) for doc in certs]
-    quartics = {parse_poly(doc["F"], nvars=int(doc["nvars"]))
-                for doc in certs if doc["kind"] == "smooth-mod-p"}
+    # every field read below passed its certificate's replay
+    quartics = {_poly(doc, "F") for doc in certs if doc["kind"] == "smooth-mod-p"}
     if len(quartics) > 1:
         raise ReplayRejected("the smooth-mod-p certificates disagree on F")
     programs = [doc["phi"] for doc in certs if doc["kind"] == "on-variety"]
     for doc in certs:
         if doc["kind"] == "positivity" and quartics:
-            chart = int(doc["chart"])
-            R = parse_poly(doc["R"], nvars=int(doc["nvars"]))
-            if next(iter(quartics)).set_variable_zero(chart) != R:
+            chart = doc["chart"]
+            if next(iter(quartics)).set_variable_zero(chart) != _poly(doc, "R"):
                 raise ReplayRejected("the positivity certificate's R is not "
                                      "the certified F on {x%d = 0}" % chart)
         if doc["kind"] == "dominance" and doc["phi"] not in programs:
             raise ReplayRejected("a dominance certificate's program has no "
                                  "on-variety certificate in the report")
-    if report.get("outcome") == "Obstruction":
+    if outcome == "Obstruction":
         replay_certificate(report.get("obstruction"), kind="obstruction")
     return kinds

@@ -100,14 +100,6 @@ def _new_report(command, seed, instance=None):
     return doc
 
 
-def _chart_index(text):
-    raw = text[1:] if text.startswith("x") else text
-    try:
-        return int(raw)
-    except ValueError:
-        raise _UsageError("cannot read a chart coordinate from %r" % text)
-
-
 # -- build-example -------------------------------------------------------------------
 
 
@@ -146,7 +138,7 @@ def _smooth_job(params):
 
 def cmd_certify(args):
     inst = load_instance(args.instance)
-    chart = _chart_index(args.gamma_chart)
+    chart = 4 if inst.gamma_coord is None else inst.gamma_coord
     primes = args.prime or list(DEFAULT_PRIMES)
     for p in primes:
         PrimeField(p)  # raises BadPrime before any work starts
@@ -327,7 +319,6 @@ def _build_parser():
                        "on a hyperplane")
     p.add_argument("--instance", required=True)
     p.add_argument("--prime", type=int, action="append")
-    p.add_argument("--gamma-chart", default="x4")
     p.add_argument("--ceiling", type=int, default=20)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report")
@@ -376,9 +367,9 @@ def main(argv=None):
     except (IdentityFails, RankDeficient, AbsorptionFails, ReplayRejected) as err:
         print("certificate failure: %s" % err, file=sys.stderr)
         return EX_CERTFAIL
-    # ReplayRejected is a ValueError, so usage errors come after it
-    except (_UsageError, FileNotFoundError, ValueError, KeyError,
-            json.JSONDecodeError) as err:
+    # ReplayRejected is a ValueError, so usage errors come after it; a JSON
+    # syntax error and a MalformedInput are ValueErrors too
+    except (_UsageError, FileNotFoundError, ValueError) as err:
         print("usage error: %s" % err, file=sys.stderr)
         return EX_USAGE
     except Exception as err:  # pragma: no cover - the contract's catch-all

@@ -42,8 +42,12 @@ def _is_prime(n: int) -> bool:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'a' or 'a/b' into a Fraction."""
-    return Fraction(text.strip())
+    """Parse 'a' or 'a/b' into a Fraction; b = 0 is a ValueError, as any
+    other text that is not a rational."""
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %r" % text)
 
 
 def format_rational(x: Fraction) -> str:
@@ -212,13 +216,6 @@ class ExactMatrix:
         for row in self.rows:
             if len(row) != self.ncols:
                 raise ValueError("ragged rows")
-
-    @classmethod
-    def identity(cls, field, n):
-        return cls(
-            field,
-            [[field.one if i == j else field.zero for j in range(n)] for i in range(n)],
-        )
 
     def entry(self, i, j):
         return self.rows[i][j]

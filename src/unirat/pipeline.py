@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .exactcore import QQ, ExactMatrix, det_fraction_free, kernel_basis
+from .exactcore import QQ, ExactMatrix, det_fraction_free, kernel_basis, parse_rational
 from .geom import (
     LineInsideCubic,
     ProjPoint,
@@ -64,7 +64,7 @@ from .mpoly import (
     monomials,
     parse_poly,
 )
-from .slp import SlpBuilder, SlpMap
+from .slp import SlpBuilder, SlpMap, read, read_list
 
 __all__ = [
     "LambdaZero",
@@ -870,21 +870,25 @@ def instance_to_json(inst):
 
 
 def instance_from_json(doc):
-    if not isinstance(doc, dict) or doc.get("version") != 1:
+    if type(doc) is not dict or read(doc, "version", int) != 1:
         raise ValueError("unsupported instance format")
-    n = int(doc["n"])
-    gamma = doc.get("Gamma")
+    n = read(doc, "n", int)
+    gamma = read(doc, "Gamma", dict, None)
+    cubics = read_list(doc, "cubics", str, None)
+    conic = read(doc, "conic", dict, None)
+    epsilon = read(doc, "epsilon", str, None)
     return QuarticInstance(
         n=n,
-        F=parse_poly(doc["F"], nvars=n + 1),
-        f=parse_poly(doc["f"], nvars=5),
-        alpha=Fraction(doc.get("alpha", "1")),
-        gamma_coord=None if gamma is None else int(gamma["vanishing_coordinate"]),
-        cubics=tuple(parse_poly(s, nvars=5) for s in doc["cubics"])
-        if "cubics" in doc else None,
-        conic=SlpMap.from_json(doc["conic"]) if "conic" in doc else None,
-        epsilon=Fraction(doc["epsilon"]) if "epsilon" in doc else None,
-        seeds=doc.get("seeds"),
+        F=parse_poly(read(doc, "F", str), nvars=n + 1),
+        f=parse_poly(read(doc, "f", str), nvars=5),
+        alpha=parse_rational(read(doc, "alpha", str, "1")),
+        gamma_coord=None if gamma is None
+        else read(gamma, "vanishing_coordinate", int),
+        cubics=None if cubics is None
+        else tuple(parse_poly(s, nvars=5) for s in cubics),
+        conic=None if conic is None else SlpMap.from_json(conic),
+        epsilon=None if epsilon is None else parse_rational(epsilon),
+        seeds=read(doc, "seeds", dict, None),
     )
 
 

@@ -14,11 +14,52 @@ from fractions import Fraction
 
 from .exactcore import QQ, ExactMatrix, format_rational, parse_rational
 
-_BINARY = ("add", "sub", "mul")
+# how many args the node of each op lists in a program file
+_OPERANDS = {"input": 1, "const": 0, "add": 2, "sub": 2, "mul": 2}
 
 
 class MalformedInput(ValueError):
-    """Program fails a structural invariant (cycle, bad arity, bad op)."""
+    """A document fails a structural invariant: a field is missing or of
+    the wrong JSON type, or a program has a cycle, a bad arity or a bad op."""
+
+
+_REQUIRED = object()
+_JSON_NAMES = {type(None): "null", bool: "a boolean", int: "an integer",
+               float: "a float", str: "a string", list: "a list", dict: "an object"}
+
+
+def _wrong(field, kind, value):
+    return MalformedInput("%s must be %s, not %s" % (
+        field, _JSON_NAMES[kind], _JSON_NAMES.get(type(value), type(value).__name__)))
+
+
+def read(doc, key, kind, default=_REQUIRED):
+    """doc[key] when it is exactly of type `kind`: a bool is not an int
+    and a float is not an int.  An absent key gives `default`; anything
+    else raises MalformedInput naming the field."""
+    try:
+        value = doc[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise MalformedInput("%s is missing" % key)
+        return default
+    except TypeError:
+        raise _wrong("a document holding %s" % key, dict, doc)
+    if type(value) is not kind:
+        raise _wrong(key, kind, value)
+    return value
+
+
+def read_list(doc, key, kind, default=_REQUIRED):
+    """read(doc, key, list, default) whose entries are all exactly of type
+    `kind`."""
+    values = read(doc, key, list, default)
+    if values is not default:
+        for value in values:
+            if type(value) is not kind:
+                pos = next(i for i, v in enumerate(values) if type(v) is not kind)
+                raise _wrong("%s[%d]" % (key, pos), kind, values[pos])
+    return values
 
 
 class ChartVanishes(ArithmeticError):
@@ -42,7 +83,7 @@ def _validate(in_arity, out_arity, nodes, outputs, chart):
         elif op == "const":
             if not isinstance(node[1], Fraction):
                 raise MalformedInput("constant is not rational at node %d" % idx)
-        elif op in _BINARY:
+        elif _OPERANDS.get(op) == 2:
             a, b = node[1], node[2]
             # acyclicity: operands always refer to strictly earlier nodes
             if not (0 <= a < idx and 0 <= b < idx):
@@ -56,13 +97,6 @@ def _validate(in_arity, out_arity, nodes, outputs, chart):
         raise MalformedInput("chart coordinate out of range")
     if all(nodes[o] == ("const", Fraction(0)) for o in outputs):
         raise MalformedInput("all outputs are literally zero")
-
-
-def _int_field(value, where):
-    """A JSON integer as it is; floats, strings and booleans are refused."""
-    if type(value) is not int:
-        raise MalformedInput("%s: %r is not an integer" % (where, value))
-    return value
 
 
 def _degree_bounds(nodes):
@@ -100,11 +134,6 @@ class SlpMap:
         self.provenance = dict(provenance or {})
         node_deg = _degree_bounds(self.nodes)
         self.degree_bounds = tuple(node_deg[o] for o in self.outputs)
-
-    @classmethod
-    def identity(cls, n):
-        nodes = [("input", i) for i in range(n)]
-        return cls(n, n, nodes, list(range(n)), provenance={"stage": "identity"})
 
     def __len__(self):
         return len(self.nodes)
@@ -247,79 +276,35 @@ class SlpMap:
 
     @classmethod
     def from_json(cls, doc):
-        try:
-            in_arity = _int_field(doc["in_arity"], "in_arity")
-            out_arity = _int_field(doc["out_arity"], "out_arity")
-            raw_nodes = doc["nodes"]
-            raw_outputs = doc["outputs"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedInput("missing or invalid field: %s" % exc)
-        if not isinstance(raw_outputs, list):
-            raise MalformedInput("outputs must be a list")
-        outputs = [_int_field(o, "outputs") for o in raw_outputs]
-        chart = doc.get("chart")
-        provenance = doc.get("provenance")
-        declared = doc.get("degree_bounds")
-        if not isinstance(raw_nodes, list):
-            raise MalformedInput("nodes must be a list")
-        if not isinstance(provenance, (dict, type(None))):
-            raise MalformedInput("provenance must be an object")
-        if not isinstance(declared, (list, type(None))):
-            raise MalformedInput("degree_bounds must be a list")
+        if read(doc, "version", int) != 1:
+            raise MalformedInput("unsupported program version")
         nodes = []
-        for idx, entry in enumerate(raw_nodes):
+        for idx, entry in enumerate(read(doc, "nodes", list)):
             try:
-                op = entry["op"]
-                args = entry["args"]
-            except (KeyError, TypeError) as exc:
-                raise MalformedInput("bad node %d: %s" % (idx, exc))
-            if not isinstance(args, list):
-                raise MalformedInput("the args of node %d must be a list" % idx)
-            if op == "input":
-                if len(args) != 1:
-                    raise MalformedInput("input node %d needs one index" % idx)
-                nodes.append(("input", _int_field(args[0], "node %d" % idx)))
-            elif op == "const":
-                try:
-                    nodes.append(("const", parse_rational(str(entry["value"]))))
-                except (KeyError, ValueError) as exc:
-                    raise MalformedInput("bad constant at node %d: %s" % (idx, exc))
-            elif op in _BINARY:
-                if len(args) != 2:
-                    raise MalformedInput("node %d needs two operands" % idx)
-                nodes.append((op, _int_field(args[0], "node %d" % idx),
-                              _int_field(args[1], "node %d" % idx)))
-            else:
-                raise MalformedInput("unknown op %r at node %d" % (op, idx))
-        m = cls(in_arity, out_arity, nodes, outputs,
-                chart=None if chart is None else _int_field(chart, "chart"),
-                provenance=provenance)
+                op = read(entry, "op", str)
+                args = read_list(entry, "args", int)
+                # an unknown op is left to _validate
+                if len(args) != _OPERANDS.get(op, len(args)):
+                    raise MalformedInput("%s takes %d operands" % (op, _OPERANDS[op]))
+                if op == "const":
+                    args = [parse_rational(read(entry, "value", str))]
+            except ValueError as exc:  # a MalformedInput or a bad constant
+                raise MalformedInput("node %d: %s" % (idx, exc))
+            nodes.append((op, *args))
+        m = cls(read(doc, "in_arity", int), read(doc, "out_arity", int), nodes,
+                read_list(doc, "outputs", int), chart=read(doc, "chart", int, None),
+                provenance=read(doc, "provenance", dict, None))
         # declared bounds are advisory; recomputed ones win, disagreement is
         # a sign of a tampered file
-        if (declared is not None and [_int_field(d, "degree_bounds") for d in declared]
-                != list(m.degree_bounds)):
+        declared = read_list(doc, "degree_bounds", int, None)
+        if declared is not None and declared != list(m.degree_bounds):
             raise MalformedInput("degree bounds do not match the node list")
         return m
-
-    @classmethod
-    def deserialize(cls, text):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise MalformedInput("not JSON: %s" % exc)
-        if not isinstance(doc, dict):
-            raise MalformedInput("top level must be an object")
-        return cls.from_json(doc)
 
     def save(self, path):
         with open(path, "w") as fh:
             fh.write(self.serialize())
             fh.write("\n")
-
-    @classmethod
-    def load(cls, path):
-        with open(path) as fh:
-            return cls.deserialize(fh.read())
 
 
 # -- construction helper -------------------------------------------------------

@@ -123,10 +123,16 @@ def test_certify_screens_primes_before_working(eps0, capsys):
     assert "odd prime" in captured.err
 
 
-def test_certify_chart_out_of_range(eps0, capsys):
-    assert main(["certify", "--instance", str(eps0),
-                 "--gamma-chart", "x9"]) == 64
+def test_certify_chart_out_of_range(workdir, capsys):
+    # certify reads its chart from the instance's Gamma; x9 is not a
+    # coordinate of P^8
+    doc = json.loads((INSTANCES / "n8_cubes.json").read_text())
+    doc["Gamma"]["vanishing_coordinate"] = 9
+    inst = workdir / "n8_chart9.json"
+    inst.write_text(json.dumps(doc))
     capsys.readouterr()
+    assert main(["certify", "--instance", str(inst)]) == 64
+    assert "chart coordinate out of range" in capsys.readouterr().err
 
 
 # -- parametrize: the feasible P^5 instance --------------------------------------
@@ -193,7 +199,7 @@ def test_verify_refuses_a_malformed_program_as_usage(p5_run, workdir, capsys):
     capsys.readouterr()
     assert main(["verify", "--slp", str(bad),
                  "--instance", str(INSTANCES / "reverse_p5.json")]) == 64
-    assert "the args of node 0 must be a list" in capsys.readouterr().err
+    assert "node 0: args must be a list" in capsys.readouterr().err
 
 
 def test_replay_accepts_then_rejects_after_tampering(p5_run, workdir, capsys):
