@@ -2,7 +2,8 @@
 
 Five certificate kinds cover the claims worth auditing: a program maps
 into a variety (exact identity testing, symbolic or randomized), the map is
-dominant (full Jacobian rank at a recorded witness), a quartic is nonsingular
+dominant (full Jacobian rank mod a prime at a recorded witness, a lower bound
+on the rank over the rationals), a quartic is nonsingular
 (Jacobian ideal empty modulo a good prime), a real hyperplane section is
 positive definite (weighted AM-GM absorption into a fourth-power diagonal),
 and the construction cannot start (the residual cubic misses the conic).
@@ -28,7 +29,7 @@ import json
 import random
 from fractions import Fraction
 
-from .exactcore import QQ, BadPrime, PrimeField, parse_rational, rank
+from .exactcore import QQ, BadPrime, PrimeField, parse_rational, rank_mod_p
 from .groebner import DegreeCeilingExceeded, buchberger, projective_dimension, projective_empty
 from .mpoly import MPoly, format_poly, monomials, parse_poly
 from .pipeline import QuarticInstance, flatten_params, solve_stage
@@ -39,6 +40,13 @@ SYMBOLIC_DEGREE_LIMIT = 60
 MAX_POINTS = 20
 COORDINATE_BOUND = 2 ** 40
 CONFIDENCE_BITS = 64
+# dominance ranks are taken mod this Mersenne prime, 2^61 - 1
+DOMINANCE_PRIME = 2 ** 61 - 1
+
+# the version of each certificate kind, written by its builder and the only
+# one its replay accepts
+VERSIONS = {"on-variety": 1, "dominance": 2, "smooth-mod-p": 1,
+            "positivity": 1, "obstruction": 1}
 
 
 class IdentityFails(ArithmeticError):
@@ -105,8 +113,9 @@ def check_on_variety(phi, F, seed=0, points=None,
     if F.nvars != phi.out_arity:
         raise ValueError("the polynomial and the program disagree on the space")
     tracked = F.total_degree() * max(phi.degree_bounds)
-    doc = {"kind": "on-variety", "version": 1, "F": format_poly(F),
-           "nvars": F.nvars, "phi": phi.to_json(), "tracked_degree": tracked}
+    doc = {"kind": "on-variety", "version": VERSIONS["on-variety"],
+           "F": format_poly(F), "nvars": F.nvars, "phi": phi.to_json(),
+           "tracked_degree": tracked}
     if phi.in_arity <= SYMBOLIC_INPUT_LIMIT and tracked <= SYMBOLIC_DEGREE_LIMIT:
         n = phi.in_arity
         lift = lambda c: MPoly.const(n, c, QQ)
@@ -159,10 +168,16 @@ def check_dominant(phi, target_dim, seed=0):
     """Find a seeded rational witness where the Jacobian has full rank,
     trying up to five points.
 
-    Rank is lower-semicontinuous, so full rank at one rational point gives
-    full rank on a dense open set: the image has the dimension of the
-    target variety and the map is dominant onto a component through the
-    witness.
+    The rank is taken mod p = DOMINANCE_PRIME, with the witness and the
+    program's constants reduced mod p.  A minor that is nonzero mod p is
+    nonzero over QQ, so rank_p = target proves rank_QQ >= target: a lower
+    bound, whatever the prime.  Rank is lower-semicontinuous, so full rank
+    at one rational point gives full rank on a dense open set: the image
+    has the dimension of the target variety and the map is dominant onto a
+    component through the witness.  A witness where the chart coordinate
+    vanishes mod p is skipped.  The disproof `rank > target` is one-sided:
+    rank_p > target proves it, but rank_p <= rank_QQ, so a QQ rank above
+    the target can go unseen mod p.
     """
     rng = random.Random(seed)
     best = -1
@@ -170,7 +185,7 @@ def check_dominant(phi, target_dim, seed=0):
         pt = [Fraction(rng.randint(-9, 9), 1 + rng.randint(0, 3))
               for _ in range(phi.in_arity)]
         try:
-            doc = _dominance_at(phi, pt, target_dim)
+            doc = _dominance_at(phi, pt, target_dim, DOMINANCE_PRIME)
         except ChartVanishes:
             continue
         if doc["rank"] == target_dim:
@@ -179,13 +194,14 @@ def check_dominant(phi, target_dim, seed=0):
     raise RankDeficient(best, target_dim)
 
 
-def _dominance_at(phi, pt, target_dim):
-    """The dominance document for the Jacobian rank of phi at one point."""
-    r = rank(phi.jacobian(pt))
+def _dominance_at(phi, pt, target_dim, p):
+    """The dominance document for the Jacobian rank mod p of phi at one
+    point."""
+    r = rank_mod_p(phi.jacobian(pt, p), p)
     if r > target_dim:
         raise ValueError("rank %d exceeds the target dimension %d: the "
                          "image cannot lie in the claimed variety" % (r, target_dim))
-    return {"kind": "dominance", "version": 1,
+    return {"kind": "dominance", "version": VERSIONS["dominance"], "p": p,
             "witness": [str(c) for c in pt], "chart": phi.chart,
             "rank": r, "target_dim": target_dim, "phi": phi.to_json()}
 
@@ -244,7 +260,7 @@ def certify_smooth_mod_p(F, p, degree_ceiling=20):
         raise NotEmptyModP(p, "singular locus has projective dimension %d"
                               % projective_dimension(gb))
     stats = dict(gb.stats)
-    return {"kind": "smooth-mod-p", "version": 1, "p": p,
+    return {"kind": "smooth-mod-p", "version": VERSIONS["smooth-mod-p"], "p": p,
             "F": format_poly(F), "nvars": F.nvars,
             "partials_hash": _partials_fingerprint(parts),
             "pure_powers": {str(i): d for i, d
@@ -297,7 +313,8 @@ def certify_positive_on_hyperplane(F, chart=4):
         if diagonal[i] <= 0:
             raise AbsorptionFails(i, diagonal[i])
     return {
-        "kind": "positivity", "version": 1, "chart": chart, "nvars": F.nvars,
+        "kind": "positivity", "version": VERSIONS["positivity"],
+        "chart": chart, "nvars": F.nvars,
         "R": format_poly(R),
         "diagonal": {str(i): str(d) for i, d in sorted(diagonal.items())},
         "blocks": [[list(e), str(c)] for e, c in blocks],
@@ -324,7 +341,8 @@ def certify_obstruction(inst, conic, run):
     """
     obs = run.obstruction
     doc = {
-        "kind": "obstruction", "version": 1, "status": "obstructed",
+        "kind": "obstruction", "version": VERSIONS["obstruction"],
+        "status": "obstructed",
         "message": obs.message,
         "obstruction": [obs.field.format(c) for c in obs.obstruction],
         "quadrics_through_cone": [obs.vector_dim, obs.proj_dim],
@@ -474,9 +492,15 @@ def _replay_dominance(doc):
     target = read(doc, "target_dim", int)
     if read(doc, "rank", int) != target:
         raise ReplayRejected("stored rank misses the target dimension")
+    p = read(doc, "p", int)
     witness = read_list(doc, "witness", str)
     try:
-        rebuilt = _dominance_at(phi, [parse_rational(c) for c in witness], target)
+        # the size check comes first, so a huge p costs no primality test
+        if p > DOMINANCE_PRIME:
+            raise BadPrime("p = %d exceeds 2^61 - 1" % p)
+        PrimeField(p)  # raises BadPrime unless p is an odd prime
+        rebuilt = _dominance_at(phi, [parse_rational(c) for c in witness],
+                                target, p)
     except ChartVanishes:
         raise ReplayRejected("the chart coordinate vanishes at the witness")
     except ValueError as err:
@@ -560,8 +584,8 @@ def replay_certificate(doc, kind=None):
     if found not in _REPLAYERS:
         raise ReplayRejected("unknown certificate kind %r" % (found,))
     try:
-        if read(doc, "version", int) != 1:
-            raise ReplayRejected("unsupported certificate version")
+        if read(doc, "version", int) != VERSIONS[found]:
+            raise ReplayRejected("unsupported %s certificate version" % found)
         _REPLAYERS[found](doc)
     except ReplayRejected:
         raise
@@ -572,21 +596,37 @@ def replay_certificate(doc, kind=None):
     return found
 
 
+# the certificate kinds that a Success of each command's report implies
+_IMPLIED = {"parametrize": ("dominance",),
+            "certify": ("positivity", "smooth-mod-p"),
+            "experiment": ()}
+
+
 def replay_report(report):
     """Replay a report's certificates, and its obstruction block when it is
     obstructed, and return the certificates' kinds.  The certificates must
     make one claim: the smooth-mod-p ones agree on F, each positivity one
     restricts that F, and each dominance one is about a program that an
-    on-variety one maps into its variety."""
+    on-variety one maps into its variety.  A Success must carry the kinds
+    its command implies: a dominance certificate for `parametrize`, a
+    positivity and a smooth-mod-p certificate for `certify`."""
     try:
         certs = read_list(report, "certificates", dict)
         version = read(report, "version", int)
+        command = read(report, "command", str)
         outcome = read(report, "outcome", str)
     except MalformedInput as err:
         raise ReplayRejected("not a report document: %s" % err)
     if version != 1:
         raise ReplayRejected("unsupported report version")
+    if command not in _IMPLIED:
+        raise ReplayRejected("unknown command %r" % command)
     kinds = [replay_certificate(doc) for doc in certs]
+    if outcome == "Success":
+        missing = [kind for kind in _IMPLIED[command] if kind not in kinds]
+        if missing:
+            raise ReplayRejected("a %s Success needs a %s certificate"
+                                 % (command, " and a ".join(missing)))
     # every field read below passed its certificate's replay
     quartics = {_poly(doc, "F") for doc in certs if doc["kind"] == "smooth-mod-p"}
     if len(quartics) > 1:

@@ -46,7 +46,7 @@ from .pipeline import (
     run_pass,
     save_instance,
 )
-from .slp import SlpMap
+from .slp import SlpMap, write_json
 
 EX_OK = 0
 EX_OBSTRUCTION = 2
@@ -66,12 +66,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise _UsageError(message)
-
-
-def _write_json(path, doc):
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
 
 
 def _instance_summary(inst):
@@ -151,7 +145,7 @@ def cmd_certify(args):
         report["outcome"] = "CertificateFailure"
         report["positivity_failure"] = str(err)
         if args.report:
-            _write_json(args.report, report)
+            write_json(args.report, report)
         print("positivity on {x%d = 0}: %s" % (chart, err))
         print("hint: rebuild the instance with a smaller --epsilon")
         return EX_CERTFAIL
@@ -183,13 +177,13 @@ def cmd_certify(args):
     if not smooth_ok:
         report["outcome"] = "Inconclusive"
         if args.report:
-            _write_json(args.report, report)
+            write_json(args.report, report)
         print("no prime certified smoothness; try other primes or a sparser "
               "instance")
         return EX_INCONCLUSIVE
     report["outcome"] = "Success"
     if args.report:
-        _write_json(args.report, report)
+        write_json(args.report, report)
         print("report written to %s" % args.report)
     return EX_OK
 
@@ -209,7 +203,7 @@ def cmd_parametrize(args):
     if run.obstruction is not None:
         report["outcome"] = "Obstruction"
         report["obstruction"] = certify_obstruction(inst, conic, run)
-        _write_json(report_path, report)
+        write_json(report_path, report)
         print("obstruction: " + report["obstruction"]["message"])
         print("report written to %s" % report_path)
         return EX_OBSTRUCTION
@@ -230,7 +224,7 @@ def cmd_parametrize(args):
     report["outcome"] = "Success"
     report["slp"] = {"in_arity": out_map.in_arity, "out_arity": out_map.out_arity,
                      "nodes": len(out_map.nodes), "chart": out_map.chart}
-    _write_json(report_path, report)
+    write_json(report_path, report)
     print("wrote a %d-parameter program with %d nodes to %s"
           % (out_map.in_arity, len(out_map.nodes), args.out))
     print("%d certificates embedded in %s" % (len(report["certificates"]),
@@ -292,7 +286,7 @@ def cmd_experiment(args):
         doc = _new_report("experiment", args.seed)
         doc["outcome"] = "Success"
         doc["experiment"] = rep
-        _write_json(args.report, doc)
+        write_json(args.report, doc)
         print("report written to %s" % args.report)
     return EX_OK
 

@@ -287,6 +287,26 @@ def rank(mat: ExactMatrix) -> int:
     return len(pivots)
 
 
+def rank_mod_p(rows, p: int) -> int:
+    """Rank of a matrix of plain ints mod the prime p, by Gaussian
+    elimination on a copy of its rows."""
+    rows = [list(row) for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        pivot = [x * inv % p for x in rows[r]]
+        for i in range(r + 1, len(rows)):
+            factor = rows[i][c]
+            if factor % p:
+                rows[i] = [(a - factor * b) % p for a, b in zip(rows[i], pivot)]
+        r += 1
+    return r
+
+
 def kernel_basis(mat: ExactMatrix):
     """Basis of the right kernel as a list of coordinate tuples.
 

@@ -64,7 +64,7 @@ from .mpoly import (
     monomials,
     parse_poly,
 )
-from .slp import SlpBuilder, SlpMap, read, read_list
+from .slp import SlpBuilder, SlpMap, read, read_list, write_json
 
 __all__ = [
     "LambdaZero",
@@ -893,9 +893,7 @@ def instance_from_json(doc):
 
 
 def save_instance(inst, path):
-    with open(path, "w") as fh:
-        json.dump(instance_to_json(inst), fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, instance_to_json(inst))
 
 
 def load_instance(path):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .exactcore import QQ, ExactMatrix, format_rational, parse_rational
+from .exactcore import BadPrime, format_rational, parse_rational
 
 # how many args the node of each op lists in a program file
 _OPERANDS = {"input": 1, "const": 0, "add": 2, "sub": 2, "mul": 2}
@@ -60,6 +60,30 @@ def read_list(doc, key, kind, default=_REQUIRED):
                 pos = next(i for i, v in enumerate(values) if type(v) is not kind)
                 raise _wrong("%s[%d]" % (key, pos), kind, values[pos])
     return values
+
+
+# json.dumps(value, sort_keys=True) without building an encoder per call
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
+def write_json(path, doc):
+    """Write the document as json.dumps(doc, sort_keys=True) + "\n", byte
+    for byte, with the C encoder.  Each top-level value, and each entry of
+    a top-level list, is encoded on its own, so the text of a large report
+    is never held whole.  Document keys are strings."""
+    with open(path, "w") as fh:
+        fh.write("{")
+        for i, key in enumerate(sorted(doc)):
+            fh.write("%s%s: " % (", " if i else "", _encode(key)))
+            value = doc[key]
+            if type(value) is list:
+                fh.write("[")
+                for j, entry in enumerate(value):
+                    fh.write(", " + _encode(entry) if j else _encode(entry))
+                fh.write("]")
+            else:
+                fh.write(_encode(value))
+        fh.write("}\n")
 
 
 class ChartVanishes(ArithmeticError):
@@ -163,18 +187,29 @@ class SlpMap:
         vals = self._sweep(point, lift)
         return [vals[o] for o in self.outputs]
 
-    def jacobian(self, point, field=QQ):
-        """Exact Jacobian of the affine-chart outputs at a point.
+    def jacobian(self, point, p):
+        """Jacobian of the affine-chart outputs at a rational point, as rows
+        of plain ints mod the prime p.
 
-        With a recorded chart c the rows are d(out_m/out_c) for m != c;
-        without one the raw outputs are differentiated.
+        The point and the constants are reduced mod p; a denominator that p
+        divides raises BadPrime.  With a recorded chart c and w = out_c, row
+        m != c is dv_m*w - v_m*dw, which is w^2 * d(out_m/out_c), so the
+        rows have the rank of the chart's Jacobian with no division; a w
+        that vanishes mod p raises ChartVanishes.  Without a chart the raw
+        outputs are differentiated.
         """
         if len(point) != self.in_arity:
             raise ArityMismatch(
                 "map takes %d inputs, got %d" % (self.in_arity, len(point)))
-        lift = field.coerce
-        zero = field.zero
-        one = field.one
+
+        def lift(x):
+            x = Fraction(x)
+            if x.denominator % p == 0:
+                raise BadPrime("p = %d divides the denominator of %s" % (p, x))
+            return x.numerator * pow(x.denominator, -1, p) % p
+
+        n = self.in_arity
+        zero = [0] * n
         vals = []
         # ders[idx] is the gradient of node idx w.r.t. all inputs
         ders = []
@@ -182,42 +217,33 @@ class SlpMap:
             op = node[0]
             if op == "input":
                 vals.append(lift(point[node[1]]))
-                ders.append([one if j == node[1] else zero
-                             for j in range(self.in_arity)])
+                grad = [0] * n
+                grad[node[1]] = 1
+                ders.append(grad)
             elif op == "const":
                 vals.append(lift(node[1]))
-                ders.append([zero] * self.in_arity)
-            elif op == "add":
-                vals.append(vals[node[1]] + vals[node[2]])
-                ders.append([da + db for da, db
-                             in zip(ders[node[1]], ders[node[2]])])
-            elif op == "sub":
-                vals.append(vals[node[1]] - vals[node[2]])
-                ders.append([da - db for da, db
-                             in zip(ders[node[1]], ders[node[2]])])
+                ders.append(zero)
             else:
                 a, b = vals[node[1]], vals[node[2]]
-                vals.append(a * b)
-                ders.append([a * db + b * da for da, db
-                             in zip(ders[node[1]], ders[node[2]])])
-        rows = []
+                da, db = ders[node[1]], ders[node[2]]
+                if op == "add":
+                    vals.append((a + b) % p)
+                    ders.append([(x + y) % p for x, y in zip(da, db)])
+                elif op == "sub":
+                    vals.append((a - b) % p)
+                    ders.append([(x - y) % p for x, y in zip(da, db)])
+                else:
+                    vals.append(a * b % p)
+                    ders.append([(a * y + b * x) % p for x, y in zip(da, db)])
         if self.chart is None:
-            for o in self.outputs:
-                rows.append(list(ders[o]))
-        else:
-            c = self.outputs[self.chart]
-            w = vals[c]
-            if _is_zero(w):
-                raise ChartVanishes(
-                    "chart coordinate %d vanishes at point" % self.chart)
-            dw = ders[c]
-            for pos, o in enumerate(self.outputs):
-                if pos == self.chart:
-                    continue
-                v, dv = vals[o], ders[o]
-                rows.append([(dv_j * w - v * dw_j) / (w * w)
-                             for dv_j, dw_j in zip(dv, dw)])
-        return ExactMatrix(field, rows, ncols=self.in_arity)
+            return [list(ders[o]) for o in self.outputs]
+        c = self.outputs[self.chart]
+        w, dw = vals[c], ders[c]
+        if w == 0:
+            raise ChartVanishes(
+                "chart coordinate %d vanishes at point mod %d" % (self.chart, p))
+        return [[(dv_j * w - vals[o] * dw_j) % p for dv_j, dw_j in zip(ders[o], dw)]
+                for pos, o in enumerate(self.outputs) if pos != self.chart]
 
     # -- composition ----------------------------------------------------------
 
@@ -272,7 +298,7 @@ class SlpMap:
         return doc
 
     def serialize(self):
-        return json.dumps(self.to_json(), indent=1, sort_keys=True)
+        return json.dumps(self.to_json(), sort_keys=True)
 
     @classmethod
     def from_json(cls, doc):
@@ -302,9 +328,7 @@ class SlpMap:
         return m
 
     def save(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.serialize())
-            fh.write("\n")
+        write_json(path, self.to_json())
 
 
 # -- construction helper -------------------------------------------------------

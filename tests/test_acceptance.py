@@ -150,8 +150,9 @@ def test_criterion_2_degree_bookkeeping_on_the_rebuilt_instance():
     assert quart.seeds == {"seed": 0, "attempt": 2, "fiber_seed": 2}
     # the quartics through the image are the multiples of F: the program's
     # image lies in {F = 0} (failure bound below 2^-64), is 4-dimensional
-    # (exact Jacobian rank) and defined over QQ, and F is irreducible over
-    # QQ, so the image is dense in the irreducible hypersurface {F = 0}
+    # (Jacobian rank 4 mod a prime, so at least 4 over QQ) and defined over
+    # QQ, and F is irreducible over QQ, so the image is dense in the
+    # irreducible hypersurface {F = 0}
     program = run_pass(quart, seed=quart.seeds["fiber_seed"]).program
     onv = check_on_variety(program, quart.F, seed=0)
     assert Fraction(onv["per_point_bound"]) ** onv["points"] < Fraction(1, 2 ** 64)

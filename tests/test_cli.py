@@ -1,5 +1,6 @@
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from unirat.cli import main
 from unirat.mpoly import MPoly, format_poly, parse_poly
 from unirat.exactcore import QQ
 from unirat.pipeline import QuarticInstance, save_instance, sphere_form
-from unirat.slp import SlpBuilder, SlpMap
+from unirat.slp import SlpBuilder, SlpMap, write_json
 
 REPO = Path(__file__).resolve().parent.parent
 INSTANCES = REPO / "instances"
@@ -212,6 +213,93 @@ def test_replay_accepts_then_rejects_after_tampering(p5_run, workdir, capsys):
     capsys.readouterr()
     assert main(["replay", "--report", str(bad)]) == 4
     assert "replay rejected" in capsys.readouterr().out
+
+
+def test_reports_and_programs_are_compact_json_with_sorted_keys(p5_run, workdir):
+    # the bytes are those of the C encoder's one-shot dumps, but writing
+    # entry by entry keeps the encoded text of the whole report out of memory
+    for path in p5_run:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    doc = json.loads(p5_run[1].read_text())
+    tracemalloc.start()
+    try:
+        write_json(workdir / "p5.rewritten.json", doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (workdir / "p5.rewritten.json").read_text() == p5_run[1].read_text()
+    assert peak < 500_000
+
+
+def dominance_edits():
+    import sympy
+    return {
+        "composite p": lambda c: c.update(p=10007 * 10009),
+        "p = 2": lambda c: c.update(p=2),
+        "prime above 2^61 - 1": lambda c: c.update(p=int(sympy.nextprime(2 ** 61 - 1))),
+        # the witness (3/4, -8/3, 7/4, 1) has no residue mod 3
+        "p divides a witness denominator": lambda c: c.update(p=3),
+        "version 1": lambda c: c.update(version=1),
+        "rank": lambda c: c.update(rank=c["rank"] - 1),
+    }
+
+
+@pytest.mark.parametrize("edit", sorted(dominance_edits()))
+def test_replay_rejects_an_edited_dominance_v2_certificate(
+        edit, p5_run, workdir, capsys):
+    _, rep_path = p5_run
+    doc = json.loads(rep_path.read_text())
+    cert = doc["certificates"][4]
+    assert (cert["kind"], cert["version"], cert["p"]) == ("dominance", 2, 2 ** 61 - 1)
+    assert "-8/3" in cert["witness"]
+    dominance_edits()[edit](cert)
+    bad = workdir / "p5.dominance-edit.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "replay rejected" in capsys.readouterr().out
+
+
+def test_replay_rebuilds_dominance_with_the_stored_prime(p5_run, workdir):
+    # rank 4 mod any odd prime that reduces the witness proves rank 4 over QQ
+    _, rep_path = p5_run
+    doc = json.loads(rep_path.read_text())
+    doc["certificates"][4]["p"] = 1000003
+    other = workdir / "p5.other-prime.json"
+    other.write_text(json.dumps(doc))
+    assert quiet(["replay", "--report", str(other)]) == 0
+
+
+@pytest.mark.parametrize("report, drop, message", [
+    ("p5", "dominance", "parametrize Success needs a dominance certificate"),
+    ("n8", "positivity", "certify Success needs a positivity certificate"),
+    ("n8", "smooth-mod-p", "certify Success needs a smooth-mod-p certificate"),
+])
+def test_replay_requires_the_certificates_a_success_implies(
+        report, drop, message, p5_run, workdir, capsys):
+    path = p5_run[1] if report == "p5" else REPO / "perfbench" / "data" / "n8_certify.json"
+    doc = json.loads(path.read_text())
+    doc["certificates"] = [c for c in doc["certificates"] if c["kind"] != drop]
+    bad = workdir / "dropped.report.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert message in capsys.readouterr().out
+    # the same report as an Inconclusive or failed run claims nothing more
+    doc["outcome"] = "Inconclusive" if report == "n8" else "Error"
+    bad.write_text(json.dumps(doc))
+    assert quiet(["replay", "--report", str(bad)]) == 0
+
+
+def test_replay_rejects_an_unknown_command(p5_run, workdir, capsys):
+    doc = json.loads(p5_run[1].read_text())
+    doc["command"] = "verify"
+    bad = workdir / "p5.unknown-command.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "unknown command 'verify'" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("text", [

@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unirat import pipeline
-from unirat.certify import IdentityFails, check_dominant, check_on_variety
-from unirat.exactcore import QQ, ExactMatrix, rank
+from unirat.certify import DOMINANCE_PRIME, IdentityFails, check_dominant, check_on_variety
+from unirat.exactcore import QQ, ExactMatrix, rank_mod_p
 from unirat.geom import TangentsCoincide
 from unirat.mpoly import MPoly, NotDivisible, format_poly, monomials, parse_poly
 from unirat.pipeline import (
@@ -41,6 +41,7 @@ from unirat.pipeline import (
 from unirat.slp import SlpMap
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
+P61 = DOMINANCE_PRIME
 
 
 def x(i, n=7):
@@ -347,7 +348,8 @@ def test_ci23_points_live_on_the_intersection():
 def test_ci23_dominates_the_intersection():
     phi = ci23_parametrize(worked_ci23(), seed=0)
     vals = [Fraction(1, 2), Fraction(3), Fraction(1), Fraction(2)]
-    assert rank(phi.jacobian(vals)) == 4
+    # rank 4 mod p bounds the rank over QQ from below; 4 inputs bound it above
+    assert rank_mod_p(phi.jacobian(vals, P61), P61) == 4
 
 
 def test_ci23_is_deterministic():
@@ -402,8 +404,8 @@ def test_parametrize_Y4_worked_example():
             continue
         assert Y.F.evaluate(pt) == 0
         hits += 1
-    assert rank(psi.jacobian([Fraction(1, 2), Fraction(3),
-                              Fraction(1), Fraction(2)])) == 4
+    vals = [Fraction(1, 2), Fraction(3), Fraction(1), Fraction(2)]
+    assert rank_mod_p(psi.jacobian(vals, P61), P61) == 4
 
 
 def test_parametrize_Y4_obstructed_report():
@@ -549,7 +551,8 @@ def test_parametrize_H4_feasible_pencil():
         hits += 1
     vals = [Fraction(1), Fraction(-2), Fraction(3),
             Fraction(1, 2), Fraction(3), Fraction(1), Fraction(2)]
-    assert rank(phi.jacobian(vals)) == 7  # n - 1: the pencil fills P^8
+    # n - 1: the pencil fills P^8; 7 inputs bound the rank over QQ above
+    assert rank_mod_p(phi.jacobian(vals, P61), P61) == 7
 
 
 def p6_lift():
@@ -565,27 +568,88 @@ PINNED_INSTANCES = {
 }
 
 
-@pytest.mark.parametrize("name, seed, digest", [
-    ("reverse_p5", 0,
-     "7cea939f686dc190b9f86f3e0fa8c4cd493453256c390bba65c81e82815e9e51"),
-    ("reverse_p5", 1,
-     "edc46df479fbfcd26a9815505a1ed2b57a94d4fb9088009807cd22160a1f7521"),
-    ("reverse_p5", 2,
-     "6a838281504ac99c75f7d8a7480bacbca61a5fcf0cdf36bdf3a3cedbe928f8ad"),
-    ("p6_lift", 0,
-     "940fd175621e36cb0078ba98bdd1f70ade701cc627e7dc9970fdaac6268a11fa"),
-    ("p6_lift", 1,
-     "d219c41873882e436237997d623ddb7452cf1873a9f56fcad52193da832986fa"),
-    ("p6_lift", 2,
-     "e3f31e826125f21fc88f69cb5970885bc7db4002dd32f7b733758c523f05d1f4"),
-])
-def test_run_pass_program_is_pinned(name, seed, digest):
+# sha256 of each program's serialize(): compact JSON with sorted keys
+PINNED_DIGESTS = {
+    ("reverse_p5", 0):
+    "5e0a11190580bcab7a91b048060e991d3748f3bfc28da2911ceb1b9a86272a47",
+    ("reverse_p5", 1):
+    "598aef1d6ac204f274ca806f6a137a8ff1c6c710fce990e8a1e5b2aee910ccbe",
+    ("reverse_p5", 2):
+    "5ffee232b86aa92b7a15a64e7d5ac7d819061aca0dd028b7b9cf6740b14eb7fa",
+    ("p6_lift", 0):
+    "9300480f60fa12c29d752752af3ac0d58340add6412c35acd8dca728d9fdb0b7",
+    ("p6_lift", 1):
+    "b2c61e9ed1e8568f6fc200a79b5da123948f2a588ed334ee842f58baf0cb86d8",
+    ("p6_lift", 2):
+    "723af4503c89941b5e63a6fa6363754b7e9f77a0253dd8d9dd71b7f6f3539259",
+}
+
+
+@pytest.mark.parametrize("name, seed", list(PINNED_DIGESTS))
+def test_run_pass_program_is_pinned(name, seed):
+    digest = PINNED_DIGESTS[name, seed]
     H = PINNED_INSTANCES[name]()
     program = run_pass(H, seed=seed).program
     assert program.in_arity == H.n - 1
     check_on_variety(program, H.F, seed=seed)
     check_dominant(program, H.n - 1, seed=seed)
     assert hashlib.sha256(program.serialize().encode()).hexdigest() == digest
+
+
+def qq_chart_rank(program, point):
+    """sympy's rank of the Jacobian of the chart map out/out_chart over QQ
+    at a rational point.  The partial derivatives come from a forward pass
+    over Fractions written here, apart from SlpMap.jacobian."""
+    import sympy as sp
+    n = program.in_arity
+    vals, ders = [], []
+    for node in program.nodes:
+        op = node[0]
+        if op == "input":
+            vals.append(point[node[1]])
+            ders.append([Fraction(int(k == node[1])) for k in range(n)])
+        elif op == "const":
+            vals.append(node[1])
+            ders.append([Fraction(0)] * n)
+        else:
+            a, b, da, db = vals[node[1]], vals[node[2]], ders[node[1]], ders[node[2]]
+            if op == "mul":
+                vals.append(a * b)
+                ders.append([a * y + b * x for x, y in zip(da, db)])
+            else:
+                sign = 1 if op == "add" else -1
+                vals.append(a + sign * b)
+                ders.append([x + sign * y for x, y in zip(da, db)])
+    w, dw = vals[program.outputs[program.chart]], ders[program.outputs[program.chart]]
+    rows = [[(dv * w - vals[o] * dw_j) / (w * w) for dv, dw_j in zip(ders[o], dw)]
+            for pos, o in enumerate(program.outputs) if pos != program.chart]
+    return sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row]
+                      for row in rows]).rank()
+
+
+@pytest.mark.parametrize("name, seed", [("reverse_p5", 0), ("reverse_p5", 1),
+                                        ("reverse_p5", 2), ("p6_lift", 0)])
+def test_dominance_rank_mod_p_is_the_rank_over_QQ(name, seed):
+    H = PINNED_INSTANCES[name]()
+    program = run_pass(H, seed=seed).program
+    doc = check_dominant(program, H.n - 1, seed=seed)
+    witness = [Fraction(c) for c in doc["witness"]]
+    assert qq_chart_rank(program, witness) == doc["rank"] == H.n - 1
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INSTANCES))
+def test_no_shipped_constant_has_a_denominator_divisible_by_p(name):
+    # dominance reduces every constant mod p; the shipped programs, the sweep
+    # that parametrize certifies too, and the conics never need another prime
+    H = PINNED_INSTANCES[name]()
+    programs = [circle_conic() if H.conic is None else H.conic]
+    for seed in range(3):
+        run = run_pass(H, seed=seed)
+        programs += [run.program, run.phi]
+    dens = {node[1].denominator for prog in programs
+            for node in prog.nodes if node[0] == "const"}
+    assert dens <= {1, 2}
+    assert all(d % P61 for d in dens)
 
 
 def test_ci23_parametrize_sweeps_the_pencil():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from unirat.exactcore import QQ, PrimeField, rank
+from unirat.exactcore import QQ, BadPrime, rank_mod_p
 from unirat.mpoly import MPoly
 from unirat.slp import (
     ArityMismatch,
@@ -69,19 +69,28 @@ def test_eval_arity_checked():
 # -- jacobian ----------------------------------------------------------------
 
 
+P61 = 2 ** 61 - 1
+
+
+def mod(x, p=P61):
+    """The rational x as a residue mod p."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
 def test_conic_jacobian_chart0():
     m = conic_map()
-    j = m.jacobian([Fraction(1)])
-    assert j.rows == [[Fraction(1)], [Fraction(2)]]
-    assert rank(j) == 1
+    j = m.jacobian([Fraction(1)], P61)
+    assert j == [[1], [2]]
+    assert rank_mod_p(j, P61) == 1
 
 
 def test_jacobian_matches_divided_differences_exactly():
     # raw outputs are quadratic, so 2*D(h) - D(2h) recovers the derivative
-    # with no error term at all
+    # with no error term at all; the residues mod p must agree with it
     m = stereographic_sphere(chart=None)
-    p = [Fraction(1), Fraction(1), Fraction(1), Fraction(1)]
-    j = m.jacobian(p)
+    p = [Fraction(1), Fraction(1, 3), Fraction(-2), Fraction(5, 7)]
+    j = m.jacobian(p, P61)
     h = Fraction(1, 1024)
     base = m.eval(p)
     for i in range(4):
@@ -93,21 +102,31 @@ def test_jacobian_matches_divided_differences_exactly():
             vals = m.eval(shifted)
             sink.extend((vals[r] - base[r]) / scale for r in range(5))
         for r in range(5):
-            assert 2 * d1[r] - d2[r] == j.entry(r, i)
+            assert mod(2 * d1[r] - d2[r]) == j[r][i]
 
 
 def test_stereographic_jacobian_rank():
     m = stereographic_sphere()
-    j = m.jacobian([Fraction(1)] * 4)
-    assert j.nrows == 4 and j.ncols == 4
-    assert rank(j) == 3
+    point = [Fraction(1)] * 4
+    j = m.jacobian(point, P61)
+    assert len(j) == 4 and all(len(row) == 4 for row in j)
+    assert rank_mod_p(j, P61) == 3
+    # rank mod p only bounds the rank over QQ from below; sympy gives it
+    import sympy as sp
+    v = sp.symbols("v0:4")
+    out = m.eval(list(v), lift=lambda c: sp.Rational(c.numerator, c.denominator))
+    chart = sp.Matrix([out[k] / out[4] for k in range(4)])
+    jac = chart.jacobian(v).subs(dict(zip(v, point)))
+    assert jac.rank() == 3
 
 
 def test_jacobian_mod_p():
-    F = PrimeField(10007)
     m = conic_map()
-    j = m.jacobian([F.coerce(2)], field=F)
-    assert j.rows == [[F.one], [F.coerce(4)]]
+    assert m.jacobian([Fraction(2)], 10007) == [[1], [4]]
+    # at t = 1/3 the rows are w^2 * d(out/w) for w = 1: residues of 1 and 2/3
+    assert m.jacobian([Fraction(1, 3)], 10007) == [[1], [mod(Fraction(2, 3), 10007)]]
+    with pytest.raises(BadPrime):
+        m.jacobian([Fraction(1, 10007)], 10007)
 
 
 def test_chart_vanishes():
@@ -115,7 +134,10 @@ def test_chart_vanishes():
     t = b.inputs[0]
     m = b.finish([t, t + b.const(1)], chart=0)
     with pytest.raises(ChartVanishes):
-        m.jacobian([Fraction(0)])
+        m.jacobian([Fraction(0)], P61)
+    # a chart coordinate that is nonzero over QQ but zero mod p
+    with pytest.raises(ChartVanishes):
+        m.jacobian([Fraction(10007)], 10007)
 
 
 # -- composition --------------------------------------------------------------
