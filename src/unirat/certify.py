@@ -106,9 +106,11 @@ def check_on_variety(phi, F, seed=0, points=None,
     bound D / (2M + 1) whose K-th power is below 2^-64.  Programs are
     polynomial, so F o Phi has degree at most D = deg F * max deg Phi.
     K is the smallest count that reaches 2^-64 (2 at D = 248, M = 2^40).
-    Replay passes the stored `points` instead.  A count above MAX_POINTS,
-    derived or stored, is refused with a ValueError, so replaying a
-    document costs at most MAX_POINTS evaluations.
+    Each point is evaluated exactly in scaled integers (SlpMap.eval with
+    no lift), so a zero is a true zero.  Replay passes the stored
+    `points` instead.  A count above MAX_POINTS, derived or stored, is
+    refused with a ValueError, so replaying a document costs at most
+    MAX_POINTS evaluations.
     """
     if F.nvars != phi.out_arity:
         raise ValueError("the polynomial and the program disagree on the space")

@@ -5,12 +5,21 @@ a set of output node indices.  With no division the tracked degree bounds
 hold for every program the format accepts.  Evaluation and forward-mode
 differentiation walk the node list once; composed maps stay small as programs
 even when their expanded polynomial form would be enormous.
+
+At a rational point the sweep runs in scaled integers.  L is the lcm of the
+denominators of the program's constants and of the point's coordinates, and
+each node holds an int N standing for N / L^e, where the exponent e counts
+how often a denominator entered: 0 or 1 at an input or constant, the larger
+operand's e at add and sub, the sum at mul.  Every step is exact, so the
+outputs Fraction(N, L^e) equal the values of a Fraction sweep, with one gcd
+per output instead of one per node.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .exactcore import BadPrime, format_rational, parse_rational
 
@@ -66,17 +75,27 @@ def read_list(doc, key, kind, default=_REQUIRED):
 _encode = json.JSONEncoder(sort_keys=True).encode
 
 
+def _holds_documents(value):
+    """Whether value is a list of objects that hold objects, such as a
+    report's certificates, each of which carries a program."""
+    return type(value) is list and any(
+        type(v) is dict for entry in value if type(entry) is dict
+        for v in entry.values())
+
+
 def write_json(path, doc):
     """Write the document as json.dumps(doc, sort_keys=True) + "\n", byte
-    for byte, with the C encoder.  Each top-level value, and each entry of
-    a top-level list, is encoded on its own, so the text of a large report
-    is never held whole.  Document keys are strings."""
+    for byte, with the C encoder.  Each top-level value is encoded in one
+    call, except a top-level list of objects that hold objects, whose
+    entries are encoded one at a time; so the text of a large report is
+    never held whole, and a program's node list costs one call.  Document
+    keys are strings."""
     with open(path, "w") as fh:
         fh.write("{")
         for i, key in enumerate(sorted(doc)):
             fh.write("%s%s: " % (", " if i else "", _encode(key)))
             value = doc[key]
-            if type(value) is list:
+            if _holds_documents(value):
                 fh.write("[")
                 for j, entry in enumerate(value):
                     fh.write(", " + _encode(entry) if j else _encode(entry))
@@ -158,23 +177,29 @@ class SlpMap:
         self.provenance = dict(provenance or {})
         node_deg = _degree_bounds(self.nodes)
         self.degree_bounds = tuple(node_deg[o] for o in self.outputs)
+        self._const_lcm = lcm(*(n[1].denominator for n in self.nodes
+                                if n[0] == "const"))
 
     def __len__(self):
         return len(self.nodes)
 
     # -- evaluation -----------------------------------------------------------
 
-    def _sweep(self, point, lift):
+    def _check_arity(self, point):
         if len(point) != self.in_arity:
             raise ArityMismatch(
                 "map takes %d inputs, got %d" % (self.in_arity, len(point)))
+
+    def _sweep(self, point, lift):
+        """Node values over a ring whose elements support + - *; `lift`
+        carries each rational constant into that ring."""
         vals = []
         for node in self.nodes:
             op = node[0]
             if op == "input":
                 vals.append(point[node[1]])
             elif op == "const":
-                vals.append(lift(node[1]) if lift is not None else node[1])
+                vals.append(lift(node[1]))
             elif op == "add":
                 vals.append(vals[node[1]] + vals[node[2]])
             elif op == "sub":
@@ -183,9 +208,64 @@ class SlpMap:
                 vals.append(vals[node[1]] * vals[node[2]])
         return vals
 
+    def _scaled_sweep(self, point):
+        """Node values N / L^e at a rational point, as parallel lists of the
+        int numerators N and the exponents e, and the common base L."""
+        for x in point:
+            if type(x) is not int and type(x) is not Fraction:
+                raise TypeError("a rational point takes ints and Fractions, not %s"
+                                % type(x).__name__)
+        L = lcm(self._const_lcm, *(x.denominator for x in point))
+        nums, exps = [], []
+        for node in self.nodes:
+            op = node[0]
+            if op == "mul":
+                a, b = node[1], node[2]
+                nums.append(nums[a] * nums[b])
+                exps.append(exps[a] + exps[b])
+            elif op == "add" or op == "sub":
+                a, b = node[1], node[2]
+                na, nb, ea, eb = nums[a], nums[b], exps[a], exps[b]
+                # bring the side with the smaller e up to the larger one
+                if ea < eb:
+                    na, ea = na * L ** (eb - ea), eb
+                elif eb < ea:
+                    nb = nb * L ** (ea - eb)
+                nums.append(na + nb if op == "add" else na - nb)
+                exps.append(ea)
+            else:
+                x = point[node[1]] if op == "input" else node[1]
+                d = x.denominator
+                if d == 1:
+                    nums.append(x.numerator)
+                    exps.append(0)
+                else:
+                    nums.append(x.numerator * (L // d))
+                    exps.append(1)
+        return nums, exps, L
+
     def eval(self, point, lift=None):
-        vals = self._sweep(point, lift)
-        return [vals[o] for o in self.outputs]
+        """The outputs at `point`.
+
+        Without `lift` the point is rational: its entries must be ints or
+        Fractions, and anything else raises TypeError.  The sweep runs over
+        plain ints: L is the lcm of the denominators of the constants and
+        of the coordinates, and each node holds an int N standing for
+        N / L^e.  An input or constant has e = 0 when it is an integer and
+        e = 1 otherwise, add and sub scale the side with the smaller e by a
+        power of L, and mul adds the e's.  No step rounds or divides, so
+        each output Fraction(N, L^e) is exactly the output's value.
+
+        With `lift` the entries live in any ring with + - * (polynomials,
+        builder nodes, sympy expressions) and `lift` carries each rational
+        constant into that ring.
+        """
+        self._check_arity(point)
+        if lift is not None:
+            vals = self._sweep(point, lift)
+            return [vals[o] for o in self.outputs]
+        nums, exps, L = self._scaled_sweep(point)
+        return [Fraction(nums[o], L ** exps[o]) for o in self.outputs]
 
     def jacobian(self, point, p):
         """Jacobian of the affine-chart outputs at a rational point, as rows
@@ -198,9 +278,7 @@ class SlpMap:
         that vanishes mod p raises ChartVanishes.  Without a chart the raw
         outputs are differentiated.
         """
-        if len(point) != self.in_arity:
-            raise ArityMismatch(
-                "map takes %d inputs, got %d" % (self.in_arity, len(point)))
+        self._check_arity(point)
 
         def lift(x):
             x = Fraction(x)

@@ -1,11 +1,16 @@
 import json
+import math
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from unirat.certify import COORDINATE_BOUND, IdentityFails, check_on_variety
 from unirat.exactcore import QQ, BadPrime, rank_mod_p
 from unirat.mpoly import MPoly
+from unirat.pipeline import load_instance, run_pass
 from unirat.slp import (
     ArityMismatch,
     ChartVanishes,
@@ -13,6 +18,8 @@ from unirat.slp import (
     SlpBuilder,
     SlpMap,
 )
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def conic_map():
@@ -64,6 +71,162 @@ def test_eval_is_generic_over_polynomials():
 def test_eval_arity_checked():
     with pytest.raises(ArityMismatch):
         conic_map().eval([Fraction(1), Fraction(2)])
+
+
+# -- scaled-integer evaluation against an oracle ---------------------------------
+
+
+def oracle_eval(program, point, const=lambda c: c):
+    """The outputs of a program by a node-by-node interpreter written here,
+    apart from slp.py: values are whatever the point holds (Fractions or
+    sympy expressions), and `const` carries each constant."""
+    vals = []
+    for node in program.nodes:
+        op = node[0]
+        if op == "input":
+            vals.append(point[node[1]])
+        elif op == "const":
+            vals.append(const(node[1]))
+        elif op == "add":
+            vals.append(vals[node[1]] + vals[node[2]])
+        elif op == "sub":
+            vals.append(vals[node[1]] - vals[node[2]])
+        else:
+            vals.append(vals[node[1]] * vals[node[2]])
+    return [vals[o] for o in program.outputs]
+
+
+def fraction_constructions(fn):
+    """How many Fractions fn() constructs, counted by a profile hook on the
+    constructors of fractions.Fraction."""
+    codes = {Fraction.__new__.__code__}
+    coprime = getattr(Fraction, "_from_coprime_ints", None)
+    if coprime is not None:  # arithmetic results skip __new__ from 3.12 on
+        codes.add(coprime.__func__.__code__)
+    count = 0
+
+    def hook(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code in codes:
+            count += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+@pytest.fixture(scope="module")
+def reverse_p5():
+    """The reverse_p5 quartic and the program `parametrize --seed 0` writes."""
+    H = load_instance(INSTANCES / "reverse_p5.json")
+    return H, run_pass(H, seed=0).program
+
+
+def mixed_denominators():
+    """Constants 2/3, -5/7 and 1/6, so L is never a power of two; outputs
+    that are an input node, a constant node, a sub of a node from itself,
+    and a sub whose operands have different e but equal values."""
+    b = SlpBuilder(2)
+    x, y = b.inputs
+    two_thirds, five_sevenths = b.const(Fraction(2, 3)), b.const(Fraction(-5, 7))
+    sixth = b.const(Fraction(1, 6))
+    s = x * two_thirds + y * five_sevenths
+    cube = (x * y - sixth) * x + y * y * y * five_sevenths
+    outs = [s, cube, x, five_sevenths, s - s, x * sixth * b.const(6) - x,
+            s * cube * sixth - y]
+    return b.finish(outs)
+
+
+def test_scaled_eval_matches_oracle_on_reverse_p5(reverse_p5):
+    _, program = reverse_p5
+    rng = random.Random(27)
+    bound = 2 ** 40
+    for k in range(12):
+        ints = [rng.randint(-bound, bound) for _ in range(4)]
+        # plain ints and Fractions with denominator 1 alike
+        point = ints if k % 2 else [Fraction(c) for c in ints]
+        out = program.eval(point)
+        assert out == oracle_eval(program, [Fraction(c) for c in ints])
+        assert all(type(v) is Fraction for v in out)
+    for _ in range(12):
+        point = [Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
+                 for _ in range(4)]
+        assert program.eval(point) == oracle_eval(program, point)
+
+
+def test_scaled_eval_matches_oracle_when_L_is_not_a_power_of_two():
+    m = mixed_denominators()
+    assert math.lcm(*(n[1].denominator for n in m.nodes if n[0] == "const")) == 42
+    rng = random.Random(3)
+    for _ in range(40):
+        point = [Fraction(rng.randint(-50, 50), rng.randint(1, 5)) for _ in range(2)]
+        out = m.eval(point)
+        assert out == oracle_eval(m, point)
+        assert out[2] == point[0] and out[3] == Fraction(-5, 7)
+        assert out[4] == out[5] == 0
+    assert m.eval([3, -2]) == oracle_eval(m, [Fraction(3), Fraction(-2)])
+
+
+def test_scaled_eval_matches_sympy():
+    import sympy as sp
+    m = mixed_denominators()
+    xs = sp.symbols("x0:2")
+    exprs = oracle_eval(m, xs, const=lambda c: sp.Rational(c.numerator, c.denominator))
+    point = [Fraction(-9, 4), Fraction(11, 5)]
+    subs = {x: sp.Rational(c.numerator, c.denominator) for x, c in zip(xs, point)}
+    for got, expr in zip(m.eval(point), exprs):
+        want = sp.expand(expr).subs(subs)
+        assert (got.numerator, got.denominator) == (want.p, want.q)
+
+
+def test_eval_at_an_integer_point_builds_only_the_output_fractions(reverse_p5):
+    _, program = reverse_p5
+    rng = random.Random(1)
+    point = [Fraction(rng.randint(-2 ** 40, 2 ** 40)) for _ in range(4)]
+    # the hook sees Fraction arithmetic: a Fraction sweep builds one value
+    # per add, sub and mul node, 841 of them
+    arithmetic = sum(node[0] != "input" and node[0] != "const" for node in program.nodes)
+    assert arithmetic > 800
+    assert fraction_constructions(lambda: oracle_eval(program, point)) >= arithmetic
+    assert (fraction_constructions(lambda: program.eval(point))
+            <= program.out_arity + program.in_arity)
+
+
+@pytest.mark.parametrize("entry", [0.5, 2.0, True, "3", None],
+                         ids=["float", "integral-float", "bool", "string", "null"])
+def test_rational_eval_refuses_other_entries(entry):
+    with pytest.raises(TypeError):
+        stereographic_sphere().eval([Fraction(1), 2, entry, Fraction(1, 3)])
+
+
+def test_rational_eval_refuses_ring_elements_without_lift():
+    import sympy as sp
+    with pytest.raises(TypeError):
+        conic_map().eval([sp.Integer(2)])
+    with pytest.raises(TypeError):
+        conic_map().eval([MPoly.variable(0, 1, QQ)])
+
+
+def test_tampered_reverse_p5_program_is_disproved_at_the_oracle_point(reverse_p5):
+    H, program = reverse_p5
+    nodes = [("const", Fraction(1, 3)) if n[0] == "const" and n[1].denominator == 2
+             else n for n in program.nodes]
+    assert nodes != list(program.nodes)
+    bad = SlpMap(program.in_arity, program.out_arity, nodes, program.outputs,
+                 chart=program.chart)
+    with pytest.raises(IdentityFails) as err:
+        check_on_variety(bad, H.F, seed=0)
+    # the first point that the seed draws, valued by the oracle
+    rng = random.Random(0)
+    point = [Fraction(rng.randint(-COORDINATE_BOUND, COORDINATE_BOUND))
+             for _ in range(bad.in_arity)]
+    value = H.F.evaluate(oracle_eval(bad, point))
+    assert value != 0
+    assert err.value.point == [str(c) for c in point]
+    assert err.value.value == value
 
 
 # -- jacobian ----------------------------------------------------------------
