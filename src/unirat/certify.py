@@ -44,9 +44,13 @@ CONFIDENCE_BITS = 64
 DOMINANCE_PRIME = 2 ** 61 - 1
 
 # the version of each certificate kind, written by its builder and the only
-# one its replay accepts
-VERSIONS = {"on-variety": 1, "dominance": 2, "smooth-mod-p": 1,
+# one its replay accepts, with one exception: smooth-mod-p version 1, written
+# before the search order was stored, still replays, read in the identity
+# order, so that stored reports keep replaying (see `_replay_smooth`)
+VERSIONS = {"on-variety": 1, "dominance": 2, "smooth-mod-p": 2,
             "positivity": 1, "obstruction": 1}
+_REPLAYED_VERSIONS = {kind: (v,) for kind, v in VERSIONS.items()}
+_REPLAYED_VERSIONS["smooth-mod-p"] = (1, 2)
 
 
 class IdentityFails(ArithmeticError):
@@ -246,9 +250,35 @@ def _screen_prime(F, p):
     return parts
 
 
+def _search_order(F):
+    """The variables by how many terms of F contain them, fewest first, ties
+    by index: the order in which the smoothness search ranks them in
+    grevlex, largest first."""
+    counts = [0] * F.nvars
+    for e in F.terms:
+        for v, a in enumerate(e):
+            if a:
+                counts[v] += 1
+    return sorted(range(F.nvars), key=lambda v: (counts[v], v))
+
+
+def _rename(poly, order):
+    """poly with new x_i standing for old x_order[i]."""
+    return MPoly(poly.nvars, poly.field,
+                 {tuple(e[v] for v in order): c for e, c in poly.terms.items()})
+
+
 def certify_smooth_mod_p(F, p, degree_ceiling=20):
     """Gröbner-certify that F = 0 is nonsingular, via one good prime: the
     Jacobian ideal of F is projectively empty modulo p.
+
+    The partials are screened and fingerprinted as they are, then searched
+    with their variables renamed to `_search_order(F)` (new x_i is old
+    x_order[i]), so grevlex ranks first the variables in fewest terms of F.
+    The certificate stores that `order`, and its pure powers under the
+    original indices.  A pure power of every variable among the leading
+    terms proves projective emptiness in any monomial order, so the order
+    moves the cost of the search and not its verdict.
 
     NotEmptyModP is inconclusive for the rationals (reduction can acquire
     singular points); the caller retries with another prime.  A True
@@ -256,18 +286,19 @@ def certify_smooth_mod_p(F, p, degree_ceiling=20):
     is monotone in the generating set.
     """
     parts = _screen_prime(F, p)
-    gb = buchberger(parts, degree_ceiling=degree_ceiling,
-                    stop_when_zero_dimensional=True)
+    order = _search_order(F)
+    gb = buchberger([_rename(part, order) for part in parts],
+                    degree_ceiling=degree_ceiling, stop_when_zero_dimensional=True)
     if not projective_empty(gb):
         raise NotEmptyModP(p, "singular locus has projective dimension %d"
                               % projective_dimension(gb))
-    stats = dict(gb.stats)
+    pure = {str(v): d for v, d in sorted(
+        (order[i], d) for i, d in gb.stats["pure_power_degrees"].items())}
+    stats = dict(gb.stats, pure_power_degrees=pure)
     return {"kind": "smooth-mod-p", "version": VERSIONS["smooth-mod-p"], "p": p,
-            "F": format_poly(F), "nvars": F.nvars,
+            "F": format_poly(F), "nvars": F.nvars, "order": order,
             "partials_hash": _partials_fingerprint(parts),
-            "pure_powers": {str(i): d for i, d
-                            in sorted(stats["pure_power_degrees"].items())},
-            "basis_size": len(gb), "stats": stats}
+            "pure_powers": dict(pure), "basis_size": len(gb), "stats": stats}
 
 
 # -- positivity on a hyperplane -----------------------------------------------------
@@ -511,6 +542,12 @@ def _replay_dominance(doc):
 
 
 def _replay_smooth(doc):
+    """Re-screen the prime, match the partials' fingerprint and check that
+    the pure powers cover every variable.  Version 2 must also store a
+    search `order` that is a permutation of the variables, and repeat
+    `pure_powers` and `basis_size` in its `stats`; the other counters are
+    informational.  Version 1 has no `order` (its search ran in the
+    identity order) and its `stats` are not read."""
     p = read(doc, "p", int)
     F = _poly(doc, "F")
     try:
@@ -524,6 +561,19 @@ def _replay_smooth(doc):
         raise ReplayRejected("pure powers do not cover every variable")
     if any(read(pure, i, int) < 1 for i in pure):
         raise ReplayRejected("pure power degrees must be positive")
+    if doc["version"] == 1:
+        if "order" in doc:
+            raise ReplayRejected("a version 1 certificate stores no order")
+        return
+    if sorted(read_list(doc, "order", int)) != list(range(F.nvars)):
+        raise ReplayRejected("the search order is not a permutation of the "
+                             "variables")
+    stats = read(doc, "stats", dict)
+    if (json.dumps(read(stats, "pure_power_degrees", dict), sort_keys=True)
+            != json.dumps(pure, sort_keys=True)):
+        raise ReplayRejected("the stats disagree with the stored pure powers")
+    if read(stats, "basis_size", int) != read(doc, "basis_size", int):
+        raise ReplayRejected("the stats disagree with the stored basis size")
 
 
 def _replay_positivity(doc):
@@ -586,7 +636,7 @@ def replay_certificate(doc, kind=None):
     if found not in _REPLAYERS:
         raise ReplayRejected("unknown certificate kind %r" % (found,))
     try:
-        if read(doc, "version", int) != VERSIONS[found]:
+        if read(doc, "version", int) not in _REPLAYED_VERSIONS[found]:
             raise ReplayRejected("unsupported %s certificate version" % found)
         _REPLAYERS[found](doc)
     except ReplayRejected:

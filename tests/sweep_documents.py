@@ -7,7 +7,7 @@ reader let a malformed value through to code that crashed on it.
 
     PYTHONPATH=src python tests/sweep_documents.py [--json OUT]
 
-runs every mutation class on every value of the five documents, except
+runs every mutation class on every value of the six documents, except
 that a list longer than four entries is entered only at its first two,
 middle and last entries (a program's 853 nodes share four shapes), and
 prints how many mutants each document answers with each exit code, the
@@ -103,11 +103,13 @@ def mutate(doc, path, how):
 
 
 class Documents:
-    """The five genuine documents, made in `work`, and the command that reads
-    each one.  `exit_code(name, doc)` writes `doc` and runs that command."""
+    """The six genuine documents, made in `work`, and the command that reads
+    each one.  `exit_code(name, doc)` writes `doc` and runs that command.
+    "n8-certify" is the stored report, whose smooth-mod-p certificates are
+    of version 1; "n8-certify-v2" is made afresh."""
 
     NAMES = ("p5-report", "n8-obstruction", "n8-certify", "n8-instance",
-             "p5-program")
+             "p5-program", "n8-certify-v2")
 
     def __init__(self, work):
         self.work = work
@@ -124,9 +126,12 @@ class Documents:
             raise RuntimeError("parametrize n8_cubes found no obstruction")
         certify = os.path.join(work, "n8_certify.json")
         shutil.copyfile(N8_CERTIFY, certify)
+        fresh = os.path.join(work, "n8_certify-v2.json")
+        if run(["certify", "--instance", n8, "--report", fresh]) != 0:
+            raise RuntimeError("certify n8_cubes failed")
         self.genuine = {}
         for name, path in zip(self.NAMES, (p5_report, n8_report, certify, n8,
-                                           program)):
+                                           program, fresh)):
             with open(path) as fh:
                 self.genuine[name] = json.load(fh)
         self.p5 = p5

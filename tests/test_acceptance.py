@@ -210,15 +210,17 @@ def test_criterion_4_n8_example_is_smooth_and_real_point_free(n8_certify):
     assert pos["chart"] == 4
     assert all(Fraction(d) > 0 for d in pos["diagonal"].values())
     assert sorted(c["p"] for c in doc["certificates"][1:]) == [10007, 10009]
-    # both primes run the same early-stopped search; the Hilbert count
-    # closes most reductions to zero before they are formed
+    # both primes run the same early-stopped search, in the order that ranks
+    # first the variables in fewest terms of F; the Hilbert count closes
+    # most reductions to zero before they are formed
     for cert in doc["certificates"][1:]:
+        assert cert["order"] == [5, 6, 7, 8, 4, 0, 1, 2, 3]
         assert cert["stats"] == {
-            "s_pairs_processed": 7886, "s_pairs_skipped": 516851,
-            "reductions_to_zero": 6870, "reductions_closed": 4620,
-            "basis_size": 1025, "max_degree": 19, "early_stop": True,
-            "pure_power_degrees": {"0": 3, "1": 3, "2": 3, "3": 3, "4": 10,
-                                   "5": 7, "6": 11, "7": 15, "8": 19}}
+            "s_pairs_processed": 6499, "s_pairs_skipped": 357670,
+            "reductions_to_zero": 5654, "reductions_closed": 4309,
+            "basis_size": 854, "max_degree": 19, "early_stop": True,
+            "pure_power_degrees": {"0": 7, "1": 11, "2": 15, "3": 19, "4": 3,
+                                   "5": 3, "6": 3, "7": 3, "8": 3}}
         stats = cert["stats"]
         assert stats["reductions_to_zero"] - stats["reductions_closed"] <= 2300
     assert doc["instance"]["n"] == 8

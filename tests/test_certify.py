@@ -181,6 +181,42 @@ def test_smooth_fermat():
     assert replay_certificate(cert) == "smooth-mod-p"
 
 
+def test_search_order_ranks_the_variables_in_fewest_terms_first():
+    assert certify._search_order(fermat9()) == list(range(9))
+    n8 = build_real_example(n=8, epsilon=Fraction(1, 16), seed=0, preset="cubes")
+    assert certify._search_order(n8.F) == [5, 6, 7, 8, 4, 0, 1, 2, 3]
+    # x0 and x2 lie in two terms each, x1 in one: the tie goes by index
+    F = parse_poly("x0^4 + x1^4 + x2^4 + x0^3*x2", nvars=3)
+    assert certify._search_order(F) == [1, 0, 2]
+
+
+def test_smooth_pure_powers_match_sympy_in_the_stored_order():
+    import sympy as sp
+
+    text = ("x0^4 + x1^4 + x2^4 + x3^4 + x0^3*x1 + x0*x2^3 + 2*x0*x1^2*x2"
+            " + x0^2*x3^2 - x1*x2*x3^2")
+    p = 10007
+    cert = certify_smooth_mod_p(parse_poly(text, nvars=4), p)
+    order = cert["order"]
+    assert order == [3, 1, 2, 0]
+    # the least pure power of each variable in the initial ideal, read off
+    # sympy's reduced grevlex basis with the gens ranked in the stored order
+    xs = sp.symbols("x0:4")
+    F = sp.sympify(text.replace("^", "**"), locals={str(x): x for x in xs})
+    G = sp.groebner([sp.diff(F, x) for x in xs], *[xs[v] for v in order],
+                    modulus=p, order="grevlex")
+    least = {}
+    for P in G.polys:
+        lead = P.monoms(order="grevlex")[0]
+        support = [i for i, a in enumerate(lead) if a]
+        if len(support) == 1:
+            v = str(order[support[0]])
+            least[v] = min(least.get(v, lead[support[0]]), lead[support[0]])
+    assert cert["pure_powers"] == least == {"0": 9, "1": 3, "2": 5, "3": 3}
+    assert cert["stats"]["pure_power_degrees"] == cert["pure_powers"]
+    assert replay_certificate(roundtrip(cert)) == "smooth-mod-p"
+
+
 def test_smooth_certificate_never_builds_the_reduced_basis(monkeypatch):
     calls = [0]
     inner = groebner._normal_form
@@ -348,6 +384,9 @@ def test_replay_rejects_mutations():
     rejects("smooth-mod-p",
             lambda d: d.update(F=d["F"].replace("x8^4", "x8^3*x0", 1)))
     rejects("smooth-mod-p", lambda d: d["pure_powers"].pop("0"))
+    rejects("smooth-mod-p", lambda d: d["order"].pop())
+    rejects("smooth-mod-p", lambda d: d["stats"].update(basis_size=8))
+    rejects("smooth-mod-p", lambda d: d.update(version=1))  # v1 has no order
     # single coefficient nudge
     rejects("positivity", lambda d: d["diagonal"].update({"0": "60/64"}))
     rejects("positivity", lambda d: d["absorptions"][0].update(scale="2"))

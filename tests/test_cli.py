@@ -124,6 +124,18 @@ def test_certify_screens_primes_before_working(eps0, capsys):
     assert "odd prime" in captured.err
 
 
+def test_certify_jobs_do_not_change_the_certificates(workdir):
+    reports = []
+    for jobs in ("1", "2"):
+        rep = workdir / ("n8.jobs%s.report.json" % jobs)
+        assert quiet(["certify", "--instance", str(INSTANCES / "n8_cubes.json"),
+                      "--jobs", jobs, "--report", str(rep)]) == 0
+        reports.append(json.loads(rep.read_text())["certificates"])
+    assert reports[0] == reports[1]
+    assert [c["kind"] for c in reports[0]] == ["positivity", "smooth-mod-p",
+                                               "smooth-mod-p"]
+
+
 def test_certify_chart_out_of_range(workdir, capsys):
     # certify reads its chart from the instance's Gamma; x9 is not a
     # coordinate of P^8

@@ -13,12 +13,20 @@ from sweep_documents import ALLOWED_EXITS, MUTATIONS, Documents, mutate, paths, 
 
 # a malformed document is a usage error when loaded, a rejection when replayed
 MALFORMED = {"p5-report": 4, "n8-obstruction": 4, "n8-certify": 4,
-             "n8-instance": 64, "p5-program": 64}
+             "n8-instance": 64, "p5-program": 64, "n8-certify-v2": 4}
 
 
 @pytest.fixture(scope="module")
 def docs(tmp_path_factory):
     return Documents(str(tmp_path_factory.mktemp("documents")))
+
+
+def test_genuine_documents_exit_by_their_outcome(docs):
+    # the stored report's smooth-mod-p certificates are of version 1, the
+    # fresh report's of version 2
+    assert docs.expected == {"p5-report": 0, "n8-obstruction": 0,
+                             "n8-certify": 0, "n8-instance": 2,
+                             "p5-program": 0, "n8-certify-v2": 0}
 
 
 @pytest.mark.parametrize("name", Documents.NAMES)
@@ -62,7 +70,20 @@ def test_one_field_mutants_exit_by_the_contract(docs, name, data):
     ("p5-report", ("version",), "1"),
     ("p5-report", ("version",), None),
     ("n8-obstruction", ("obstruction", "version"), 2),
+    # a version 2 smooth-mod-p certificate binds its order and its stats
+    ("n8-certify-v2", ("certificates", 1, "order"), [5, 5, 7, 8, 4, 0, 1, 2, 3]),
+    ("n8-certify-v2", ("certificates", 1, "order"), [5, 6, 7, 8, 4, 0, 1, 2, 9]),
+    ("n8-certify-v2", ("certificates", 1, "order", 0), 5.0),
+    ("n8-certify-v2", ("certificates", 1, "order"), [5, 6, 7, 8, 4, 0, 1, 2]),
+    ("n8-certify-v2", ("certificates", 1, "stats", "pure_power_degrees", "0"), 8),
+    ("n8-certify-v2", ("certificates", 2, "stats", "basis_size"), 853),
 ], ids=lambda v: "/".join(map(str, v)) if isinstance(v, tuple) else repr(v))
 def test_pinned_mutants_are_malformed(docs, name, path, value):
     mutant = replaced(docs.genuine[name], path, value)
     assert docs.exit_code(name, mutant) == MALFORMED[name]
+
+
+def test_a_version_2_smooth_certificate_needs_its_order(docs):
+    mutant = mutate(docs.genuine["n8-certify-v2"], ("certificates", 1, "order"),
+                    "drop")
+    assert docs.exit_code("n8-certify-v2", mutant) == 4
