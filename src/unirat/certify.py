@@ -33,7 +33,7 @@ from .exactcore import QQ, BadPrime, PrimeField, parse_rational, rank_mod_p
 from .groebner import DegreeCeilingExceeded, buchberger, projective_dimension, projective_empty
 from .mpoly import MPoly, format_poly, monomials, parse_poly
 from .pipeline import QuarticInstance, flatten_params, solve_stage
-from .slp import ChartVanishes, MalformedInput, SlpMap, read, read_list
+from .slp import ChartVanishes, MalformedInput, SlpMap, read, read_list, same_program
 
 SYMBOLIC_INPUT_LIMIT = 4
 SYMBOLIC_DEGREE_LIMIT = 60
@@ -112,7 +112,8 @@ def check_on_variety(phi, F, seed=0, points=None,
     K is the smallest count that reaches 2^-64 (2 at D = 248, M = 2^40).
     Each point is evaluated exactly in scaled integers (SlpMap.eval with
     no lift), so a zero is a true zero.  Replay passes the stored
-    `points` instead.  A count above MAX_POINTS, derived or stored, is
+    `points` instead.  The certificate embeds phi.to_json(), the program's
+    shared read-only document.  A count above MAX_POINTS, derived or stored, is
     refused with a ValueError, so replaying a document costs at most
     MAX_POINTS evaluations.
     """
@@ -202,7 +203,8 @@ def check_dominant(phi, target_dim, seed=0):
 
 def _dominance_at(phi, pt, target_dim, p):
     """The dominance document for the Jacobian rank mod p of phi at one
-    point."""
+    point; it embeds phi.to_json(), the program's shared read-only
+    document."""
     r = rank_mod_p(phi.jacobian(pt, p), p)
     if r > target_dim:
         raise ValueError("rank %d exceeds the target dimension %d: the "
@@ -370,7 +372,7 @@ def certify_obstruction(inst, conic, run):
     lambda = 0) and c1 itself, as a QQ polynomial in x0..x5 followed by the
     section parameters b6..bn written x6..xn, the block stores what replay
     rebuilds it from: the quartic F, the slice form f with its multiplier
-    alpha, and the conic.
+    alpha, and the conic, as its shared read-only document.
     """
     obs = run.obstruction
     doc = {
@@ -507,8 +509,26 @@ def _poly(doc, key):
     return parse_poly(read(doc, key, str), nvars=read(doc, "nvars", int))
 
 
-def _replay_on_variety(doc):
-    phi = SlpMap.from_json(read(doc, "phi", dict))
+class _Programs:
+    """The programs that the documents of one replay embed, each parsed
+    once by SlpMap.from_json: a document that reads as one already parsed
+    (slp.same_program) gets that SlpMap back."""
+
+    def __init__(self):
+        self.read = {}  # id of a document -> (the document, its SlpMap)
+
+    def __call__(self, doc):
+        if id(doc) not in self.read:
+            program = next((program for known, program in self.read.values()
+                            if same_program(doc, known)), None)
+            if program is None:
+                program = SlpMap.from_json(doc)
+            self.read[id(doc)] = doc, program
+        return self.read[id(doc)][1]
+
+
+def _replay_on_variety(doc, programs):
+    phi = programs(read(doc, "phi", dict))
     F = _poly(doc, "F")
     seed, points = read(doc, "seed", int, 0), read(doc, "points", int, None)
     bound = read(doc, "coordinate_bound", str, str(COORDINATE_BOUND))
@@ -520,8 +540,8 @@ def _replay_on_variety(doc):
     _compare(rebuilt, doc)
 
 
-def _replay_dominance(doc):
-    phi = SlpMap.from_json(read(doc, "phi", dict))
+def _replay_dominance(doc, programs):
+    phi = programs(read(doc, "phi", dict))
     target = read(doc, "target_dim", int)
     if read(doc, "rank", int) != target:
         raise ReplayRejected("stored rank misses the target dimension")
@@ -541,7 +561,7 @@ def _replay_dominance(doc):
     _compare(rebuilt, doc)
 
 
-def _replay_smooth(doc):
+def _replay_smooth(doc, programs):
     """Re-screen the prime, match the partials' fingerprint and check that
     the pure powers cover every variable.  Version 2 must also store a
     search `order` that is a permutation of the variables, and repeat
@@ -576,7 +596,7 @@ def _replay_smooth(doc):
         raise ReplayRejected("the stats disagree with the stored basis size")
 
 
-def _replay_positivity(doc):
+def _replay_positivity(doc, programs):
     """Re-run the absorption on the stored R; a stored R that still
     involves the chart variable differs from the rebuilt one."""
     R, chart = _poly(doc, "R"), read(doc, "chart", int)
@@ -587,7 +607,7 @@ def _replay_positivity(doc):
     _compare(rebuilt, doc)
 
 
-def _replay_obstruction(doc):
+def _replay_obstruction(doc, programs):
     """Rerun the witness search on the stored F, f, alpha and conic.  It
     draws nothing at random, so the seed of the original run plays no part
     in the block."""
@@ -601,13 +621,15 @@ def _replay_obstruction(doc):
                                f=parse_poly(read(doc, "f", str), nvars=5), alpha=alpha)
     except ValueError as err:
         raise ReplayRejected("the stored quartic: %s" % err)
-    conic = SlpMap.from_json(read(doc, "conic", dict))
+    conic = programs(read(doc, "conic", dict))
     run = solve_stage(inst, conic)
     if all(run.section.F.field.is_zero(c) for c in run.solver.obstruction):
         raise ReplayRejected("c1 vanishes on the conic, so nothing is obstructed")
     _compare(certify_obstruction(inst, conic, run), doc)
 
 
+# each replayer takes the certificate and the replay's reader of programs,
+# which the kinds that embed none leave unused
 _REPLAYERS = {
     "on-variety": _replay_on_variety,
     "dominance": _replay_dominance,
@@ -617,7 +639,7 @@ _REPLAYERS = {
 }
 
 
-def replay_certificate(doc, kind=None):
+def replay_certificate(doc, kind=None, programs=None):
     """Re-check one serialized certificate from its stored data alone.
 
     Returns the certificate kind on acceptance and raises ReplayRejected
@@ -625,8 +647,12 @@ def replay_certificate(doc, kind=None):
     kind.  On-variety, dominance, positivity and obstruction documents are
     rebuilt by their builder from their stored inputs and must equal the
     rebuilt one; smoothness replay re-screens the prime.  All of it is
-    cheap next to the original search.
+    cheap next to the original search.  `programs` reads the embedded
+    programs; replay_report passes the one it shares among a report's
+    documents, so that each program is parsed once.
     """
+    if programs is None:
+        programs = _Programs()
     try:
         found = read(doc, "kind", str)
     except MalformedInput as err:
@@ -638,7 +664,7 @@ def replay_certificate(doc, kind=None):
     try:
         if read(doc, "version", int) not in _REPLAYED_VERSIONS[found]:
             raise ReplayRejected("unsupported %s certificate version" % found)
-        _REPLAYERS[found](doc)
+        _REPLAYERS[found](doc, programs)
     except ReplayRejected:
         raise
     except MalformedInput as err:
@@ -652,16 +678,34 @@ def replay_certificate(doc, kind=None):
 _IMPLIED = {"parametrize": ("dominance",),
             "certify": ("positivity", "smooth-mod-p"),
             "experiment": ()}
+# the outcomes each command writes in a report; replay rejects any other
+_OUTCOMES = {"parametrize": ("Success", "Obstruction"),
+             "certify": ("Success", "CertificateFailure", "Inconclusive"),
+             "experiment": ("Success",)}
+
+
+def program_summary(phi):
+    """The `slp` block of a `parametrize` report: the shape of the program
+    the command writes."""
+    return {"in_arity": phi.in_arity, "out_arity": phi.out_arity,
+            "nodes": len(phi.nodes), "chart": phi.chart}
 
 
 def replay_report(report):
     """Replay a report's certificates, and its obstruction block when it is
-    obstructed, and return the certificates' kinds.  The certificates must
-    make one claim: the smooth-mod-p ones agree on F, each positivity one
-    restricts that F, and each dominance one is about a program that an
-    on-variety one maps into its variety.  A Success must carry the kinds
-    its command implies: a dominance certificate for `parametrize`, a
-    positivity and a smooth-mod-p certificate for `certify`."""
+    obstructed, and return the certificates' kinds.
+
+    The outcome must be one that the command writes (`_OUTCOMES`).  Each
+    distinct program the documents embed is parsed once, and the checks
+    below compare those parsed programs.  The certificates must make one
+    claim: the smooth-mod-p ones agree on F, each positivity one restricts
+    that F, and each dominance one is about a program that an on-variety
+    one maps into its variety.  A Success must carry the kinds its command
+    implies: a dominance certificate for `parametrize`, a positivity and a
+    smooth-mod-p certificate for `certify`.  In a `parametrize` Success the
+    certified programs pair up, each program with an on-variety
+    certificate having a dominance one and the other way round, and the
+    report's `slp` block describes one of them."""
     try:
         certs = read_list(report, "certificates", dict)
         version = read(report, "version", int)
@@ -673,7 +717,10 @@ def replay_report(report):
         raise ReplayRejected("unsupported report version")
     if command not in _IMPLIED:
         raise ReplayRejected("unknown command %r" % command)
-    kinds = [replay_certificate(doc) for doc in certs]
+    if outcome not in _OUTCOMES[command]:
+        raise ReplayRejected("%s never writes the outcome %r" % (command, outcome))
+    programs = _Programs()
+    kinds = [replay_certificate(doc, programs=programs) for doc in certs]
     if outcome == "Success":
         missing = [kind for kind in _IMPLIED[command] if kind not in kinds]
         if missing:
@@ -683,16 +730,32 @@ def replay_report(report):
     quartics = {_poly(doc, "F") for doc in certs if doc["kind"] == "smooth-mod-p"}
     if len(quartics) > 1:
         raise ReplayRejected("the smooth-mod-p certificates disagree on F")
-    programs = [doc["phi"] for doc in certs if doc["kind"] == "on-variety"]
     for doc in certs:
         if doc["kind"] == "positivity" and quartics:
             chart = doc["chart"]
             if next(iter(quartics)).set_variable_zero(chart) != _poly(doc, "R"):
                 raise ReplayRejected("the positivity certificate's R is not "
                                      "the certified F on {x%d = 0}" % chart)
-        if doc["kind"] == "dominance" and doc["phi"] not in programs:
-            raise ReplayRejected("a dominance certificate's program has no "
-                                 "on-variety certificate in the report")
+    certified = {"on-variety": set(), "dominance": set()}
+    for doc in certs:
+        if doc["kind"] in certified:
+            certified[doc["kind"]].add(programs(doc["phi"]))
+    if not certified["dominance"] <= certified["on-variety"]:
+        raise ReplayRejected("a dominance certificate's program has no "
+                             "on-variety certificate in the report")
+    if command == "parametrize" and outcome == "Success":
+        if certified["on-variety"] != certified["dominance"]:
+            raise ReplayRejected("an on-variety certificate's program has no "
+                                 "dominance certificate in the report")
+        try:
+            summary = json.dumps(read(report, "slp", dict), sort_keys=True)
+        except MalformedInput as err:
+            raise ReplayRejected("malformed report: %s" % err)
+        if all(summary != json.dumps(program_summary(phi), sort_keys=True)
+               for phi in certified["on-variety"]):
+            raise ReplayRejected("the report's slp block describes none of "
+                                 "its certified programs")
     if outcome == "Obstruction":
-        replay_certificate(report.get("obstruction"), kind="obstruction")
+        replay_certificate(report.get("obstruction"), kind="obstruction",
+                           programs=programs)
     return kinds

@@ -34,6 +34,7 @@ from .certify import (
     certify_obstruction,
     certify_positive_on_hyperplane,
     certify_smooth_mod_p,
+    program_summary,
     replay_report,
     singular_dimension_experiment,
 )
@@ -222,8 +223,7 @@ def cmd_parametrize(args):
     timings["total_s"] = round(time.perf_counter() - t0, 3)
     out_map.save(args.out)
     report["outcome"] = "Success"
-    report["slp"] = {"in_arity": out_map.in_arity, "out_arity": out_map.out_arity,
-                     "nodes": len(out_map.nodes), "chart": out_map.chart}
+    report["slp"] = program_summary(out_map)
     write_json(report_path, report)
     print("wrote a %d-parameter program with %d nodes to %s"
           % (out_map.in_arity, len(out_map.nodes), args.out))

@@ -848,6 +848,8 @@ def build_real_example(n=8, epsilon=Fraction(1, 16), seed=0, preset="seeded"):
 
 
 def instance_to_json(inst):
+    """The instance document; a stored conic is embedded as its program's
+    shared read-only document."""
     doc = {
         "version": 1,
         "n": inst.n,

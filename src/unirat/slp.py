@@ -6,6 +6,12 @@ hold for every program the format accepts.  Evaluation and forward-mode
 differentiation walk the node list once; composed maps stay small as programs
 even when their expanded polynomial form would be enormous.
 
+A program's JSON document and its text are built at most once per SlpMap,
+on first use.  Every certificate, report and instance document that embeds
+the program shares that one document object, so it is read-only.
+`write_json` encodes a dict object that a document holds more than once a
+single time and splices its text in at each occurrence.
+
 At a rational point the sweep runs in scaled integers.  L is the lcm of the
 denominators of the program's constants and of the point's coordinates, and
 each node holds an int N standing for N / L^e, where the exponent e counts
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 from .exactcore import BadPrime, format_rational, parse_rational
@@ -83,13 +90,51 @@ def _holds_documents(value):
         for v in entry.values())
 
 
+def _repeated(doc):
+    """The ids of the dict objects that write_json meets more than once in
+    doc."""
+    seen, repeated = set(), set()
+    todo = [entry for value in doc.values()
+            for entry in (value if _holds_documents(value) else (value,))]
+    while todo:
+        value = todo.pop()
+        if type(value) is dict:
+            if id(value) in seen:
+                repeated.add(id(value))
+            else:
+                seen.add(id(value))
+                todo.extend(value.values())
+    return repeated
+
+
 def write_json(path, doc):
     """Write the document as json.dumps(doc, sort_keys=True) + "\n", byte
-    for byte, with the C encoder.  Each top-level value is encoded in one
-    call, except a top-level list of objects that hold objects, whose
-    entries are encoded one at a time; so the text of a large report is
-    never held whole, and a program's node list costs one call.  Document
-    keys are strings."""
+    for byte, with the C encoder.
+
+    The writer meets the top-level values one at a time, the entries of a
+    top-level list of objects that hold objects (a report's certificates)
+    one at a time, and the values of every object it meets, at any depth;
+    any other value, such as a program's node list, is encoded in one call.
+    So the text of a large report is never held whole.  A dict object that
+    the writer meets more than once, such as the shared document of a
+    program that several certificates embed, is encoded once and its text
+    spliced in at each occurrence.  A document with no such object is
+    written one top-level value or entry per encoder call.  Document keys
+    are strings."""
+    repeated = _repeated(doc)
+    texts = {}
+
+    def text(value):
+        if type(value) is not dict or not repeated:
+            return _encode(value)
+        found = texts.get(id(value))
+        if found is None:
+            found = "{%s}" % ", ".join("%s: %s" % (_encode(key), text(value[key]))
+                                       for key in sorted(value))
+            if id(value) in repeated:
+                texts[id(value)] = found
+        return found
+
     with open(path, "w") as fh:
         fh.write("{")
         for i, key in enumerate(sorted(doc)):
@@ -98,10 +143,10 @@ def write_json(path, doc):
             if _holds_documents(value):
                 fh.write("[")
                 for j, entry in enumerate(value):
-                    fh.write(", " + _encode(entry) if j else _encode(entry))
+                    fh.write(", " + text(entry) if j else text(entry))
                 fh.write("]")
             else:
-                fh.write(_encode(value))
+                fh.write(text(value))
         fh.write("}\n")
 
 
@@ -179,6 +224,9 @@ class SlpMap:
         self.degree_bounds = tuple(node_deg[o] for o in self.outputs)
         self._const_lcm = lcm(*(n[1].denominator for n in self.nodes
                                 if n[0] == "const"))
+        # the document and its text, built on first use (to_json, serialize)
+        self._doc = None
+        self._text = None
 
     def __len__(self):
         return len(self.nodes)
@@ -353,6 +401,12 @@ class SlpMap:
     # -- serialization --------------------------------------------------------
 
     def to_json(self):
+        """The program's document, built on first use; every later call
+        returns that same object, and the certificates, reports and
+        instances that embed the program share it.  It is read-only: a
+        caller that edits it edits a copy.deepcopy of it."""
+        if self._doc is not None:
+            return self._doc
         nodes = []
         for node in self.nodes:
             if node[0] == "input":
@@ -373,10 +427,14 @@ class SlpMap:
         }
         if self.chart is not None:
             doc["chart"] = self.chart
+        self._doc = doc
         return doc
 
     def serialize(self):
-        return json.dumps(self.to_json(), sort_keys=True)
+        """json.dumps(self.to_json(), sort_keys=True), encoded once."""
+        if self._text is None:
+            self._text = _encode(self.to_json())
+        return self._text
 
     @classmethod
     def from_json(cls, doc):
@@ -406,7 +464,24 @@ class SlpMap:
         return m
 
     def save(self, path):
-        write_json(path, self.to_json())
+        """Write serialize() + "\n", the bytes write_json gives the
+        document."""
+        with open(path, "w") as fh:
+            fh.write(self.serialize() + "\n")
+
+
+def same_program(doc, known):
+    """Whether the document `doc` reads as `known`, a program document that
+    SlpMap.from_json accepted: equal as a value, with an int wherever the
+    reader takes one.  == alone takes true and 1.0 for 1, which the reader
+    refuses.  So a reader of several documents parses each program once."""
+    if doc != known:
+        return False
+    ints = [doc[key] for key in ("version", "in_arity", "out_arity", "chart")
+            if key in doc]
+    lists = [node["args"] for node in doc["nodes"]]
+    lists += [doc["outputs"], doc.get("degree_bounds", ())]
+    return set(map(type, chain(ints, *lists))) <= {int}
 
 
 # -- construction helper -------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 from fractions import Fraction
@@ -99,7 +100,7 @@ def test_on_variety_rejects_low_confidence():
 
 def test_on_variety_corrupted_constant_fails():
     Y = good_quartic()
-    doc = parametrize_Y4(Y, seed=0).to_json()
+    doc = copy.deepcopy(parametrize_Y4(Y, seed=0).to_json())
     for node in doc["phi"]["nodes"] if "phi" in doc else doc["nodes"]:
         if node["op"] == "const" and node["value"] != "0":
             node["value"] = "31337"

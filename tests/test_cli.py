@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import io
 import json
 import tracemalloc
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from unirat import cli, pipeline
+from unirat import cli, pipeline, slp
 from unirat.certify import (
     certify_obstruction,
     certify_positive_on_hyperplane,
@@ -244,6 +246,70 @@ def test_reports_and_programs_are_compact_json_with_sorted_keys(p5_run, workdir)
     assert peak < 500_000
 
 
+# sha256 of the reverse_p5 seed-0 report with its timings emptied, and of
+# its program file
+P5_REPORT_SHA256 = "2b5708e6b29fd680c814c85bc5743c23a9cdbbf01ffeb71cf4ee3a9ebe711e66"
+P5_PROGRAM_SHA256 = "0fa15dd8d27e0c7b8de3228f1bb6701eefddafa4b25ba36d344589436cd1dd29"
+
+
+def test_p5_report_and_program_bytes_are_pinned(p5_run):
+    slp_path, rep_path = p5_run
+    doc = json.loads(rep_path.read_text())
+    doc["timings"] = {}
+    text = json.dumps(doc, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == P5_REPORT_SHA256
+    assert hashlib.sha256(slp_path.read_bytes()).hexdigest() == P5_PROGRAM_SHA256
+
+
+def node_lists(value):
+    """How many program node lists one encoder call on `value` encodes."""
+    if type(value) is dict:
+        return sum(node_lists(v) for v in value.values())
+    if type(value) is not list:
+        return 0
+    if value and all(type(e) is dict and "op" in e for e in value):
+        return 1
+    return sum(node_lists(v) for v in value)
+
+
+def test_one_p5_op_builds_each_program_document_once(workdir, monkeypatch):
+    # the five certificates embed two programs, the sweep and the final
+    # map; the report and the program file encode at most three node lists
+    built, encoded = [], []
+    to_json, encode = SlpMap.to_json, slp._encode
+
+    def counted_to_json(self):
+        doc = to_json(self)
+        if all(doc is not seen for seen in built):
+            built.append(doc)
+        return doc
+
+    def counted_encode(value):
+        encoded.append(node_lists(value))
+        return encode(value)
+
+    monkeypatch.setattr(SlpMap, "to_json", counted_to_json)
+    monkeypatch.setattr(slp, "_encode", counted_encode)
+    assert quiet(["parametrize", "--instance", str(INSTANCES / "reverse_p5.json"),
+                  "--out", str(workdir / "counted.slp.json"),
+                  "--report", str(workdir / "counted.report.json")]) == 0
+    assert len(built) == 2
+    assert sum(encoded) <= 3
+    doc = json.loads((workdir / "counted.report.json").read_text())
+    assert len(doc["certificates"]) == 5
+
+
+def test_write_json_keeps_the_bytes_of_a_report_with_equal_copies(p5_run, workdir):
+    # a loaded report holds five equal but distinct program documents
+    doc = json.loads(p5_run[1].read_text())
+    phis = [c["phi"] for c in doc["certificates"]]
+    assert len({id(phi) for phi in phis}) == 5
+    assert phis[0] == phis[1] == phis[2] and phis[3] == phis[4]
+    path = workdir / "p5.copies.json"
+    write_json(path, doc)
+    assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
+
 def dominance_edits():
     import sympy
     return {
@@ -298,10 +364,12 @@ def test_replay_requires_the_certificates_a_success_implies(
     capsys.readouterr()
     assert main(["replay", "--report", str(bad)]) == 4
     assert message in capsys.readouterr().out
-    # the same report as an Inconclusive or failed run claims nothing more
+    # the same certify report as an Inconclusive run claims nothing more;
+    # parametrize writes no outcome that claims less than a Success, and
+    # an outcome a command never writes is rejected
     doc["outcome"] = "Inconclusive" if report == "n8" else "Error"
     bad.write_text(json.dumps(doc))
-    assert quiet(["replay", "--report", str(bad)]) == 0
+    assert quiet(["replay", "--report", str(bad)]) == (0 if report == "n8" else 4)
 
 
 def test_replay_rejects_an_unknown_command(p5_run, workdir, capsys):
@@ -312,6 +380,87 @@ def test_replay_rejects_an_unknown_command(p5_run, workdir, capsys):
     capsys.readouterr()
     assert main(["replay", "--report", str(bad)]) == 4
     assert "unknown command 'verify'" in capsys.readouterr().out
+
+
+def test_replay_accepts_only_the_outcomes_each_command_writes(
+        p5_run, eps0, workdir, capsys):
+    eps3 = workdir / "outcomes-eps3.json"
+    assert quiet(["build-example", "--n", "8", "--epsilon", "3",
+                  "--preset", "cubes", "--out", str(eps3)]) == 0
+    runs = [  # (command line, exit code, outcome)
+        (["certify", "--instance", str(eps0), "--prime", "10007"], 3,
+         "Inconclusive"),
+        (["certify", "--instance", str(eps3)], 4, "CertificateFailure"),
+        (["parametrize", "--instance", str(INSTANCES / "n8_cubes.json"),
+          "--out", str(workdir / "outcomes.slp.json")], 2, "Obstruction"),
+        (["experiment", "lemma-singdim", "--trials", "1"], 0, "Success"),
+    ]
+    reports = {("certify", "Success"): REPO / "perfbench" / "data" / "n8_certify.json",
+               ("parametrize", "Success"): p5_run[1]}
+    for i, (argv, code, outcome) in enumerate(runs):
+        rep = workdir / ("outcome%d.report.json" % i)
+        assert quiet(argv + ["--report", str(rep)]) == code
+        assert json.loads(rep.read_text())["outcome"] == outcome
+        reports[argv[0], outcome] = rep
+    # each outcome a command writes replays
+    for rep in reports.values():
+        assert quiet(["replay", "--report", str(rep)]) == 0
+    bogus = workdir / "outcome-bogus.report.json"
+    bogus.write_text(json.dumps({"version": 1, "command": "certify",
+                                 "outcome": "Bogus", "certificates": [],
+                                 "timings": {}}))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bogus)]) == 4
+    assert "certify never writes the outcome 'Bogus'" in capsys.readouterr().out
+    # a replayable obstruction block does not make a certify report of it
+    doc = json.loads(reports["parametrize", "Obstruction"].read_text())
+    doc["command"] = "certify"
+    bogus.write_text(json.dumps(doc))
+    assert main(["replay", "--report", str(bogus)]) == 4
+    assert "never writes the outcome 'Obstruction'" in capsys.readouterr().out
+
+
+def test_replay_pairs_the_programs_of_a_parametrize_success(p5_run, workdir, capsys):
+    genuine = json.loads(p5_run[1].read_text())
+    bad = workdir / "p5.unpaired.json"
+    # without the final map's dominance certificate: its on-variety one
+    # still replays, but nothing shows that the map is dominant
+    doc = dict(genuine, certificates=genuine["certificates"][:4])
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "has no dominance certificate" in capsys.readouterr().out
+    # the slp block must describe a certified program
+    for key, value in (("nodes", 852), ("chart", None), ("in_arity", 4.0),
+                       ("out_arity", 5)):
+        doc = copy.deepcopy(genuine)
+        doc["slp"][key] = value
+        bad.write_text(json.dumps(doc))
+        assert main(["replay", "--report", str(bad)]) == 4
+        assert "describes none of its certified programs" in capsys.readouterr().out
+    doc = copy.deepcopy(genuine)
+    del doc["slp"]
+    bad.write_text(json.dumps(doc))
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "slp is missing" in capsys.readouterr().out
+
+
+def test_replay_accepts_a_section_pencil_report(workdir):
+    # the pencil of P^5 sections of a P^6 lift: only the final map is
+    # certified, and it is paired
+    Y = pipeline.load_instance(INSTANCES / "reverse_p5.json")
+    x = [MPoly.variable(i, 7, QQ) for i in range(7)]
+    lift = workdir / "pencil-lift.json"
+    save_instance(QuarticInstance(
+        n=6, F=Y.F.extend_variables(7) + x[6] ** 4 + x[5] * x[6] * x[0] * x[1],
+        f=Y.f, alpha=Y.alpha), lift)
+    rep = workdir / "pencil-lift.report.json"
+    assert quiet(["parametrize", "--instance", str(lift),
+                  "--out", str(workdir / "pencil-lift.slp.json"),
+                  "--report", str(rep)]) == 0
+    doc = json.loads(rep.read_text())
+    assert [c["kind"] for c in doc["certificates"]] == ["on-variety", "dominance"]
+    assert quiet(["replay", "--report", str(rep)]) == 0
 
 
 @pytest.mark.parametrize("text", [

@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from unirat import slp
 from unirat.certify import COORDINATE_BOUND, IdentityFails, check_on_variety
 from unirat.exactcore import QQ, BadPrime, rank_mod_p
 from unirat.mpoly import MPoly
@@ -17,6 +19,8 @@ from unirat.slp import (
     MalformedInput,
     SlpBuilder,
     SlpMap,
+    same_program,
+    write_json,
 )
 
 INSTANCES = Path(__file__).resolve().parent.parent / "instances"
@@ -364,6 +368,59 @@ def test_roundtrip_preserves_fractions(tmp_path):
     assert m2.eval([Fraction(3)]) == [Fraction(-7)]
 
 
+def test_a_program_builds_its_document_and_text_once(tmp_path):
+    m = stereographic_sphere()
+    doc = m.to_json()
+    assert m.to_json() is doc
+    assert m.serialize() is m.serialize()
+    assert m.serialize() == json.dumps(doc, sort_keys=True)
+    path = tmp_path / "sphere.slp.json"
+    m.save(path)
+    assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+
+
+def test_write_json_splices_a_repeated_object(tmp_path, monkeypatch):
+    # one dict object at three places the writer meets: a top-level value,
+    # inside two entries of a list of documents, and under a nested object;
+    # and once more inside a nested list, which is encoded in one call
+    program = stereographic_sphere().to_json()
+    shared = {"b": [1, 2.5, None, True], "a": "\u00e9x", "c": {}}
+    doc = {"z": shared, "certificates": [{"phi": program, "k": 1},
+                                         {"phi": program, "s": shared}],
+           "nested": {"deep": {"phi": program}, "list": [shared, [shared]]},
+           "empty": {}, "n": -3}
+    encoded = []
+    encode = slp._encode
+    monkeypatch.setattr(slp, "_encode", lambda v: encoded.append(v) or encode(v))
+    path = tmp_path / "shared.json"
+    write_json(path, doc)
+    assert path.read_text() == json.dumps(doc, sort_keys=True) + "\n"
+    # the program's node list is encoded once for its three occurrences
+    assert sum(v is program["nodes"] for v in encoded) == 1
+
+
+def test_same_program_reads_ints_strictly():
+    doc = stereographic_sphere().to_json()
+    twin = json.loads(json.dumps(doc))
+    assert same_program(twin, doc) and same_program(doc, doc)
+    # == takes true and 1.0 for 1, the reader does not
+    for path in (("version",), ("in_arity",), ("chart",), ("outputs", 0),
+                 ("degree_bounds", 1), ("nodes", 0, "args", 0)):
+        bad = json.loads(json.dumps(doc))
+        target = bad
+        for key in path[:-1]:
+            target = target[key]
+        value = target[path[-1]]
+        for other in (float(value), bool(value) if value in (0, 1) else None):
+            if other is None:
+                continue
+            target[path[-1]] = other
+            assert bad == doc
+            assert not same_program(bad, doc)
+    twin["nodes"][-1]["args"][0] += 1
+    assert not same_program(twin, doc)
+
+
 def test_cyclic_node_list_rejected():
     doc = {
         "version": 1, "in_arity": 1, "out_arity": 1,
@@ -383,7 +440,7 @@ def test_self_reference_rejected():
 
 def test_tampered_degree_bounds_rejected():
     m = conic_map()
-    doc = m.to_json()
+    doc = copy.deepcopy(m.to_json())  # the program's document is shared
     doc["degree_bounds"] = [0, 1, 99]
     with pytest.raises(MalformedInput):
         SlpMap.from_json(doc)
@@ -420,7 +477,7 @@ def test_unknown_op_rejected():
         "arg-bool", "output-string", "outputs-int", "chart-float",
         "in-arity-bool", "out-arity-float", "bound-float"])
 def test_malformed_fields_rejected(path, value, message):
-    doc = conic_map().to_json()
+    doc = copy.deepcopy(conic_map().to_json())
     target = doc
     for key in path:
         target = target[key]
