@@ -381,7 +381,7 @@ def certify_obstruction(inst, conic, run):
         "message": obs.message,
         "obstruction": [obs.field.format(c) for c in obs.obstruction],
         "quadrics_through_cone": [obs.vector_dim, obs.proj_dim],
-        "solution_dim": obs.solution_dim,
+        "solution_dim": run.solver.solution_dim,
         "c1": format_poly(flatten_params(run.solver.c1)),
         "F": format_poly(inst.F), "f": format_poly(inst.f),
         "alpha": str(inst.alpha), "conic": conic.to_json(),
@@ -705,7 +705,9 @@ def replay_report(report):
     smooth-mod-p certificate for `certify`.  In a `parametrize` Success the
     certified programs pair up, each program with an on-variety
     certificate having a dominance one and the other way round, and the
-    report's `slp` block describes one of them."""
+    report's `slp` block describes one of them whose dominance certificate
+    has target dimension out_arity - 2: a map onto a hypersurface, which
+    the sweep onto the fourfold {q = c = 0} in P^6 is not."""
     try:
         certs = read_list(report, "certificates", dict)
         version = read(report, "version", int)
@@ -751,10 +753,14 @@ def replay_report(report):
             summary = json.dumps(read(report, "slp", dict), sort_keys=True)
         except MalformedInput as err:
             raise ReplayRejected("malformed report: %s" % err)
+        # the final map is dominant onto a hypersurface of its target space
+        finals = [programs(doc["phi"]) for doc in certs
+                  if doc["kind"] == "dominance"
+                  and doc["target_dim"] == programs(doc["phi"]).out_arity - 2]
         if all(summary != json.dumps(program_summary(phi), sort_keys=True)
-               for phi in certified["on-variety"]):
+               for phi in finals):
             raise ReplayRejected("the report's slp block describes none of "
-                                 "its certified programs")
+                                 "its certified programs onto a hypersurface")
     if outcome == "Obstruction":
         replay_certificate(report.get("obstruction"), kind="obstruction",
                            programs=programs)

@@ -220,19 +220,6 @@ class ExactMatrix:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def mul_vector(self, vec):
-        f = self.field
-        vec = [f.coerce(v) for v in vec]
-        if len(vec) != self.ncols:
-            raise ValueError("dimension mismatch")
-        out = []
-        for row in self.rows:
-            acc = f.zero
-            for a, b in zip(row, vec):
-                acc = acc + a * b
-            out.append(acc)
-        return out
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)

@@ -1,31 +1,24 @@
-"""Projective geometry primitives over exact fields.
+"""The division-free geometric formulas of the intersection sweep.
 
-Points, linear subspaces, quadrics, and the constructions used by the
-parametrization pipeline: stereographic projection from a smooth point of a
-quadric, residual intersection of a tangent line with a cubic, and
-projection from a coordinate point.  The fiber quadrics in the common
-tangent spaces live in `pipeline`, which builds them on program nodes.
+`pipeline._fiber_construction` runs three of them on program nodes: the
+kernel of two gradient rows (`two_row_kernel`), the second intersection of
+a line with a quadric (`stereo_image`) and the residual point of a tangent
+line on a cubic (`residual_formula`).  `run_pass` projects the sweep from
+the cone vertex with `project_from_point`, which deletes an output.
+`stereographic_param` builds the whole stereographic parametrization of a
+quadric from `stereo_image`.
 
-Everything is ring-generic where feasible: coordinates may be rationals,
-prime-field residues, polynomials in parameters, or program nodes, as
-long as they support +, -, *.
+The formulas are ring-generic: coordinates may be rationals, polynomials
+or program nodes, as long as they support +, - and *.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactcore import QQ, kernel_basis
-from .mpoly import MPoly, gram_matrix
-from .slp import SlpBuilder, _is_zero
-
-
-class PointNotOnQuadric(ValueError):
-    pass
-
-
-class SingularBasePoint(ValueError):
-    pass
+from .exactcore import QQ, ExactMatrix, kernel_basis
+from .mpoly import gram_matrix
+from .slp import SlpBuilder, SlpMap
 
 
 class LineInsideCubic(ArithmeticError):
@@ -34,94 +27,6 @@ class LineInsideCubic(ArithmeticError):
 
 class TangentsCoincide(ValueError):
     """The two tangent hyperplanes agree, so their intersection degenerates."""
-
-
-class ProjPoint:
-    """Point of projective space: nonzero coordinate vector up to scale."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        coords = tuple(coords)
-        if all(_is_zero(c) for c in coords):
-            raise ValueError("all coordinates vanish")
-        self.coords = coords
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def proportional(self, other):
-        a = self.coords
-        b = other.coords if isinstance(other, ProjPoint) else tuple(other)
-        if len(a) != len(b):
-            return False
-        k = next(i for i, c in enumerate(a) if not _is_zero(c))
-        if _is_zero(b[k]):
-            return False
-        return all(_is_zero(a[i] * b[k] - b[i] * a[k]) for i in range(len(a)))
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjPoint):
-            return NotImplemented
-        return self.proportional(other)
-
-    def __hash__(self):
-        raise TypeError("projective points are not hashable; compare explicitly")
-
-    def __repr__(self):
-        return "(%s)" % " : ".join(repr(c) for c in self.coords)
-
-
-class LinearSubspace:
-    """Projective linear subspace given by a cutting system; its spanning
-    basis is derived on demand by a kernel computation over the field."""
-
-    def __init__(self, field, cutting):
-        self.field = field
-        self._cutting = cutting
-        self._basis = None
-
-    def basis(self):
-        if self._basis is None:
-            self._basis = [tuple(v) for v in kernel_basis(self._cutting)]
-        return self._basis
-
-    def cutting(self):
-        return self._cutting
-
-
-class QuadricHypersurface:
-    """Degree-2 hypersurface with its symmetric Gram matrix cached."""
-
-    def __init__(self, form: MPoly):
-        if form.is_zero() or form.total_degree() != 2 or not form.is_homogeneous():
-            raise ValueError("quadric needs a nonzero homogeneous quadratic")
-        self.form = form
-        self.gram = gram_matrix(form)
-
-    @property
-    def nvars(self):
-        return self.form.nvars
-
-    def evaluate(self, point, lift=None):
-        coords = point.coords if isinstance(point, ProjPoint) else point
-        return self.form.evaluate(list(coords), lift)
-
-    def polar_vector(self, point):
-        """Gradient direction G*p; zero exactly at singular points."""
-        coords = point.coords if isinstance(point, ProjPoint) else point
-        n = self.nvars
-        return [
-            sum((self.gram.entry(i, j) * coords[j] for j in range(1, n)),
-                self.gram.entry(i, 0) * coords[0])
-            for i in range(n)
-        ]
-
-
-# -- ring-generic kernels ------------------------------------------------------
 
 
 def two_row_kernel(row_a, row_b, i1, i2, zero):
@@ -169,42 +74,38 @@ def stereo_image(gram_rows, p, d):
 
 
 def residual_formula(g2, g3, base, direction):
+    """Third intersection of a cubic with a line tangent to it at base.
+
+    g2 and g3 are the tau^2 and tau^3 coefficients of the cubic restricted
+    to base + tau*direction, whose lower two vanish by tangency; the point
+    is [direction] when g3 = 0, and there is none when g2 = g3 = 0.
+    """
     return [g3 * base[i] - g2 * direction[i] for i in range(len(base))]
 
 
-# -- operations ------------------------------------------------------------------
+def stereographic_param(form, base, chart_row):
+    """Rational parametrization of the quadric {form = 0} by projection from
+    its smooth point `base`.
 
-
-def _first_nonzero(vals):
-    for i, v in enumerate(vals):
-        if not _is_zero(v):
-            return i
-    return None
-
-
-def stereographic_param(Q: QuadricHypersurface, p: ProjPoint,
-                        chart: LinearSubspace):
-    """Rational parametrization of Q by projection from its smooth point p.
-
-    chart is a hyperplane avoiding p; its points d are mapped to the second
-    intersection of the line p--d with Q.  The output program takes one
-    coefficient per chart basis vector.
+    The hyperplane {chart_row . d = 0} must avoid base; its points d go to
+    the second intersection of the line base--d with the quadric.  The
+    program takes one coefficient per kernel basis vector of chart_row.
+    Raises ValueError when form is not a nonzero quadratic form, base is not
+    a smooth point of the quadric, or the hyperplane passes through base.
     """
-    n = Q.nvars
-    if not _is_zero(Q.evaluate(p)):
-        raise PointNotOnQuadric("base point is not on the quadric")
-    polar = Q.polar_vector(p)
-    if all(_is_zero(g) for g in polar):
-        raise SingularBasePoint("base point is singular on the quadric")
-    cut = chart.cutting()
-    if cut.nrows != 1:
-        raise ValueError("chart must be a hyperplane")
-    h = sum((cut.entry(0, j) * p[j] for j in range(1, n)),
-            cut.entry(0, 0) * p[0])
-    if _is_zero(h):
-        raise ValueError("chart hyperplane passes through the base point")
+    if form.is_zero() or form.total_degree() != 2 or not form.is_homogeneous():
+        raise ValueError("the quadric needs a nonzero homogeneous quadratic")
+    n = form.nvars
+    base = [Fraction(c) for c in base]
+    gram = gram_matrix(form).rows
+    if form.evaluate(base) != 0:
+        raise ValueError("the base point is not on the quadric")
+    if all(sum(g * c for g, c in zip(row, base)) == 0 for row in gram):
+        raise ValueError("the base point is singular on the quadric")
+    if len(chart_row) != n or sum(h * c for h, c in zip(chart_row, base)) == 0:
+        raise ValueError("the chart hyperplane passes through the base point")
 
-    basis = chart.basis()
+    basis = kernel_basis(ExactMatrix(QQ, [chart_row]))
     b = SlpBuilder(len(basis))
     zero = b.const(0)
     d = []
@@ -215,44 +116,19 @@ def stereographic_param(Q: QuadricHypersurface, p: ProjPoint,
                 continue
             acc = acc + Fraction(vec[i]) * b.inputs[k]
         d.append(acc)
-    gram_rows = [[b.const(Q.gram.entry(i, j)) for j in range(n)]
-                 for i in range(n)]
-    pc = [b.const(Fraction(c)) for c in p.coords]
+    gram_rows = [[b.const(entry) for entry in row] for row in gram]
+    pc = [b.const(c) for c in base]
     outs = stereo_image(gram_rows, pc, d)
-    chart_idx = _first_nonzero(p.coords)
+    chart_idx = next(i for i, c in enumerate(base) if c != 0)
     return b.finish(outs, chart=chart_idx,
                     provenance={"stage": "stereographic"})
 
 
-def residual_point(c: MPoly, base, direction, field=QQ):
-    """Third intersection of {c = 0} with a line tangent to it at base.
-
-    The restriction g(tau) = c(base + tau*direction) must have g0 = g1 = 0;
-    the residual point is then g3*base - g2*direction, which degenerates to
-    [direction] when g3 = 0 and fails only if the line lies inside the cubic.
-    """
-    if c.total_degree() != 3:
-        raise ValueError("residual intersection needs a cubic")
-    base_c = base.coords if isinstance(base, ProjPoint) else tuple(base)
-    dir_c = direction.coords if isinstance(direction, ProjPoint) else tuple(direction)
-    lift = field.coerce
-    g = c.restrict_to_line([lift(x) for x in base_c],
-                           [lift(x) for x in dir_c])
-    if not (_is_zero(g[0]) and _is_zero(g[1])):
-        raise ValueError("line is not tangent to the cubic at the base point")
-    if _is_zero(g[2]) and _is_zero(g[3]):
-        raise LineInsideCubic("every point of the line satisfies the cubic")
-    return ProjPoint(residual_formula(g[2], g[3], list(base_c), list(dir_c)))
-
-
-def project_from_point(p: ProjPoint):
-    """Linear projection away from the coordinate point p: deletion of its
-    nonzero coordinate.  The center itself maps to the zero vector.
-    """
-    nonzero = [i for i, c in enumerate(p.coords) if not _is_zero(c)]
-    if len(nonzero) != 1:
-        raise ValueError("the projection center must be a coordinate point")
-    n = len(p)
-    b = SlpBuilder(n)
-    outs = [b.inputs[i] for i in range(n) if i != nonzero[0]]
-    return b.finish(outs, provenance={"stage": "projection"})
+def project_from_point(phi, index):
+    """Projection of phi's image from the coordinate point e_index: phi's
+    nodes, with output `index` deleted and no chart."""
+    if not 0 <= index < phi.out_arity:
+        raise ValueError("phi has no output %d to project away" % index)
+    outs = phi.outputs[:index] + phi.outputs[index + 1:]
+    return SlpMap(phi.in_arity, phi.out_arity - 1, phi.nodes, outs,
+                  provenance={"stage": "projection"})

@@ -346,11 +346,8 @@ class MPoly:
 
     # --- text ----------------------------------------------------------
 
-    def format(self, family="x"):
-        return format_poly(self, family)
-
     def __repr__(self):
-        return self.format()
+        return format_poly(self)
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ from typing import Optional
 from .exactcore import QQ, ExactMatrix, det_fraction_free, kernel_basis, parse_rational
 from .geom import (
     LineInsideCubic,
-    ProjPoint,
     TangentsCoincide,
     project_from_point,
     residual_formula,
@@ -745,8 +744,8 @@ def run_pass(inst, conic=None, seed=0):
     split = decompose_cone(run.section, run.solver.witness)
     ci = Ci23Instance(q=run.solver.witness, c=split.c, conic=conic)
     phi = ci23_parametrize(ci, seed=seed)
-    comp = project_from_point(ProjPoint([0] * 6 + [1])).compose(phi)
-    nodes, outs = list(comp.nodes), list(comp.outputs)
+    proj = project_from_point(phi, 6)
+    nodes, outs = list(proj.nodes), list(proj.outputs)
     for i in range(len(run.params)):
         # the input b_i is node i; reuse b_i * y5 where the sweep made it
         node = ("mul", i, outs[5])
@@ -757,7 +756,7 @@ def run_pass(inst, conic=None, seed=0):
     for _ in range(6):
         args = [Fraction(rng.randint(-7, 7), 1 + rng.randint(0, 2))
                 for _ in range(phi.in_arity)]
-        vals = comp.eval(args)
+        vals = proj.eval(args)
         if any(x != 0 for x in vals):
             break
     else:
@@ -800,6 +799,18 @@ def parametrize_H4(H, conic=None, seed=0):
 # -- ready-made families -----------------------------------------------------------
 
 
+def _example_quartic(n, f, alpha, cubics, epsilon):
+    """alpha * f^2 + sum_{i>=5} x_i^4 + epsilon * sum_{i>=5} x_i * c_i on P^n,
+    with c_i = cubics[i - 5] a cubic in the slice coordinates."""
+    nv = n + 1
+    f_n = f.extend_variables(nv)
+    F = (f_n * f_n).scale(alpha)
+    for i, cubic in zip(range(5, nv), cubics, strict=True):
+        xi = MPoly.variable(i, nv, QQ)
+        F = F + xi ** 4 + (xi * cubic.extend_variables(nv)).scale(epsilon)
+    return F
+
+
 def build_real_example(n=8, epsilon=Fraction(1, 16), seed=0, preset="seeded"):
     """A doubled quartic on P^n with real coefficients and no accidental cones:
     F = f^2 + sum_{i>=5} x_i^4 + epsilon * sum_{i>=5} x_i * c_i.
@@ -813,7 +824,6 @@ def build_real_example(n=8, epsilon=Fraction(1, 16), seed=0, preset="seeded"):
         raise ValueError("the family starts at P^5")
     epsilon = Fraction(epsilon)
     f = sphere_form()
-    nv = n + 1
     rng = random.Random(seed)
     mons3 = monomials(5, 3)
     cubics = []
@@ -833,11 +843,7 @@ def build_real_example(n=8, epsilon=Fraction(1, 16), seed=0, preset="seeded"):
         else:
             raise ValueError("unknown preset %r" % (preset,))
         cubics.append(cubic)
-    f_n = f.extend_variables(nv)
-    F = f_n * f_n
-    for idx, i in enumerate(range(5, n + 1)):
-        xi = MPoly.variable(i, nv, QQ)
-        F = F + xi ** 4 + (xi * cubics[idx].extend_variables(nv)).scale(epsilon)
+    F = _example_quartic(n, f, Fraction(1), cubics, epsilon)
     return QuarticInstance(n=n, F=F, f=f, alpha=Fraction(1), gamma_coord=4,
                            cubics=tuple(cubics), conic=circle_conic(),
                            epsilon=epsilon,
@@ -872,14 +878,19 @@ def instance_to_json(inst):
 
 
 def instance_from_json(doc):
+    """The instance a document describes.  Its slice `M`, when stored, must
+    be x5..xn = 0, and stored `cubics` and `epsilon` must rebuild its F as
+    build_real_example does."""
     if type(doc) is not dict or read(doc, "version", int) != 1:
         raise ValueError("unsupported instance format")
     n = read(doc, "n", int)
+    if read(doc, "M", str, None) not in (None, "x5..x%d = 0" % n):
+        raise ValueError("the slice M must be x5..x%d = 0" % n)
     gamma = read(doc, "Gamma", dict, None)
     cubics = read_list(doc, "cubics", str, None)
     conic = read(doc, "conic", dict, None)
     epsilon = read(doc, "epsilon", str, None)
-    return QuarticInstance(
+    inst = QuarticInstance(
         n=n,
         F=parse_poly(read(doc, "F", str), nvars=n + 1),
         f=parse_poly(read(doc, "f", str), nvars=5),
@@ -892,6 +903,12 @@ def instance_from_json(doc):
         epsilon=None if epsilon is None else parse_rational(epsilon),
         seeds=read(doc, "seeds", dict, None),
     )
+    if inst.cubics is not None and inst.epsilon is not None and (
+            len(inst.cubics) != n - 4 or inst.F != _example_quartic(
+                n, inst.f, inst.alpha, inst.cubics, inst.epsilon)):
+        raise ValueError("F is not alpha*f^2 + sum x_i^4 + epsilon * "
+                         "sum x_i*c_i for the stored cubics and epsilon")
+    return inst
 
 
 def save_instance(inst, path):

@@ -3,8 +3,8 @@
 A map is a list of nodes (inputs, rational constants, add, sub and mul) plus
 a set of output node indices.  With no division the tracked degree bounds
 hold for every program the format accepts.  Evaluation and forward-mode
-differentiation walk the node list once; composed maps stay small as programs
-even when their expanded polynomial form would be enormous.
+differentiation walk the node list once; programs stay small even when their
+expanded polynomial form would be enormous.
 
 A program's JSON document and its text are built at most once per SlpMap,
 on first use.  Every certificate, report and instance document that embeds
@@ -202,13 +202,6 @@ def _degree_bounds(nodes):
     return deg
 
 
-def _is_zero(x):
-    probe = getattr(x, "is_zero", None)
-    if callable(probe):
-        return probe()
-    return x == 0
-
-
 class SlpMap:
     """Immutable polynomial map given by a straight-line program."""
 
@@ -370,33 +363,6 @@ class SlpMap:
                 "chart coordinate %d vanishes at point mod %d" % (self.chart, p))
         return [[(dv_j * w - vals[o] * dw_j) % p for dv_j, dw_j in zip(ders[o], dw)]
                 for pos, o in enumerate(self.outputs) if pos != self.chart]
-
-    # -- composition ----------------------------------------------------------
-
-    def compose(self, inner):
-        """The map self(inner(...)): inner outputs feed this map's inputs."""
-        if inner.out_arity != self.in_arity:
-            raise ArityMismatch(
-                "outer takes %d inputs, inner yields %d"
-                % (self.in_arity, inner.out_arity))
-        nodes = list(inner.nodes)
-        offset = len(nodes)
-        remap = {}
-        for idx, node in enumerate(self.nodes):
-            op = node[0]
-            if op == "input":
-                remap[idx] = inner.outputs[node[1]]
-                continue
-            if op == "const":
-                nodes.append(node)
-            else:
-                nodes.append((op, remap[node[1]], remap[node[2]]))
-            remap[idx] = len(nodes) - 1
-        outputs = [remap[o] for o in self.outputs]
-        prov = {"stage": "compose",
-                "outer": self.provenance, "inner": inner.provenance}
-        return SlpMap(inner.in_arity, self.out_arity, nodes, outputs,
-                      chart=self.chart, provenance=prov)
 
     # -- serialization --------------------------------------------------------
 

@@ -31,14 +31,7 @@ from unirat.certify import (
 )
 from unirat.cli import main
 from unirat.exactcore import QQ, ExactMatrix, kernel_basis
-from unirat.geom import (
-    LineInsideCubic,
-    LinearSubspace,
-    ProjPoint,
-    QuadricHypersurface,
-    residual_point,
-    stereographic_param,
-)
+from unirat.geom import residual_formula, stereographic_param
 from unirat.mpoly import MPoly, format_poly, parse_poly
 from unirat.pipeline import (
     Ci23Instance,
@@ -119,10 +112,7 @@ def n8_obstruction(reportdir):
 @pytest.fixture(scope="module")
 def stereo_cert():
     sphere = parse_poly("x0^2+x1^2+x2^2+x3^2-x4^2", nvars=5)
-    chart = LinearSubspace(QQ, cutting=ExactMatrix(
-        QQ, [[Fraction(1)] + [Fraction(0)] * 4]))
-    m = stereographic_param(QuadricHypersurface(sphere),
-                            ProjPoint([1, 0, 0, 0, 1]), chart)
+    m = stereographic_param(sphere, [1, 0, 0, 0, 1], [1, 0, 0, 0, 0])
     return check_on_variety(m, sphere, seed=0)
 
 
@@ -237,7 +227,9 @@ def test_criterion_5_stereographic_and_residual_primitives(stereo_cert):
     assert stereo_cert["expansion_hash"] == hashlib.sha256(b"0").hexdigest()
     # 100 randomized double-contact configurations: a random cubic through
     # e0, a tangent direction from its gradient kernel, and the residual
-    # point must satisfy the cubic exactly
+    # point, formed as the sweep forms it (restrict_to_line, then
+    # residual_formula), must satisfy the cubic exactly
+    base = [Fraction(1), Fraction(0), Fraction(0), Fraction(0)]
     rng = random.Random(2026)
     hits = 0
     attempts = 0
@@ -255,22 +247,19 @@ def test_criterion_5_stereographic_and_residual_primitives(stereo_cert):
         c = MPoly(4, QQ, terms)
         if c.is_zero() or c.total_degree() != 3:
             continue
-        grad = [c.partial_derivative(i).evaluate(
-            [Fraction(1), Fraction(0), Fraction(0), Fraction(0)])
-            for i in range(4)]
+        grad = [c.partial_derivative(i).evaluate(base) for i in range(4)]
         ker = kernel_basis(ExactMatrix(QQ, [grad]))
         # e0 itself always sits in the kernel; a usable direction must point
         # away from the base point
         cands = [v for v in ker if any(v[i] != 0 for i in range(1, 4))]
         if not cands:
             continue
-        direction = cands[rng.randrange(len(cands))]
-        try:
-            r = residual_point(c, ProjPoint([1, 0, 0, 0]),
-                               ProjPoint(direction))
-        except LineInsideCubic:
-            continue
-        assert c.evaluate(list(r.coords)) == 0
+        direction = list(cands[rng.randrange(len(cands))])
+        g = c.restrict_to_line(base, direction)
+        assert g[0] == 0 and g[1] == 0  # the line is tangent at e0
+        if g[2] == 0 and g[3] == 0:
+            continue  # the line lies inside the cubic
+        assert c.evaluate(residual_formula(g[2], g[3], base, direction)) == 0
         hits += 1
     elapsed = perf_counter() - t0
     assert elapsed < 10.0

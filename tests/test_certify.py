@@ -21,8 +21,8 @@ from unirat.certify import (
     singular_dimension_experiment,
 )
 from unirat.certify import _partials_fingerprint, _trial_partials
-from unirat.exactcore import QQ, BadPrime, ExactMatrix
-from unirat.geom import LinearSubspace, ProjPoint, QuadricHypersurface, stereographic_param
+from unirat.exactcore import QQ, BadPrime
+from unirat.geom import stereographic_param
 from unirat.groebner import DegreeCeilingExceeded
 from unirat.mpoly import MPoly, parse_poly
 from unirat.pipeline import (
@@ -38,10 +38,7 @@ from unirat.slp import SlpBuilder, SlpMap
 
 def sphere_slp():
     f = sphere_form()
-    p0 = ProjPoint([Fraction(1), 0, 0, 0, Fraction(1)])
-    cut = ExactMatrix(QQ, [[QQ.one] + [QQ.zero] * 4])
-    return f, stereographic_param(QuadricHypersurface(f), p0,
-                                  LinearSubspace(QQ, cutting=cut))
+    return f, stereographic_param(f, [1, 0, 0, 0, 1], [1, 0, 0, 0, 0])
 
 
 def good_quartic():

@@ -430,14 +430,28 @@ def test_replay_pairs_the_programs_of_a_parametrize_success(p5_run, workdir, cap
     capsys.readouterr()
     assert main(["replay", "--report", str(bad)]) == 4
     assert "has no dominance certificate" in capsys.readouterr().out
-    # the slp block must describe a certified program
+    # the slp block must describe a certified program onto a hypersurface;
+    # out_arity 7 is the shape of the sweep onto {q = c = 0} in P^6
     for key, value in (("nodes", 852), ("chart", None), ("in_arity", 4.0),
-                       ("out_arity", 5)):
+                       ("out_arity", 5), ("out_arity", 7)):
         doc = copy.deepcopy(genuine)
         doc["slp"][key] = value
         bad.write_text(json.dumps(doc))
         assert main(["replay", "--report", str(bad)]) == 4
         assert "describes none of its certified programs" in capsys.readouterr().out
+    # nor may the sweep stand in for the final map once the final map's two
+    # certificates are gone: its dominance target is not out_arity - 2
+    sweep = genuine["certificates"][2]
+    assert (sweep["kind"], sweep["target_dim"]) == ("dominance", 4)
+    shape = dict(genuine["slp"], out_arity=7)
+    assert shape == {"in_arity": sweep["phi"]["in_arity"],
+                     "out_arity": sweep["phi"]["out_arity"],
+                     "nodes": len(sweep["phi"]["nodes"]),
+                     "chart": sweep["phi"]["chart"]}
+    doc = dict(genuine, certificates=genuine["certificates"][:3], slp=shape)
+    bad.write_text(json.dumps(doc))
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert "describes none of its certified programs" in capsys.readouterr().out
     doc = copy.deepcopy(genuine)
     del doc["slp"]
     bad.write_text(json.dumps(doc))
@@ -751,8 +765,8 @@ def test_obstruction_replay_ties_the_block_to_its_quartic(workdir, capsys):
                   "--out", str(workdir / "n8.tie.slp.json"),
                   "--report", str(rep)]) == 2
     genuine = json.loads(rep.read_text())
-    assert genuine["obstruction"]["F"] == pipeline.load_instance(
-        INSTANCES / "n8_cubes.json").F.format()
+    assert genuine["obstruction"]["F"] == format_poly(pipeline.load_instance(
+        INSTANCES / "n8_cubes.json").F)
     bad = workdir / "n8.tie.forged.json"
     # a c1 consistent with its own coefficients, but not the instance's
     doc = json.loads(rep.read_text())

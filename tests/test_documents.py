@@ -70,6 +70,14 @@ def test_one_field_mutants_exit_by_the_contract(docs, name, data):
     ("p5-report", ("version",), "1"),
     ("p5-report", ("version",), None),
     ("n8-obstruction", ("obstruction", "version"), 2),
+    # an instance's cubics and epsilon rebuild its F, and its M is the slice
+    ("n8-instance", ("epsilon",), "5"),
+    ("n8-instance", ("epsilon",), "0"),
+    ("n8-instance", ("cubics", 0), "x1^3"),
+    ("n8-instance", ("M",), "x5..x7 = 0"),
+    ("n8-instance", ("M",), "x4..x8 = 0"),
+    # the slp block describes the final map, not the sweep onto P^6
+    ("p5-report", ("slp", "out_arity"), 7),
     # a version 2 smooth-mod-p certificate binds its order and its stats
     ("n8-certify-v2", ("certificates", 1, "order"), [5, 5, 7, 8, 4, 0, 1, 2, 3]),
     ("n8-certify-v2", ("certificates", 1, "order"), [5, 6, 7, 8, 4, 0, 1, 2, 9]),

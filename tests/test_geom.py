@@ -1,19 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from unirat.exactcore import QQ, ExactMatrix, kernel_basis, rank
 from unirat.geom import (
-    LinearSubspace,
-    LineInsideCubic,
-    PointNotOnQuadric,
-    ProjPoint,
-    QuadricHypersurface,
-    SingularBasePoint,
     TangentsCoincide,
     project_from_point,
-    residual_point,
+    residual_formula,
     stereographic_param,
 )
 from unirat.mpoly import MPoly, parse_poly
@@ -24,34 +19,20 @@ def sphere5():
     return parse_poly("x0^2+x1^2+x2^2+x3^2-x4^2", nvars=5)
 
 
-def pp(*coords):
-    return ProjPoint([Fraction(c) for c in coords])
+def pt(*coords):
+    return [Fraction(c) for c in coords]
+
+
+def proportional(a, b):
+    """Whether two nonzero coordinate vectors name one projective point."""
+    assert any(x != 0 for x in a) and any(x != 0 for x in b)
+    return len(a) == len(b) and all(
+        a[i] * b[j] == a[j] * b[i] for i in range(len(a)) for j in range(len(a)))
 
 
 def mpoly_inputs(n):
     return ([MPoly.variable(i, n, QQ) for i in range(n)],
             lambda c: MPoly.const(n, c, QQ))
-
-
-# -- points and subspaces -----------------------------------------------------
-
-
-def test_projpoint_scaling_equality():
-    assert pp(1, 2, 3) == pp(2, 4, 6)
-    assert pp(1, 2, 3) != pp(1, 2, 4)
-    assert pp(0, 1, 0) != pp(1, 0, 0)
-    with pytest.raises(ValueError):
-        pp(0, 0, 0)
-
-
-def test_subspace_views_are_consistent():
-    cut = ExactMatrix(QQ, [[Fraction(1), Fraction(0), Fraction(0)]])
-    L = LinearSubspace(QQ, cutting=cut)
-    assert L.cutting() is cut
-    # the basis spans the kernel of the cutting system
-    basis = L.basis()
-    assert len(basis) == 2
-    assert all(cut.mul_vector(v) == [0] for v in basis)
 
 
 # -- stereographic parametrization ----------------------------------------------
@@ -60,19 +41,18 @@ def test_subspace_views_are_consistent():
 def chart_hyperplane(n, j):
     row = [Fraction(0)] * n
     row[j] = Fraction(1)
-    return LinearSubspace(QQ, cutting=ExactMatrix(QQ, [row]))
+    return row
 
 
 def test_stereographic_conic_is_standard():
-    Q = QuadricHypersurface(parse_poly("x0*x2-x1^2", nvars=3))
-    m = stereographic_param(Q, pp(1, 0, 0), chart_hyperplane(3, 0))
+    m = stereographic_param(parse_poly("x0*x2-x1^2", nvars=3), pt(1, 0, 0),
+                            chart_hyperplane(3, 0))
     out = m.eval([Fraction(1), Fraction(3)])
-    assert ProjPoint(out) == pp(1, 3, 9)
+    assert proportional(out, pt(1, 3, 9))
 
 
 def test_stereographic_sphere_frozen_polynomials():
-    Q = QuadricHypersurface(sphere5())
-    m = stereographic_param(Q, pp(1, 0, 0, 0, 1), chart_hyperplane(5, 0))
+    m = stereographic_param(sphere5(), pt(1, 0, 0, 0, 1), chart_hyperplane(5, 0))
     xs, lift = mpoly_inputs(4)
     out = m.eval(xs, lift=lift)
     # chart coordinates (v1..v4) become ring variables (x0..x3)
@@ -86,56 +66,71 @@ def test_stereographic_sphere_frozen_polynomials():
     for got, text in zip(out, expect):
         assert got == parse_poly(text, nvars=4)
     # the image satisfies the quadric identically
-    comp = Q.form.evaluate(out, lift)
+    comp = sphere5().evaluate(out, lift)
     assert comp.is_zero()
 
 
 def test_stereographic_rejections():
-    Q = QuadricHypersurface(sphere5())
-    with pytest.raises(PointNotOnQuadric):
-        stereographic_param(Q, pp(1, 0, 0, 0, 2), chart_hyperplane(5, 0))
-    rank2 = QuadricHypersurface(parse_poly("x0*x1", nvars=3))
-    with pytest.raises(SingularBasePoint):
-        stereographic_param(rank2, pp(0, 0, 1), chart_hyperplane(3, 0))
-    with pytest.raises(ValueError):
-        stereographic_param(Q, pp(1, 0, 0, 0, 1), chart_hyperplane(5, 1))
+    Q = sphere5()
+    with pytest.raises(ValueError, match="not on the quadric"):
+        stereographic_param(Q, pt(1, 0, 0, 0, 2), chart_hyperplane(5, 0))
+    with pytest.raises(ValueError, match="singular"):
+        stereographic_param(parse_poly("x0*x1", nvars=3), pt(0, 0, 1),
+                            chart_hyperplane(3, 0))
+    with pytest.raises(ValueError, match="passes through"):
+        stereographic_param(Q, pt(1, 0, 0, 0, 1), chart_hyperplane(5, 1))
+    with pytest.raises(ValueError, match="quadratic"):
+        stereographic_param(parse_poly("x0^3", nvars=3), pt(0, 1, 0),
+                            chart_hyperplane(3, 1))
 
 
 # -- residual intersection -------------------------------------------------------
+# the restriction of the cubic to the line base + tau*direction, then
+# residual_formula on its tau^2 and tau^3 coefficients, as
+# pipeline._fiber_construction forms the residual point
 
 
 def test_residual_point_frozen():
     c = parse_poly("x1^2*x0 - x1^3", nvars=3)
-    r = residual_point(c, pp(1, 0, 0), pp(0, 1, 0))
-    assert r == pp(1, 1, 0)
-    assert c.evaluate(list(r.coords)) == 0
+    base, direction = pt(1, 0, 0), pt(0, 1, 0)
+    g = c.restrict_to_line(base, direction)
+    assert g[0] == 0 and g[1] == 0
+    r = residual_formula(g[2], g[3], base, direction)
+    assert proportional(r, pt(1, 1, 0))
+    assert c.evaluate(r) == 0
 
 
 def test_residual_point_at_infinity():
     c = parse_poly("x2^3 - x0*x1^2", nvars=3)
-    r = residual_point(c, pp(1, 0, 0), pp(0, 1, 0))
-    assert r == pp(0, 1, 0)
+    base, direction = pt(1, 0, 0), pt(0, 1, 0)
+    g = c.restrict_to_line(base, direction)
+    assert g[0] == 0 and g[1] == 0 and g[3] == 0
+    assert proportional(residual_formula(g[2], g[3], base, direction),
+                        pt(0, 1, 0))
 
 
 def test_residual_line_inside_cubic():
+    # every coefficient vanishes, so the formula gives the zero vector
     c = parse_poly("x2^3", nvars=3)
-    with pytest.raises(LineInsideCubic):
-        residual_point(c, pp(1, 0, 0), pp(0, 1, 0))
+    base, direction = pt(1, 0, 0), pt(0, 1, 0)
+    g = c.restrict_to_line(base, direction)
+    assert g == [0, 0, 0, 0]
+    assert residual_formula(g[2], g[3], base, direction) == [0, 0, 0]
 
 
 def test_residual_requires_tangency():
     c = parse_poly("x0^2*x1 + x1^3 + x2^3", nvars=3)
-    with pytest.raises(ValueError):
-        residual_point(c, pp(1, 0, 0), pp(0, 1, 0))
+    g = c.restrict_to_line(pt(1, 0, 0), pt(0, 1, 0))
+    assert g[0] == 0 and g[1] != 0
 
 
 def test_residual_on_random_tangent_configurations():
     rng = random.Random(31)
     n = 4
+    base = pt(1, 0, 0, 0)
     for _ in range(10):
         # random cubic through e0, then a direction inside its tangent cone
         terms = {}
-        from itertools import combinations_with_replacement
         for combo in combinations_with_replacement(range(n), 3):
             exp = [0] * n
             for i in combo:
@@ -146,18 +141,16 @@ def test_residual_on_random_tangent_configurations():
         c = MPoly(n, QQ, terms)
         if c.is_zero() or c.total_degree() != 3:
             continue
-        grad = [c.partial_derivative(i).evaluate(
-            [Fraction(1), Fraction(0), Fraction(0), Fraction(0)])
-            for i in range(n)]
+        grad = [c.partial_derivative(i).evaluate(base) for i in range(n)]
         ker = kernel_basis(ExactMatrix(QQ, [grad]))
-        direction = ker[rng.randrange(len(ker))]
+        direction = list(ker[rng.randrange(len(ker))])
         if all(x == 0 for x in direction):
             continue
-        try:
-            r = residual_point(c, pp(1, 0, 0, 0), ProjPoint(direction))
-        except LineInsideCubic:
-            continue
-        assert c.evaluate(list(r.coords)) == 0
+        g = c.restrict_to_line(base, direction)
+        assert g[0] == 0 and g[1] == 0
+        if g[2] == 0 and g[3] == 0:
+            continue  # the line lies inside the cubic
+        assert c.evaluate(residual_formula(g[2], g[3], base, direction)) == 0
 
 
 # -- fiber quadric --------------------------------------------------------------
@@ -239,14 +232,24 @@ def test_fiber_quadric_rejections():
 # -- projection --------------------------------------------------------------------
 
 
+def sphere_map():
+    return stereographic_param(sphere5(), pt(1, 0, 0, 0, 1), chart_hyperplane(5, 0))
+
+
 def test_projection_from_coordinate_point():
-    m = project_from_point(pp(0, 0, 0, 0, 0, 0, 1))
-    vals = [Fraction(i) for i in range(7)]
-    assert m.eval(vals) == vals[:6]
-    with pytest.raises(ValueError):
-        ProjPoint(m.eval([Fraction(0)] * 6 + [Fraction(1)]))
+    # projecting from e_index deletes output index and keeps every node
+    phi = sphere_map()
+    args = pt(1, 2, -3, 5)
+    full = phi.eval(args)
+    for index in range(5):
+        m = project_from_point(phi, index)
+        assert m.nodes == phi.nodes
+        assert m.outputs == phi.outputs[:index] + phi.outputs[index + 1:]
+        assert (m.in_arity, m.out_arity, m.chart) == (4, 4, None)
+        assert m.eval(args) == full[:index] + full[index + 1:]
 
 
 def test_projection_rejects_a_center_off_the_coordinate_points():
-    with pytest.raises(ValueError):
-        project_from_point(pp(0, 1, 1))
+    for index in (-1, 5):
+        with pytest.raises(ValueError):
+            project_from_point(sphere_map(), index)

@@ -307,38 +307,6 @@ def test_chart_vanishes():
         m.jacobian([Fraction(10007)], 10007)
 
 
-# -- composition --------------------------------------------------------------
-
-
-def test_compose_with_identity_is_behavioral_noop():
-    m = stereographic_sphere()
-    c = m.compose(identity_map(4))
-    rng = random.Random(5)
-    for _ in range(5):
-        p = [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(4)]
-        assert c.eval(p) == m.eval(p)
-    assert c.degree_bounds == m.degree_bounds
-
-
-def test_compose_matches_nested_eval_and_degrees():
-    # outer squares every coordinate
-    b = SlpBuilder(3)
-    outer = b.finish([x * x for x in b.inputs])
-    inner = conic_map()
-    comp = outer.compose(inner)
-    assert comp.in_arity == 1 and comp.out_arity == 3
-    assert comp.degree_bounds == (0, 2, 4)
-    rng = random.Random(6)
-    for _ in range(10):
-        t = Fraction(rng.randint(-20, 20), rng.randint(1, 9))
-        assert comp.eval([t]) == outer.eval(inner.eval([t]))
-
-
-def test_compose_arity_mismatch():
-    with pytest.raises(ArityMismatch):
-        conic_map().compose(identity_map(2))
-
-
 # -- serialization -------------------------------------------------------------
 
 
