@@ -29,7 +29,7 @@ import json
 import random
 from fractions import Fraction
 
-from .exactcore import QQ, BadPrime, PrimeField, parse_rational, rank_mod_p
+from .exactcore import P, QQ, BadPrime, PrimeField, parse_rational, rank_mod_p
 from .groebner import DegreeCeilingExceeded, buchberger, projective_dimension, projective_empty
 from .mpoly import MPoly, format_poly, monomials, parse_poly
 from .pipeline import QuarticInstance, flatten_params, solve_stage
@@ -40,8 +40,8 @@ SYMBOLIC_DEGREE_LIMIT = 60
 MAX_POINTS = 20
 COORDINATE_BOUND = 2 ** 40
 CONFIDENCE_BITS = 64
-# dominance ranks are taken mod this Mersenne prime, 2^61 - 1
-DOMINANCE_PRIME = 2 ** 61 - 1
+# dominance ranks are taken mod the Mersenne prime 2^61 - 1
+DOMINANCE_PRIME = P
 
 # the version of each certificate kind, written by its builder and the only
 # one its replay accepts, with one exception: smooth-mod-p version 1, written

@@ -5,6 +5,11 @@ arbitrary-precision `fractions.Fraction`, prime fields are residues mod an
 odd prime, and elimination never rounds.  The three operations that the
 geometry layers lean on are `kernel_basis` (deterministic pivoting),
 `rank`, and `det_fraction_free` (Bareiss).
+
+A test that a rational is *nonzero* may run on its residue mod a prime,
+since a value that is nonzero mod p is nonzero over QQ; `residue` maps a
+rational into plain ints mod p, and P = 2^61 - 1 is the prime used for
+that throughout.  A claim that something *is zero* stays exact.
 """
 
 from __future__ import annotations
@@ -12,8 +17,23 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+# the Mersenne prime 2^61 - 1: nonzero tests and dominance ranks run mod P
+P = 2 ** 61 - 1
+
+
 class BadPrime(ValueError):
     """Modulus is not an odd prime, or divides a denominator being reduced."""
+
+
+def residue(x, p):
+    """The int in [0, p) that the int or Fraction x reduces to mod the prime
+    p; BadPrime, naming p and x, when p divides the denominator."""
+    d = x.denominator
+    if d == 1:
+        return x.numerator % p
+    if d % p == 0:
+        raise BadPrime("p = %d divides the denominator of %s" % (p, x))
+    return x.numerator * pow(d, -1, p) % p
 
 
 def _is_prime(n: int) -> bool:
@@ -170,16 +190,8 @@ class PrimeField:
             if x.p != self.p:
                 raise TypeError("element of GF(%d) fed to GF(%d)" % (x.p, self.p))
             return x
-        if isinstance(x, int):
-            return PrimeFieldElem(x, self.p)
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise BadPrime(
-                    "denominator %d vanishes mod %d" % (x.denominator, self.p)
-                )
-            return PrimeFieldElem(
-                x.numerator * pow(x.denominator, self.p - 2, self.p), self.p
-            )
+        if isinstance(x, (int, Fraction)):
+            return PrimeFieldElem(residue(x, self.p), self.p)
         if isinstance(x, str):
             return self.coerce(parse_rational(x))
         raise TypeError("cannot coerce %r into GF(%d)" % (x, self.p))

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .exactcore import QQ, ExactMatrix, kernel_basis
 from .mpoly import gram_matrix
-from .slp import SlpBuilder, SlpMap
+from .slp import SlpBuilder
 
 
 class LineInsideCubic(ArithmeticError):
@@ -125,10 +125,9 @@ def stereographic_param(form, base, chart_row):
 
 
 def project_from_point(phi, index):
-    """Projection of phi's image from the coordinate point e_index: phi's
-    nodes, with output `index` deleted and no chart."""
+    """Projection of phi's image from the coordinate point e_index: the
+    slice of phi with output `index` deleted and no chart."""
     if not 0 <= index < phi.out_arity:
         raise ValueError("phi has no output %d to project away" % index)
     outs = phi.outputs[:index] + phi.outputs[index + 1:]
-    return SlpMap(phi.in_arity, phi.out_arity - 1, phi.nodes, outs,
-                  provenance={"stage": "projection"})
+    return phi.slice(outs, provenance={"stage": "projection"})

@@ -45,7 +45,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .exactcore import QQ, ExactMatrix, det_fraction_free, kernel_basis, parse_rational
+from .exactcore import (QQ, BadPrime, ExactMatrix, P, det_fraction_free, kernel_basis,
+                        parse_rational, rank_mod_p, residue)
 from .geom import (
     LineInsideCubic,
     TangentsCoincide,
@@ -161,6 +162,29 @@ def _univariate_coeffs(p, through_degree):
     return [p.coefficient((d,)) for d in range(through_degree + 1)]
 
 
+def _mod_p(x):
+    """x mod P: the lift of the rehearsal into plain ints."""
+    return residue(x, P)
+
+
+def _nondegenerate(q):
+    """Whether the Gram matrix of the quadratic form q is invertible.
+
+    Full rank mod P proves it.  A rank that falls short mod P, a
+    denominator that P divides, or coefficients in QQ[b6..bn] leave the
+    answer to the exact determinant, the only test that may confirm a zero.
+    """
+    G = gram_matrix(q)
+    if G.field == QQ:
+        try:
+            rows = [[_mod_p(x) for x in row] for row in G.rows]
+        except BadPrime:
+            rows = None
+        if rows and rank_mod_p(rows, P) == G.nrows:
+            return True
+    return not G.field.is_zero(det_fraction_free(G))
+
+
 # -- instance types ----------------------------------------------------------------
 
 
@@ -195,7 +219,7 @@ class QuarticInstance:
             raise ValueError("F must be a homogeneous quartic")
         if self.f.nvars != 5 or self.f.total_degree() != 2 or not self.f.is_homogeneous():
             raise ValueError("f must be a quadratic form in the five slice coordinates")
-        if self.f.field.is_zero(det_fraction_free(gram_matrix(self.f))):
+        if not _nondegenerate(self.f):
             raise ValueError("f must have rank five")
         rest = self.F
         for i in range(5, self.n + 1):
@@ -223,7 +247,7 @@ class Ci23Instance:
             raise ValueError("the complete intersection lives in P^6")
         if self.q.total_degree() != 2 or self.c.total_degree() != 3:
             raise ValueError("expected a quadric and a cubic")
-        if self.q.field.is_zero(det_fraction_free(gram_matrix(self.q))):
+        if not _nondegenerate(self.q):
             raise ValueError("the quadric of the pencil must be nondegenerate")
         tt = MPoly.variable(0, 2, QQ)
         uu = MPoly.variable(1, 2, QQ)
@@ -439,33 +463,33 @@ def _fiber_frame(q, grad_q, grad_c, plan, lift=None):
 def _plan_fiber(q0, c0, s0):
     """Pivot and basis bookkeeping for the fiber construction at one point.
 
-    All choices are made on plain rationals; the symbolic replay reuses the
+    q0 and c0 carry their coefficients, and s0 its coordinates, as residues
+    mod P.  Every choice rests on a residue that is nonzero mod P, so the
+    value it stands for is nonzero over QQ; the symbolic replay reuses the
     recorded indices.  The common tangent space of {q0 = 0} and {c0 = 0} at
     s0 is spanned, modulo s0 itself, by three kernel columns plus the vertex
     direction; the latter must be a smooth point of the fiber quadric.
     """
     n = q0.nvars
-    a0 = [q0.partial_derivative(j).evaluate(s0) for j in range(n)]
-    b0 = [c0.partial_derivative(j).evaluate(s0) for j in range(n)]
+    a0 = [q0.partial_derivative(j).evaluate(s0, _mod_p) % P for j in range(n)]
+    b0 = [c0.partial_derivative(j).evaluate(s0, _mod_p) % P for j in range(n)]
     pivots = next(((i1, i2) for i1, i2 in itertools.combinations(range(n), 2)
-                   if a0[i1] * b0[i2] - a0[i2] * b0[i1] != 0), None)
+                   if (a0[i1] * b0[i2] - a0[i2] * b0[i1]) % P), None)
     if pivots is None:
         raise TangentsCoincide(
             "the tangent spaces of the pencil members coincide at the surface point")
     if n - 1 in pivots:
         raise ValueError("the vertex direction escaped the common tangent space")
     free = [j for j in range(n) if j not in pivots]
-    drop = next((j for j in free if j != n - 1 and s0[j] != 0), None)
+    drop = next((j for j in free if j != n - 1 and s0[j] % P), None)
     if drop is None:
         raise ValueError("the surface point is supported on the pivot columns only")
     span = tuple(j for j in free if j not in (drop, n - 1))
     plan = {"pivots": pivots, "drop": drop, "span": span}
-    _, gram = _fiber_frame(q0, a0, b0, plan)
-    col = [row[-1] for row in gram]
-    # the vertex direction is isotropic by construction ...
-    assert col[-1] == 0
-    # ... and must not be in the radical of the fiber form
-    if all(x == 0 for x in col):
+    _, gram = _fiber_frame(q0, a0, b0, plan, lift=_mod_p)
+    # the vertex direction is isotropic (_dry_plan checks q exactly) and
+    # must not be in the radical of the fiber form
+    if not any(row[-1] % P for row in gram):
         raise SectionSingular("the vertex direction is singular on the fiber quadric")
     return plan
 
@@ -495,30 +519,45 @@ def _fiber_construction(q, c, s, chart_vals, plan, lift=None):
 
 
 def _dry_plan(q0, c0, conic, rng):
-    """Numeric rehearsal at up to six seeded surface points: fix the plan and
-    an output chart."""
+    """Rehearsal mod P at up to six seeded surface points: fix the plan and
+    an output chart.
+
+    The draws t, u and v are rationals.  The coefficients of q0 and c0 and
+    the coordinates of the surface point and of v are lifted to residues
+    mod P, and the division-free construction runs on plain ints, with
+    every test that something is nonzero taken mod P.  The returned point
+    is the residue of the fiber point; ci23_parametrize checks its program
+    against it, and checks exactly that the program's value lies on
+    {q0 = 0, c0 = 0}.
+    """
+    n = q0.nvars
+    # G[n-1][n-1] = 0 exactly: the vertex e[n-1] lies on {q0 = 0}, and the
+    # vertex direction of every fiber frame, D * e[n-1], is isotropic
+    if q0.coefficient((0,) * (n - 1) + (2,)) != 0:
+        raise ArithmeticError("the cone vertex does not lie on the quadric")
+    qp, cp = (p.map_coefficients(QQ, _mod_p) for p in (q0, c0))
     last = None
     for _ in range(6):
         t0 = Fraction(rng.randint(-19, 19), 1 + rng.randint(0, 5))
         u0 = Fraction(1 + rng.randint(0, 9), 1 + rng.randint(0, 3))
-        s0 = list(conic.eval([t0])) + [Fraction(0), u0]
+        s0 = [_mod_p(x) for x in conic.eval([t0])] + [0, _mod_p(u0)]
         try:
-            plan = _plan_fiber(q0, c0, s0)
+            plan = _plan_fiber(qp, cp, s0)
         except (TangentsCoincide, SectionSingular, ValueError) as err:
             last = err
             continue
         for _ in range(4):
             v0 = (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
-            pt0, g = _fiber_construction(q0, c0, s0, v0, plan)
-            if g[2] == 0 and g[3] == 0:
+            pt0, g = _fiber_construction(qp, cp, s0, [_mod_p(v) for v in v0],
+                                         plan, lift=_mod_p)
+            if not (g[2] % P or g[3] % P):
                 last = LineInsideCubic("a swept tangent line lies inside the cubic")
                 continue
-            if all(x == 0 for x in pt0):
+            pt0 = [x % P for x in pt0]
+            if not any(pt0):
                 last = ArithmeticError("the fiber construction degenerated at rehearsal")
                 continue
-            if q0.evaluate(pt0) != 0 or c0.evaluate(pt0) != 0:
-                raise ArithmeticError("a fiber point escaped the intersection")
-            chart = next(i for i, x in enumerate(pt0) if x != 0)
+            chart = next(i for i, x in enumerate(pt0) if x)
             return plan, {"t": t0, "u": u0, "v": v0, "point": pt0, "chart": chart}
     raise last if last is not None else TangentsCoincide("no usable surface point found")
 
@@ -533,8 +572,11 @@ def ci23_parametrize(inst, seed=0):
     output.  Coefficients may be polynomials in section parameters
     b6..bn, the names of inst.q.field; those stay live program inputs ahead
     of (t, u, v1, v2), so one program covers the whole pencil, and the plan
-    is rehearsed at seeded rational b0 (up to six draws).  The coefficients
-    lie in the ring QQ[b6..bn], so the program never divides.
+    is rehearsed mod P (see _dry_plan) at seeded rational b0 (up to six
+    draws).  The coefficients lie in the ring QQ[b6..bn], so the program
+    never divides.  The built program is then evaluated exactly at the
+    rehearsal's input: its value must reduce to the rehearsal's point mod P
+    and must lie on the intersection over QQ.
     Raises TangentsCoincide / SectionSingular / LineInsideCubic when the
     instance degenerates along the whole surface.
     """
@@ -571,8 +613,11 @@ def ci23_parametrize(inst, seed=0):
         "span": list(plan["span"]),
         "drop": plan["drop"],
     })
-    if slp.eval(b0 + [dry["t"], dry["u"], dry["v"][0], dry["v"][1]]) != dry["point"]:
+    point = slp.eval(b0 + [dry["t"], dry["u"], dry["v"][0], dry["v"][1]])
+    if [_mod_p(x) for x in point] != dry["point"]:
         raise ArithmeticError("symbolic replay diverged from the rehearsal")
+    if q0.evaluate(point) != 0 or c0.evaluate(point) != 0:
+        raise ArithmeticError("a fiber point escaped the intersection")
     return slp
 
 
@@ -770,8 +815,14 @@ def run_pass(inst, conic=None, seed=0):
     else:
         prov = {"stage": "quartic-threefold", "seed": seed,
                 "fibers": phi.provenance}
-    program = SlpMap(phi.in_arity, len(outs), nodes, outs, provenance=prov,
-                     chart=next(i for i, x in enumerate(vals) if x != 0))
+    chart = next(i for i, x in enumerate(vals) if x != 0)
+    if len(nodes) == len(phi):
+        # P^5, or each b_i * y5 already in the sweep: an output slice of
+        # phi, so the certificates of both sweep their points once
+        program = phi.slice(outs, chart=chart, provenance=prov)
+    else:
+        program = SlpMap(phi.in_arity, len(outs), nodes, outs, provenance=prov,
+                         chart=chart)
     run.timings["sweep_s"] = time.perf_counter() - t0
     return replace(run, ci=ci, phi=phi, program=program)
 

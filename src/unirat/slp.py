@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import chain
 from math import lcm
 
-from .exactcore import BadPrime, format_rational, parse_rational
+from .exactcore import format_rational, parse_rational, residue
 
 # how many args the node of each op lists in a program file
 _OPERANDS = {"input": 1, "const": 0, "add": 2, "sub": 2, "mul": 2}
@@ -217,12 +217,24 @@ class SlpMap:
         self.degree_bounds = tuple(node_deg[o] for o in self.outputs)
         self._const_lcm = lcm(*(n[1].denominator for n in self.nodes
                                 if n[0] == "const"))
+        # rational point -> {output node: value}, shared with the output
+        # slices of this map (see slice and eval)
+        self._values = {}
         # the document and its text, built on first use (to_json, serialize)
         self._doc = None
         self._text = None
 
     def __len__(self):
         return len(self.nodes)
+
+    def slice(self, outputs, chart=None, provenance=None):
+        """The map with this map's nodes and the given output nodes.  The
+        two share the values eval finds at rational points, so a point at
+        which either was evaluated is not swept again for the other."""
+        m = SlpMap(self.in_arity, len(outputs), self.nodes, outputs,
+                   chart=chart, provenance=provenance)
+        m._values = self._values
+        return m
 
     # -- evaluation -----------------------------------------------------------
 
@@ -252,10 +264,6 @@ class SlpMap:
     def _scaled_sweep(self, point):
         """Node values N / L^e at a rational point, as parallel lists of the
         int numerators N and the exponents e, and the common base L."""
-        for x in point:
-            if type(x) is not int and type(x) is not Fraction:
-                raise TypeError("a rational point takes ints and Fractions, not %s"
-                                % type(x).__name__)
         L = lcm(self._const_lcm, *(x.denominator for x in point))
         nums, exps = [], []
         for node in self.nodes:
@@ -295,7 +303,10 @@ class SlpMap:
         N / L^e.  An input or constant has e = 0 when it is an integer and
         e = 1 otherwise, add and sub scale the side with the smaller e by a
         power of L, and mul adds the e's.  No step rounds or divides, so
-        each output Fraction(N, L^e) is exactly the output's value.
+        each output Fraction(N, L^e) is exactly the output's value.  The
+        values at each rational point are kept, for this map and the maps
+        sliced from it or from which it was sliced (see slice), so the
+        certificates that draw the same points sweep them once.
 
         With `lift` the entries live in any ring with + - * (polynomials,
         builder nodes, sympy expressions) and `lift` carries each rational
@@ -305,8 +316,15 @@ class SlpMap:
         if lift is not None:
             vals = self._sweep(point, lift)
             return [vals[o] for o in self.outputs]
-        nums, exps, L = self._scaled_sweep(point)
-        return [Fraction(nums[o], L ** exps[o]) for o in self.outputs]
+        for x in point:
+            if type(x) is not int and type(x) is not Fraction:
+                raise TypeError("a rational point takes ints and Fractions, not %s"
+                                % type(x).__name__)
+        known = self._values.setdefault(tuple(point), {})
+        if not all(o in known for o in self.outputs):
+            nums, exps, L = self._scaled_sweep(point)
+            known.update((o, Fraction(nums[o], L ** exps[o])) for o in self.outputs)
+        return [known[o] for o in self.outputs]
 
     def jacobian(self, point, p):
         """Jacobian of the affine-chart outputs at a rational point, as rows
@@ -320,13 +338,7 @@ class SlpMap:
         outputs are differentiated.
         """
         self._check_arity(point)
-
-        def lift(x):
-            x = Fraction(x)
-            if x.denominator % p == 0:
-                raise BadPrime("p = %d divides the denominator of %s" % (p, x))
-            return x.numerator * pow(x.denominator, -1, p) % p
-
+        lift = lambda x: residue(x, p)
         n = self.in_arity
         zero = [0] * n
         vals = []

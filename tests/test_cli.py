@@ -2,8 +2,10 @@ import copy
 import hashlib
 import io
 import json
+import random
 import tracemalloc
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -297,6 +299,33 @@ def test_one_p5_op_builds_each_program_document_once(workdir, monkeypatch):
     assert sum(encoded) <= 3
     doc = json.loads((workdir / "counted.report.json").read_text())
     assert len(doc["certificates"]) == 5
+
+
+def test_one_p5_op_sweeps_each_point_of_a_program_once(workdir, monkeypatch):
+    # the on-variety certificates of q and c (on the sweep) and of F (on the
+    # final map, an output slice of the sweep) draw the same two points
+    swept = []
+    scaled_sweep = SlpMap._scaled_sweep
+
+    def counted(self, point):
+        swept.append((self.nodes, tuple(point)))
+        return scaled_sweep(self, point)
+
+    monkeypatch.setattr(SlpMap, "_scaled_sweep", counted)
+    assert quiet(["parametrize", "--instance", str(INSTANCES / "reverse_p5.json"),
+                  "--out", str(workdir / "swept.slp.json"),
+                  "--report", str(workdir / "swept.report.json")]) == 0
+    points = set()
+    for cert in json.loads((workdir / "swept.report.json").read_text())["certificates"]:
+        if cert["kind"] == "on-variety":
+            # the seeded sampler of check_on_variety
+            rng, bound = random.Random(cert["seed"]), int(cert["coordinate_bound"])
+            points |= {tuple(Fraction(rng.randint(-bound, bound))
+                             for _ in range(cert["phi"]["in_arity"]))
+                       for _ in range(cert["points"])}
+    assert len(points) == 2
+    assert len(swept) == len(set(swept))
+    assert points <= {pt for _, pt in swept}
 
 
 def test_write_json_keeps_the_bytes_of_a_report_with_equal_copies(p5_run, workdir):
@@ -700,6 +729,21 @@ def test_parametrize_refuses_a_slice_form_of_lower_rank(workdir, capsys):
                  "--out", str(workdir / "rank3.slp.json")]) == 64
     assert "f must have rank five" in capsys.readouterr().err
     assert not (workdir / "rank3.slp.json.report.json").exists()
+
+
+def test_parametrize_names_p_when_it_divides_a_denominator(workdir, capsys):
+    # reverse_p5 with every x5 term divided by P = 2^61 - 1: the residual
+    # cubic has the denominator P, which no residue mod P can stand for
+    P = 2 ** 61 - 1
+    inst = pipeline.load_instance(INSTANCES / "reverse_p5.json")
+    F = MPoly(6, QQ, {e: c / P if e[5] else c for e, c in inst.F.terms.items()})
+    path = workdir / "p_denominator.json"
+    pipeline.save_instance(QuarticInstance(n=5, F=F, f=inst.f, alpha=inst.alpha,
+                                           conic=inst.conic), path)
+    capsys.readouterr()
+    assert main(["parametrize", "--instance", str(path),
+                 "--out", str(workdir / "p_denominator.slp.json")]) == 64
+    assert "p = %d divides the denominator of" % P in capsys.readouterr().err
 
 
 def test_parametrize_and_certify_refuse_an_instance_that_is_not_an_object(

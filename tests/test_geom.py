@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from unirat.exactcore import QQ, ExactMatrix, kernel_basis, rank
+from unirat.exactcore import P, QQ, ExactMatrix, kernel_basis, rank, residue
 from unirat.geom import (
     TangentsCoincide,
     project_from_point,
@@ -13,6 +13,13 @@ from unirat.geom import (
 )
 from unirat.mpoly import MPoly, parse_poly
 from unirat.pipeline import SectionSingular, _fiber_frame, _plan_fiber, sphere_form
+
+
+def plan_mod_p(q, c, s):
+    """_plan_fiber on the residues mod P of q, c and s, as _dry_plan calls it."""
+    lift = lambda v: residue(v, P)
+    return _plan_fiber(q.map_coefficients(QQ, lift), c.map_coefficients(QQ, lift),
+                       [lift(v) for v in s])
 
 
 def sphere5():
@@ -163,7 +170,7 @@ def worked_fiber():
     q = x[5] * x[6] + f7
     c = x[0] ** 2 * x[2] - x[6] * f7
     s = [Fraction(v) for v in (3, 4, 0, 0, 5, 0, 0)]
-    plan = _plan_fiber(q, c, s)
+    plan = plan_mod_p(q, c, s)
     gq = [q.partial_derivative(i).evaluate(s) for i in range(7)]
     gc = [c.partial_derivative(i).evaluate(s) for i in range(7)]
     reps, gram = _fiber_frame(q, gq, gc, plan)
@@ -209,24 +216,24 @@ def test_fiber_quadric_rejections():
     q = parse_poly("x0*x3-x1*x2", nvars=4)
     c = parse_poly("x0^3+x1^3+x2^3+x3^3", nvars=4)
     with pytest.raises(ValueError):
-        _plan_fiber(q, c, [Fraction(v) for v in (0, 0, 0, 1)])
+        plan_mod_p(q, c, [Fraction(v) for v in (0, 0, 0, 1)])
 
     f = sphere5()
     with pytest.raises(TangentsCoincide):
-        _plan_fiber(f, parse_poly("x0", nvars=5) * f,
+        plan_mod_p(f, parse_poly("x0", nvars=5) * f,
                     [Fraction(v) for v in (1, 0, 0, 0, 1)])
 
     # a singular point of q leaves no pivot pair either
     q2 = parse_poly("x0*x1", nvars=4)
     c2 = parse_poly("x2^3+x3^3", nvars=4)
     with pytest.raises(TangentsCoincide):
-        _plan_fiber(q2, c2, [Fraction(v) for v in (0, 0, 1, -1)])
+        plan_mod_p(q2, c2, [Fraction(v) for v in (0, 0, 1, -1)])
 
     # c = x5*x0^2 pushes the vertex direction into the radical of the fiber
     q3 = parse_poly("x5*x6+x0^2+x1^2+x2^2+x3^2-x4^2", nvars=7)
     c3 = parse_poly("x5*x0^2", nvars=7)
     with pytest.raises(SectionSingular):
-        _plan_fiber(q3, c3, [Fraction(v) for v in (3, 4, 0, 0, 5, 0, 0)])
+        plan_mod_p(q3, c3, [Fraction(v) for v in (3, 4, 0, 0, 5, 0, 0)])
 
 
 # -- projection --------------------------------------------------------------------

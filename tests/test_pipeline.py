@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from unirat import pipeline
 from unirat.certify import DOMINANCE_PRIME, IdentityFails, check_dominant, check_on_variety
-from unirat.exactcore import QQ, ExactMatrix, rank_mod_p
-from unirat.geom import TangentsCoincide
+from unirat.exactcore import QQ, ExactMatrix, rank_mod_p, residue
+from unirat.geom import LineInsideCubic, TangentsCoincide
 from unirat.mpoly import MPoly, NotDivisible, format_poly, monomials, parse_poly
 from unirat.pipeline import (
     Ci23Instance,
@@ -103,6 +103,41 @@ def test_ci23_instance_rejections():
         Ci23Instance(q=x(5) * x(6), c=c, conic=circle_conic())
     with pytest.raises(ValueError):  # surface escapes the cubic
         Ci23Instance(q=q, c=c + x(1) ** 3, conic=circle_conic())
+
+
+def gram_rank_mod_p(q):
+    G = pipeline.gram_matrix(q)
+    return rank_mod_p([[residue(e, P61) for e in row] for row in G.rows], P61)
+
+
+def test_quartic_instance_takes_a_form_that_is_singular_only_mod_p():
+    # det = P != 0, so f has rank five over QQ, though not mod P
+    f = parse_poly("x0^2 + x1^2 + x2^2 + x3^2 + %d*x4^2" % P61, nvars=5)
+    assert gram_rank_mod_p(f) == 4
+    f6 = f.extend_variables(6)
+    QuarticInstance(n=5, F=f6 * f6 + x(5, 6) ** 4, f=f)
+
+
+def test_quartic_instance_refuses_a_form_of_rank_four():
+    f = parse_poly("x0^2 + x1^2 + x2^2 + x3^2", nvars=5)
+    f6 = f.extend_variables(6)
+    with pytest.raises(ValueError, match="f must have rank five"):
+        QuarticInstance(n=5, F=f6 * f6 + x(5, 6) ** 4, f=f)
+
+
+def test_ci23_instance_takes_a_quadric_that_is_singular_only_mod_p():
+    # the circle has x2 = 0, so it lies on every form below
+    fP = parse_poly("x0^2 + x1^2 + %d*x2^2 + x3^2 - x4^2" % P61, nvars=7)
+    q = x(5) * x(6) + fP
+    assert gram_rank_mod_p(q) == 6
+    Ci23Instance(q=q, c=x(0) ** 2 * x(2) - x(6) * fP, conic=circle_conic())
+
+
+def test_ci23_instance_refuses_a_quadric_of_rank_six():
+    f4 = parse_poly("x0^2 + x1^2 + x3^2 - x4^2", nvars=7)
+    with pytest.raises(ValueError, match="must be nondegenerate"):
+        Ci23Instance(q=x(5) * x(6) + f4, c=x(0) ** 2 * x(2) - x(6) * f4,
+                     conic=circle_conic())
 
 
 # -- cone decomposition -------------------------------------------------------
@@ -670,6 +705,107 @@ def test_ci23_parametrize_sweeps_the_pencil():
             spec = poly.map_coefficients(QQ, lambda r: r.evaluate(vals[:1]))
             assert spec.evaluate(pt) == 0
         hits += 1
+
+
+def fraction_plan(q0, c0, s0):
+    """The plan of pipeline._plan_fiber, with every test exact on Fractions."""
+    n = q0.nvars
+    a0 = [q0.partial_derivative(j).evaluate(s0) for j in range(n)]
+    b0 = [c0.partial_derivative(j).evaluate(s0) for j in range(n)]
+    pivots = next(((i1, i2) for i1 in range(n) for i2 in range(i1 + 1, n)
+                   if a0[i1] * b0[i2] - a0[i2] * b0[i1] != 0), None)
+    if pivots is None:
+        raise TangentsCoincide(
+            "the tangent spaces of the pencil members coincide at the surface point")
+    if n - 1 in pivots:
+        raise ValueError("the vertex direction escaped the common tangent space")
+    free = [j for j in range(n) if j not in pivots]
+    drop = next((j for j in free if j != n - 1 and s0[j] != 0), None)
+    if drop is None:
+        raise ValueError("the surface point is supported on the pivot columns only")
+    plan = {"pivots": pivots, "drop": drop,
+            "span": tuple(j for j in free if j not in (drop, n - 1))}
+    _, gram = pipeline._fiber_frame(q0, a0, b0, plan)
+    assert gram[-1][-1] == 0
+    if all(row[-1] == 0 for row in gram):
+        raise SectionSingular("the vertex direction is singular on the fiber quadric")
+    return plan
+
+
+def fraction_rehearsal(q0, c0, conic, rng):
+    """pipeline._dry_plan on Fractions: the same draws, the same ring-generic
+    frame and construction with lift = identity, and exact tests."""
+    last = None
+    for _ in range(6):
+        t0 = Fraction(rng.randint(-19, 19), 1 + rng.randint(0, 5))
+        u0 = Fraction(1 + rng.randint(0, 9), 1 + rng.randint(0, 3))
+        s0 = list(conic.eval([t0])) + [Fraction(0), u0]
+        try:
+            plan = fraction_plan(q0, c0, s0)
+        except (TangentsCoincide, SectionSingular, ValueError) as err:
+            last = err
+            continue
+        for _ in range(4):
+            v0 = (Fraction(rng.randint(-9, 9)), Fraction(rng.randint(-9, 9)))
+            pt0, g = pipeline._fiber_construction(q0, c0, s0, v0, plan)
+            if g[2] == 0 and g[3] == 0:
+                last = LineInsideCubic("a swept tangent line lies inside the cubic")
+                continue
+            if all(v == 0 for v in pt0):
+                last = ArithmeticError("the fiber construction degenerated at rehearsal")
+                continue
+            assert q0.evaluate(pt0) == 0 and c0.evaluate(pt0) == 0
+            chart = next(i for i, v in enumerate(pt0) if v != 0)
+            return plan, {"t": t0, "u": u0, "v": v0, "point": pt0, "chart": chart}
+    raise last
+
+
+def outcome(rehearse, *args):
+    try:
+        return rehearse(*args)
+    except (TangentsCoincide, SectionSingular, LineInsideCubic,
+            ArithmeticError, ValueError) as err:
+        return type(err), str(err)
+
+
+REHEARSED = {
+    "reverse_p5": lambda: run_pass(PINNED_INSTANCES["reverse_p5"]()).ci,
+    "p6_lift": lambda: run_pass(p6_lift()).ci,
+    # the two degenerate cubics of test_ci23_degenerate_cubics
+    "section_singular": lambda: Ci23Instance(
+        q=x(5) * x(6) + f7(), c=x(5) * x(0) ** 2, conic=circle_conic()),
+    "tangents_coincide": lambda: Ci23Instance(
+        q=x(5) * x(6) + f7(), c=x(0) * (x(5) * x(6) + f7()), conic=circle_conic()),
+}
+
+
+@pytest.mark.parametrize("name, seeds", [
+    ("reverse_p5", range(40)), ("p6_lift", range(3)),
+    ("section_singular", range(3)), ("tangents_coincide", range(3))])
+def test_rehearsal_mod_p_agrees_with_the_fraction_rehearsal(name, seeds):
+    # the b0 draws and attempts of ci23_parametrize, with both rehearsals
+    # run at each: the same plan, chart and draws, and the residues of the
+    # Fraction point, or the same exception
+    ci = REHEARSED[name]()
+    k = len(getattr(ci.q.field, "names", ()))
+    for seed in seeds:
+        rng = random.Random(seed)
+        for attempt in range(6 if k else 1):
+            b0 = [Fraction(rng.randint(-5, 5)) for _ in range(k)]
+            q0, c0 = ci.q, ci.c
+            if k:
+                q0, c0 = (p.map_coefficients(QQ, lambda r: r.evaluate(b0))
+                          for p in (q0, c0))
+            got = outcome(pipeline._dry_plan, q0, c0, ci.conic,
+                          random.Random(seed + attempt))
+            want = outcome(fraction_rehearsal, q0, c0, ci.conic,
+                           random.Random(seed + attempt))
+            if isinstance(want[0], type):
+                assert got == want
+                continue
+            want[1]["point"] = [residue(v, P61) for v in want[1]["point"]]
+            assert got == want
+            break
 
 
 def test_ci23_parametrize_refuses_a_coefficient_that_is_not_polynomial():

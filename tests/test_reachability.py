@@ -4,7 +4,9 @@ The commands below run in-process under `sys.setprofile`, which records
 the code of every Python call they make: `parametrize`, `verify` and
 `replay` on reverse_p5, `parametrize` and `replay` on n8_cubes, `replay` of
 the stored n8 certify report, `certify --prime 10007`, a small
-`experiment lemma-singdim`, `build-example` and `reverse_build`.  A
+`experiment lemma-singdim`, `build-example`, `parametrize` on an instance
+whose slice form has rank four, which only the exact determinant can
+refuse, and `reverse_build`.  A
 function that none of them calls is dead code, and goes, unless ALLOWED
 names it with the reason it stays.
 """
@@ -12,6 +14,7 @@ names it with the reason it stays.
 import ast
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -52,7 +55,6 @@ ALLOWED = {
     "slp.NodeRef.__radd__",
     "slp.NodeRef.__rmul__",
     "slp.NodeRef.__rsub__",
-    "slp.SlpMap.__len__",
     # the arithmetic of GF(p) elements and the GF(p) text, which the
     # reprs above and the tests use; the commands work mod p in plain ints
     "exactcore.PrimeField.format",
@@ -99,7 +101,14 @@ def commands(work):
     p5, n8 = str(INSTANCES / "reverse_p5.json"), str(INSTANCES / "n8_cubes.json")
     out = {name: str(work / name) for name in (
         "p5.slp.json", "p5.report.json", "n8.slp.json", "n8.report.json",
-        "n8.certify.json", "singdim.json", "example.json")}
+        "n8.certify.json", "singdim.json", "example.json", "rank4.json",
+        "rank4.slp.json")}
+    # F = f^2 + x5^4 with f of rank four: singular mod P, so only
+    # det_fraction_free can confirm that f has no rank five
+    (work / "rank4.json").write_text(json.dumps({
+        "version": 1, "n": 5, "alpha": "1", "f": "x0^2 + x1^2 + x2^2 - x4^2",
+        "F": "x0^4 + 2*x0^2*x1^2 + x1^4 + 2*x0^2*x2^2 + 2*x1^2*x2^2 + x2^4"
+             " - 2*x0^2*x4^2 - 2*x1^2*x4^2 - 2*x2^2*x4^2 + x4^4 + x5^4"}))
     return [
         (["parametrize", "--instance", p5, "--out", out["p5.slp.json"],
           "--report", out["p5.report.json"]], 0),
@@ -114,6 +123,8 @@ def commands(work):
         (["experiment", "lemma-singdim", "--trials", "4",
           "--report", out["singdim.json"]], 0),
         (["build-example", "--n", "8", "--out", out["example.json"]], 0),
+        (["parametrize", "--instance", out["rank4.json"],
+          "--out", out["rank4.slp.json"]], 64),
     ]
 
 
