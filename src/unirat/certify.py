@@ -367,22 +367,26 @@ def certify_positive_on_hyperplane(F, chart=4):
 def certify_obstruction(inst, conic, run):
     """The obstruction block of an obstructed run_pass.
 
-    Besides the coefficients of c1 on the conic, the cone-quadric count,
-    the dimension of the quadrics compatible with the conic (7, those with
+    Besides a message, which names the section parameters when there are
+    any, the coefficients of c1 on the conic, the cone-quadric count, the
+    dimension of the quadrics compatible with the conic (7, those with
     lambda = 0) and c1 itself, as a QQ polynomial in x0..x5 followed by the
     section parameters b6..bn written x6..xn, the block stores what replay
     rebuilds it from: the quartic F, the slice form f with its multiplier
     alpha, and the conic, as its shared read-only document.
     """
-    obs = run.obstruction
+    rep, field = run.solver, run.section.F.field
     doc = {
         "kind": "obstruction", "version": VERSIONS["obstruction"],
         "status": "obstructed",
-        "message": obs.message,
-        "obstruction": [obs.field.format(c) for c in obs.obstruction],
-        "quadrics_through_cone": [obs.vector_dim, obs.proj_dim],
-        "solution_dim": run.solver.solution_dim,
-        "c1": format_poly(flatten_params(run.solver.c1)),
+        "message": ("the residual cubic misses the conic for every section "
+                    "parameter" if run.params else
+                    "every quadric through the cone compatible with the conic "
+                    "degenerates (lambda = 0)"),
+        "obstruction": [field.format(c) for c in rep.obstruction],
+        "quadrics_through_cone": [rep.vector_dim, rep.proj_dim],
+        "solution_dim": rep.solution_dim,
+        "c1": format_poly(flatten_params(rep.c1)),
         "F": format_poly(inst.F), "f": format_poly(inst.f),
         "alpha": str(inst.alpha), "conic": conic.to_json(),
     }

@@ -201,7 +201,7 @@ def cmd_parametrize(args):
     t0 = time.perf_counter()
     run = run_pass(inst, conic, seed=args.seed)
     timings.update((k, round(v, 3)) for k, v in run.timings.items())
-    if run.obstruction is not None:
+    if not run.solver.feasible:
         report["outcome"] = "Obstruction"
         report["obstruction"] = certify_obstruction(inst, conic, run)
         write_json(report_path, report)

@@ -241,29 +241,6 @@ class MPoly:
             terms[tuple(new)] = c2
         return MPoly(self.nvars, f, terms)
 
-    def substitute_linear(self, matrix: ExactMatrix):
-        """Substitute x_i = sum_j matrix[i][j] * y_j.
-
-        The result lives in matrix.ncols variables over the matrix field.
-        """
-        f = matrix.field
-        n_new = matrix.ncols
-        images = []
-        for i in range(self.nvars):
-            images.append(
-                MPoly(
-                    n_new,
-                    f,
-                    {
-                        tuple(1 if k == j else 0 for k in range(n_new)): matrix.rows[i][j]
-                        for j in range(n_new)
-                        if not f.is_zero(matrix.rows[i][j])
-                    },
-                )
-            )
-        lift = lambda c: MPoly.const(n_new, f.coerce(c), f)
-        return self.evaluate(images, lift=lift)
-
     def exact_divide(self, divisor: "MPoly"):
         """Exact multivariate division; NotDivisible on nonzero remainder."""
         divisor = self._compat(divisor)
@@ -491,9 +468,6 @@ class ParameterRing:
         self.nvars = len(self.names)
         self.zero = MPoly.zero(self.nvars)
         self.one = MPoly.const(self.nvars, 1)
-
-    def generator(self, i) -> MPoly:
-        return MPoly.variable(i, self.nvars)
 
     def coerce(self, x):
         if isinstance(x, MPoly):

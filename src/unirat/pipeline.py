@@ -73,9 +73,7 @@ __all__ = [
     "ConeSplit",
     "QuarticInstance",
     "Ci23Instance",
-    "SectionFamily",
     "SolverReport",
-    "ObstructionReport",
     "PipelineRun",
     "sphere_form",
     "circle_conic",
@@ -259,16 +257,6 @@ class Ci23Instance:
 
 
 @dataclass(frozen=True)
-class SectionFamily:
-    """The pencil of P^5 sections x_i = b_i * x5 (i >= 6) of a larger quartic."""
-
-    names: tuple
-    field: ParameterRing
-    matrix: ExactMatrix
-    section: MPoly
-
-
-@dataclass(frozen=True)
 class SolverReport:
     """Quadrics q = x5*l + lambda*f through the cone K compatible with the conic.
 
@@ -298,36 +286,22 @@ class SolverReport:
 
 
 @dataclass(frozen=True)
-class ObstructionReport:
-    """Why no nondegenerate quadric fits: the residual cubic misses the conic,
-    so of the 8 quadrics through the cone only the 7 with lambda = 0 remain."""
-
-    vector_dim = 8
-    proj_dim = 7
-    solution_dim = 7
-
-    obstruction: tuple
-    message: str
-    field: object = QQ
-
-
-@dataclass(frozen=True)
 class PipelineRun:
     """Every stage of one pass of run_pass.
 
-    solver is the witness search, its c1 included, and section the P^5
-    quartic it searched; params names the section parameters over which
-    its coefficients live (empty on P^5).  An obstructed run sets
-    obstruction and leaves the later stages None.  Otherwise ci and phi are
-    the complete intersection over the parameter ring and its sweep, and
-    program is the final map.  timings holds perf_counter seconds per stage.
+    solver is the witness search, its c1 and obstruction included, and
+    section the P^5 quartic it searched; params names the section
+    parameters over which its coefficients live (empty on P^5).  A run is
+    obstructed exactly when solver is not feasible, and then the later
+    stages stay None.  Otherwise ci and phi are the complete intersection
+    over the parameter ring and its sweep, and program is the final map.
+    timings holds perf_counter seconds per stage.
     """
 
     solver: SolverReport
     params: tuple
     section: QuarticInstance
     timings: dict
-    obstruction: Optional[ObstructionReport] = None
     ci: Optional[Ci23Instance] = None
     phi: Optional[SlpMap] = None
     program: Optional[SlpMap] = None
@@ -578,7 +552,8 @@ def ci23_parametrize(inst, seed=0):
     rehearsal's input: its value must reduce to the rehearsal's point mod P
     and must lie on the intersection over QQ.
     Raises TangentsCoincide / SectionSingular / LineInsideCubic when the
-    instance degenerates along the whole surface.
+    instance degenerates along the whole surface, and BadPrime, without
+    another draw, when P divides a denominator of the rehearsal.
     """
     fld = inst.q.field
     k = len(getattr(fld, "names", ()))
@@ -592,6 +567,10 @@ def ci23_parametrize(inst, seed=0):
         try:
             plan, dry = _dry_plan(q0, c0, inst.conic, random.Random(seed + attempt))
             break
+        except BadPrime:
+            # P divides a denominator of the instance; another b0 hides
+            # that at best
+            raise
         except (TangentsCoincide, SectionSingular, LineInsideCubic,
                 ValueError) as err:
             last = err
@@ -717,55 +696,36 @@ def reverse_build(f=None, conic=None, alpha=Fraction(1), c1=None, seed=0):
 
 
 def generic_section(H):
-    """Restrict a doubled quartic on P^n to the pencil x_i = b_i * x5 (i >= 6)
-    of P^5 sections, with coefficients in the polynomial ring QQ[b6..bn].
+    """The pencil x_i = b_i * x5 (i >= 6) of P^5 sections of a doubled
+    quartic on P^n, as one QuarticInstance in P^5 with coefficients in the
+    polynomial ring QQ[b6..bn], and the parameter names.
 
-    The slice M and the surface Q are untouched by the substitution, so
-    every member of the pencil is again doubled along Q; the restriction
-    identity is checked symbolically before returning.
+    The substitution only regroups exponents: a term c * x^e of F becomes
+    (c * b6^e6 ... bn^en) * x0^e0 ... x4^e4 * x5^(e5 + e6 + ... + en), and
+    distinct terms of F stay distinct, so nothing is added up.  The slice M and the surface Q are untouched,
+    so every member of the pencil is again doubled along Q, which the
+    QuarticInstance checks.
     """
     if H.n < 6:
         raise ValueError("sections need an ambient space of at least P^6")
     names = tuple("b%d" % i for i in range(6, H.n + 1))
-    ff = ParameterRing(names)
-    rows = []
-    for i in range(H.n + 1):
-        row = [ff.zero] * 6
-        if i <= 5:
-            row[i] = ff.one
-        else:
-            row[5] = ff.generator(i - 6)
-        rows.append(row)
-    matrix = ExactMatrix(ff, rows, ncols=6)
-    section = H.F.substitute_linear(matrix)
-    rest = section.set_variable_zero(5)
-    want = _to_field((H.f * H.f).scale(H.alpha).extend_variables(6), ff)
-    if not rest == want:
-        raise ArithmeticError("the section lost the doubling along the surface")
-    return SectionFamily(names=names, field=ff, matrix=matrix, section=section)
+    terms = {}
+    for e, c in H.F.terms.items():
+        terms.setdefault(e[:5] + (sum(e[5:]),), {})[e[6:]] = c
+    F = MPoly(6, ParameterRing(names),
+              {e: MPoly(len(names), QQ, cs) for e, cs in terms.items()})
+    return QuarticInstance(n=5, F=F, f=H.f, alpha=H.alpha), names
 
 
 def solve_stage(inst, conic):
-    """The timed witness search, with the obstruction when it fails, on a
-    doubled quartic in P^5 or on the generic section of one in P^n."""
-    if inst.n == 5:
-        Y, params = inst, ()
-        message = ("every quadric through the cone compatible with the "
-                   "conic degenerates (lambda = 0)")
-    else:
-        fam = generic_section(inst)
-        Y = QuarticInstance(n=5, F=fam.section, f=inst.f, alpha=inst.alpha)
-        params = fam.names
-        message = ("the residual cubic misses the conic for every section "
-                   "parameter")
+    """The timed witness search on a doubled quartic in P^5, or on the
+    generic section of one in P^n; the run is obstructed when its solver
+    is not feasible."""
+    Y, params = (inst, ()) if inst.n == 5 else generic_section(inst)
     t0 = time.perf_counter()
     rep = solve_quadric_system(Y, conic)
-    run = PipelineRun(solver=rep, params=params, section=Y,
-                      timings={"solve_s": time.perf_counter() - t0})
-    if rep.feasible:
-        return run
-    return replace(run, obstruction=ObstructionReport(
-        obstruction=rep.obstruction, message=message, field=Y.F.field))
+    return PipelineRun(solver=rep, params=params, section=Y,
+                       timings={"solve_s": time.perf_counter() - t0})
 
 
 def run_pass(inst, conic=None, seed=0):
@@ -783,7 +743,7 @@ def run_pass(inst, conic=None, seed=0):
     if conic is None:
         conic = inst.conic if inst.conic is not None else circle_conic()
     run = solve_stage(inst, conic)
-    if run.obstruction is not None:
+    if not run.solver.feasible:
         return run
     t0 = time.perf_counter()
     split = decompose_cone(run.section, run.solver.witness)
@@ -829,22 +789,23 @@ def run_pass(inst, conic=None, seed=0):
 
 def parametrize_Y4(Y, conic=None, seed=0):
     """Four-parameter program onto a quartic threefold, or the obstruction:
-    the SlpMap or the ObstructionReport of run_pass."""
+    the SlpMap of run_pass, or its SolverReport when the run is
+    obstructed."""
     if Y.n != 5:
         raise ValueError("expected a quartic threefold in P^5")
     run = run_pass(Y, conic, seed=seed)
-    return run.obstruction or run.program
+    return run.program if run.solver.feasible else run.solver
 
 
 def parametrize_H4(H, conic=None, seed=0):
     """(n - 1)-parameter program onto a doubled quartic in P^n (n >= 6), or the
     obstruction blocking every member of the section pencil at once: the
-    SlpMap or the ObstructionReport of run_pass.
+    SlpMap of run_pass, or its SolverReport when the run is obstructed.
     """
     if H.n < 6:
         raise ValueError("sections need an ambient space of at least P^6")
     run = run_pass(H, conic, seed=seed)
-    return run.obstruction or run.program
+    return run.program if run.solver.feasible else run.solver
 
 
 # -- ready-made families -----------------------------------------------------------

@@ -220,9 +220,8 @@ class SlpMap:
         # rational point -> {output node: value}, shared with the output
         # slices of this map (see slice and eval)
         self._values = {}
-        # the document and its text, built on first use (to_json, serialize)
+        # the document, built on first use (to_json)
         self._doc = None
-        self._text = None
 
     def __len__(self):
         return len(self.nodes)
@@ -408,12 +407,6 @@ class SlpMap:
         self._doc = doc
         return doc
 
-    def serialize(self):
-        """json.dumps(self.to_json(), sort_keys=True), encoded once."""
-        if self._text is None:
-            self._text = _encode(self.to_json())
-        return self._text
-
     @classmethod
     def from_json(cls, doc):
         if read(doc, "version", int) != 1:
@@ -442,10 +435,7 @@ class SlpMap:
         return m
 
     def save(self, path):
-        """Write serialize() + "\n", the bytes write_json gives the
-        document."""
-        with open(path, "w") as fh:
-            fh.write(self.serialize() + "\n")
+        write_json(path, self.to_json())
 
 
 def same_program(doc, known):

@@ -300,13 +300,13 @@ def test_criterion_7_obstruction_is_archived_and_replays(n8_obstruction):
     # the t-coefficients over the parameter field
     inst = load_instance(N8_CUBES)
     assert inst.alpha == 1
-    fam = generic_section(inst)
-    f6 = _to_field(inst.f.extend_variables(6), fam.field)
-    c1 = (fam.section - f6 * f6).exact_divide(
-        MPoly.variable(5, 6, fam.field))
+    Y, _ = generic_section(inst)
+    f6 = _to_field(inst.f.extend_variables(6), Y.F.field)
+    c1 = (Y.F - f6 * f6).exact_divide(
+        MPoly.variable(5, 6, Y.F.field))
     gamma = list(_conic_polys(inst.conic)) + [MPoly.zero(1, QQ)]
     coeffs = _univariate_coeffs(_compose_poly(c1, gamma), 6)
-    assert [fam.field.format(c) for c in coeffs] == block["obstruction"]
+    assert [Y.F.field.format(c) for c in coeffs] == block["obstruction"]
     # and the archived report replays
     assert run_cli(["replay", "--report", str(n8_obstruction["path"])]) == 0
     assert n8_obstruction["elapsed"] < 300.0

@@ -746,6 +746,31 @@ def test_parametrize_names_p_when_it_divides_a_denominator(workdir, capsys):
     assert "p = %d divides the denominator of" % P in capsys.readouterr().err
 
 
+def test_pencil_rehearsal_stops_at_once_when_p_divides_a_denominator(
+        workdir, capsys, monkeypatch):
+    # reverse_p5 lifted to P^6 with x5*x6*x0*x1/P: on the section pencil the
+    # coefficient with the denominator P is a polynomial in b6, and no other
+    # draw of b6 mends it, so the rehearsal runs once
+    P = 2 ** 61 - 1
+    inst = pipeline.load_instance(INSTANCES / "reverse_p5.json")
+    x = lambda i: MPoly.variable(i, 7, QQ)
+    F = (inst.F.extend_variables(7) + x(6) ** 4
+         + (x(5) * x(6) * x(0) * x(1)).scale(Fraction(1, P)))
+    path = workdir / "p_lift.json"
+    pipeline.save_instance(QuarticInstance(n=6, F=F, f=inst.f, alpha=inst.alpha,
+                                           conic=inst.conic), path)
+    calls = []
+    dry_plan = pipeline._dry_plan
+    monkeypatch.setattr(pipeline, "_dry_plan",
+                        lambda *args: calls.append(1) or dry_plan(*args))
+    capsys.readouterr()
+    assert main(["parametrize", "--instance", str(path),
+                 "--out", str(workdir / "p_lift.slp.json")]) == 64
+    assert capsys.readouterr().err.startswith(
+        "usage error: p = %d divides the denominator" % P)
+    assert len(calls) == 1
+
+
 def test_parametrize_and_certify_refuse_an_instance_that_is_not_an_object(
         workdir, capsys):
     inst = workdir / "array.json"
@@ -892,7 +917,7 @@ def test_obstruction_on_a_conic_of_degree_four(workdir, capsys):
     Y = QuarticInstance(n=5, F=f6 * f6 + x5 * x1 ** 2 * (x4 - x0),
                         f=sphere_form())
     run = pipeline.run_pass(Y, conic)
-    assert run.obstruction is not None
+    assert not run.solver.feasible
     block = certify_obstruction(Y, conic, run)
     assert block["obstruction"] == ["0"] * 8 + ["8"] + ["0"] * 4
     doc = {"version": 1, "command": "parametrize", "outcome": "Obstruction",

@@ -10,16 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unirat import pipeline
-from unirat.certify import DOMINANCE_PRIME, IdentityFails, check_dominant, check_on_variety
-from unirat.exactcore import QQ, ExactMatrix, rank_mod_p, residue
+from unirat.certify import (DOMINANCE_PRIME, IdentityFails, certify_obstruction,
+                            check_dominant, check_on_variety)
+from unirat.exactcore import QQ, rank_mod_p, residue
 from unirat.geom import LineInsideCubic, TangentsCoincide
 from unirat.mpoly import MPoly, NotDivisible, format_poly, monomials, parse_poly
 from unirat.pipeline import (
     Ci23Instance,
     LambdaZero,
-    ObstructionReport,
     QuarticInstance,
     SectionSingular,
+    SolverReport,
     build_real_example,
     ci23_parametrize,
     circle_conic,
@@ -46,6 +47,11 @@ P61 = DOMINANCE_PRIME
 
 def x(i, n=7):
     return MPoly.variable(i, n, QQ)
+
+
+def text(program):
+    """The program's document as compact JSON with sorted keys."""
+    return json.dumps(program.to_json(), sort_keys=True)
 
 
 def f7():
@@ -310,7 +316,7 @@ def test_cone_quadrics_counted_over_QQ(form, base, want):
 def test_solve_stage_draws_nothing_at_random(monkeypatch):
     insts = [load_instance(INSTANCES / name)
              for name in ("reverse_p5.json", "n8_cubes.json")]
-    key = lambda run: (run.solver, run.params, run.section, run.obstruction)
+    key = lambda run: (run.solver, run.params, run.section)
     before = [solve_stage(inst, inst.conic) for inst in insts]
     assert [run.solver.feasible for run in before] == [True, False]
 
@@ -333,7 +339,7 @@ def test_section_c1_is_the_substituted_quartic_over_x5():
     f9 = H.f.extend_variables(9)
     flat = flatten_params(run.solver.c1)
     assert flat == (sub - f9 * f9).exact_divide(xs[5])
-    assert run.obstruction is not None and run.program is None
+    assert not run.solver.feasible and run.program is None
 
 
 def test_solver_rejects_a_conic_off_the_surface():
@@ -390,7 +396,7 @@ def test_ci23_dominates_the_intersection():
 def test_ci23_is_deterministic():
     a = ci23_parametrize(worked_ci23(), seed=0)
     b = ci23_parametrize(worked_ci23(), seed=0)
-    assert a.serialize() == b.serialize()
+    assert text(a) == text(b)
 
 
 CI23_SHARED = worked_ci23()
@@ -445,11 +451,12 @@ def test_parametrize_Y4_worked_example():
 
 def test_parametrize_Y4_obstructed_report():
     rep = parametrize_Y4(bad_quartic(), seed=0)
-    assert isinstance(rep, ObstructionReport)
-    assert rep.message == ("every quadric through the cone compatible with "
-                           "the conic degenerates (lambda = 0)")
-    assert [rep.field.format(c) for c in rep.obstruction] == [
-        "1", "0", "-3", "0", "3", "0", "-1"]
+    assert isinstance(rep, SolverReport) and not rep.feasible
+    block = certify_obstruction(bad_quartic(), circle_conic(),
+                                run_pass(bad_quartic(), seed=0))
+    assert block["message"] == ("every quadric through the cone compatible "
+                                "with the conic degenerates (lambda = 0)")
+    assert block["obstruction"] == ["1", "0", "-3", "0", "3", "0", "-1"]
     assert (rep.vector_dim, rep.proj_dim, rep.solution_dim) == (8, 7, 7)
 
 
@@ -521,24 +528,24 @@ def test_reverse_build_certifies_the_final_program(monkeypatch):
 
 
 def test_generic_section_matches_direct_substitution():
-    H = build_real_example(n=8, preset="cubes", seed=0)
-    fam = generic_section(H)
-    assert fam.names == ("b6", "b7", "b8")
-    assert fam.matrix.nrows == 9 and fam.matrix.ncols == 6
-    assert fam.section.nvars == 6 and fam.section.total_degree() == 4
-    # specialize b = (1, 2, 3) and compare with a plain rational substitution
-    bvals = [Fraction(1), Fraction(2), Fraction(3)]
-    spec = fam.section.map_coefficients(QQ, lambda r: r.evaluate(bvals))
-    rows = []
-    for i in range(9):
-        row = [Fraction(0)] * 6
-        if i <= 5:
-            row[i] = Fraction(1)
-        else:
-            row[5] = bvals[i - 6]
-        rows.append(row)
-    direct = H.F.substitute_linear(ExactMatrix(QQ, rows, ncols=6))
-    assert spec == direct
+    for H in (build_real_example(n=8, preset="cubes", seed=0),
+              build_real_example(n=7, preset="seeded", seed=3), feasible_h4()):
+        Y, names = generic_section(H)
+        assert names == tuple("b%d" % i for i in range(6, H.n + 1))
+        assert Y.n == 5 and Y.F.nvars == 6 and Y.F.total_degree() == 4
+        # F(x0..x5, b6*x5, ..., bn*x5), with b_i in variable i, by plain
+        # substitution
+        xs = [x(i, H.n + 1) for i in range(H.n + 1)]
+        sub = H.F.evaluate(xs[:6] + [xs[i] * xs[5] for i in range(6, H.n + 1)],
+                           lift=lambda c: MPoly.const(H.n + 1, c, QQ))
+        assert flatten_params(Y.F) == sub
+        # specialize b = (1, 2, ...) and compare with a plain rational
+        # substitution
+        bvals = [Fraction(i) for i in range(1, len(names) + 1)]
+        spec = Y.F.map_coefficients(QQ, lambda r: r.evaluate(bvals))
+        ys = [x(i, 6) for i in range(6)]
+        assert spec == H.F.evaluate(ys + [ys[5].scale(b) for b in bvals],
+                                    lift=lambda c: MPoly.const(6, c, QQ))
 
 
 @pytest.mark.parametrize("n, preset, seed, obstruction", [
@@ -551,10 +558,11 @@ def test_generic_section_matches_direct_substitution():
 def test_parametrize_H4_obstructed_cubes(n, preset, seed, obstruction):
     H = build_real_example(n=n, preset=preset, seed=seed)
     rep = parametrize_H4(H, seed=0)
-    assert isinstance(rep, ObstructionReport)
-    assert rep.message == ("the residual cubic misses the conic for every "
-                           "section parameter")
-    assert [rep.field.format(c) for c in rep.obstruction] == obstruction
+    assert isinstance(rep, SolverReport) and not rep.feasible
+    block = certify_obstruction(H, H.conic, run_pass(H, seed=0))
+    assert block["message"] == ("the residual cubic misses the conic for "
+                                "every section parameter")
+    assert block["obstruction"] == obstruction
     assert (rep.vector_dim, rep.proj_dim, rep.solution_dim) == (8, 7, 7)
 
 
@@ -603,7 +611,7 @@ PINNED_INSTANCES = {
 }
 
 
-# sha256 of each program's serialize(): compact JSON with sorted keys
+# sha256 of each program's text(): compact JSON with sorted keys
 PINNED_DIGESTS = {
     ("reverse_p5", 0):
     "5e0a11190580bcab7a91b048060e991d3748f3bfc28da2911ceb1b9a86272a47",
@@ -628,7 +636,7 @@ def test_run_pass_program_is_pinned(name, seed):
     assert program.in_arity == H.n - 1
     check_on_variety(program, H.F, seed=seed)
     check_dominant(program, H.n - 1, seed=seed)
-    assert hashlib.sha256(program.serialize().encode()).hexdigest() == digest
+    assert hashlib.sha256(text(program).encode()).hexdigest() == digest
 
 
 def qq_chart_rank(program, point):
@@ -814,7 +822,7 @@ def test_ci23_parametrize_refuses_a_coefficient_that_is_not_polynomial():
     ci = run_pass(p6_lift(), seed=0).ci
     ff = ci.q.field
     assert repr(ff) == "QQ[b6]"
-    b6 = ff.generator(0)
+    b6 = MPoly.variable(0, ff.nvars)
     with pytest.raises(NotDivisible):
         ff.one / (ff.one + b6 * b6)
 
@@ -822,7 +830,7 @@ def test_ci23_parametrize_refuses_a_coefficient_that_is_not_polynomial():
 def test_parametrize_H4_is_deterministic():
     a = parametrize_H4(feasible_h4(), seed=0)
     b = parametrize_H4(feasible_h4(), seed=0)
-    assert a.serialize() == b.serialize()
+    assert text(a) == text(b)
 
 
 @pytest.mark.parametrize("name", ["reverse_p5", "p6_lift", "feasible_h4",
