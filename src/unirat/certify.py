@@ -433,6 +433,17 @@ def _experiment_trial(params):
     return projective_dimension(gb)
 
 
+def run_jobs(func, params, jobs):
+    """[func(ps) for ps in params], in a pool of `jobs` worker processes
+    when jobs > 1.  A job must draw its randomness from its params alone,
+    so that both ways give the same results in the same order."""
+    if jobs <= 1:
+        return [func(ps) for ps in params]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(func, params))
+
+
 def singular_dimension_experiment(N=2, k=2, trials=50, p=10007, seed=0,
                                   degree_ceiling=20, jobs=1):
     """How often a random quartic through a fixed singular one drops the
@@ -456,13 +467,7 @@ def singular_dimension_experiment(N=2, k=2, trials=50, p=10007, seed=0,
     ceiling = 0
     runs = 1 if k == 0 else trials
     params = [(N, k, p, seed, t, degree_ceiling) for t in range(runs)]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            dims = list(pool.map(_experiment_trial, params))
-    else:
-        dims = [_experiment_trial(ps) for ps in params]
-    for dim in dims:
+    for dim in run_jobs(_experiment_trial, params, jobs):
         if dim is None:
             ceiling += 1
             continue

@@ -36,6 +36,7 @@ from .certify import (
     certify_smooth_mod_p,
     program_summary,
     replay_report,
+    run_jobs,
     singular_dimension_experiment,
 )
 from .exactcore import PrimeField
@@ -80,7 +81,7 @@ def _instance_summary(inst):
     return doc
 
 
-def _new_report(command, seed, instance=None):
+def _new_report(command, instance=None):
     doc = {
         "version": 1,
         "command": command,
@@ -88,8 +89,6 @@ def _new_report(command, seed, instance=None):
         "certificates": [],
         "timings": {},
     }
-    if seed is not None:
-        doc["seeds"] = {"seed": seed}
     if instance is not None:
         doc["instance"] = instance
     return doc
@@ -137,7 +136,7 @@ def cmd_certify(args):
     primes = args.prime or list(DEFAULT_PRIMES)
     for p in primes:
         PrimeField(p)  # raises BadPrime before any work starts
-    report = _new_report("certify", None, _instance_summary(inst))
+    report = _new_report("certify", _instance_summary(inst))
     # positivity is a fast arithmetic pass; run it before the Groebner work
     t0 = time.perf_counter()
     try:
@@ -154,14 +153,9 @@ def cmd_certify(args):
     report["certificates"].append(pos)
     print("positivity on {x%d = 0}: certified, all diagonal margins positive"
           % chart)
-    jobs = [(inst.F, p, args.ceiling) for p in primes]
     t0 = time.perf_counter()
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_smooth_job, jobs))
-    else:
-        results = [_smooth_job(job) for job in jobs]
+    results = run_jobs(_smooth_job, [(inst.F, p, args.ceiling) for p in primes],
+                       args.jobs)
     report["timings"]["smooth_s"] = round(time.perf_counter() - t0, 3)
     smooth_ok = False
     notes = []
@@ -195,7 +189,7 @@ def cmd_certify(args):
 def cmd_parametrize(args):
     inst = load_instance(args.instance)
     conic = inst.conic if inst.conic is not None else circle_conic()
-    report = _new_report("parametrize", args.seed, _instance_summary(inst))
+    report = _new_report("parametrize", _instance_summary(inst))
     timings = report["timings"]
     report_path = args.report or (args.out + ".report.json")
     t0 = time.perf_counter()
@@ -283,7 +277,7 @@ def cmd_experiment(args):
           % (rep["matches"], rep["completed"], rep["fraction"],
              rep["ceiling_exceeded"]))
     if args.report:
-        doc = _new_report("experiment", args.seed)
+        doc = _new_report("experiment")
         doc["outcome"] = "Success"
         doc["experiment"] = rep
         write_json(args.report, doc)
@@ -350,10 +344,16 @@ def _build_parser():
     return parser
 
 
+# built on the first call of main; no input changes it
+_parser = None
+
+
 def main(argv=None):
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         return args.func(args)
     except NotEmptyModP as err:
         print("inconclusive: %s" % err, file=sys.stderr)

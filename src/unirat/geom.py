@@ -120,8 +120,7 @@ def stereographic_param(form, base, chart_row):
     pc = [b.const(c) for c in base]
     outs = stereo_image(gram_rows, pc, d)
     chart_idx = next(i for i, c in enumerate(base) if c != 0)
-    return b.finish(outs, chart=chart_idx,
-                    provenance={"stage": "stereographic"})
+    return b.finish(outs, chart=chart_idx)
 
 
 def project_from_point(phi, index):
@@ -130,4 +129,4 @@ def project_from_point(phi, index):
     if not 0 <= index < phi.out_arity:
         raise ValueError("phi has no output %d to project away" % index)
     outs = phi.outputs[:index] + phi.outputs[index + 1:]
-    return phi.slice(outs, provenance={"stage": "projection"})
+    return phi.slice(outs)

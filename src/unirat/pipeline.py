@@ -119,7 +119,7 @@ def circle_conic():
     zero = b.const(0)
     t2 = t * t
     outs = [one - t2, t + t, zero, zero, one + t2]
-    return b.finish(outs, chart=4, provenance={"stage": "circle"})
+    return b.finish(outs, chart=4)
 
 
 def _conic_polys(conic):
@@ -139,8 +139,7 @@ def _cone_surface(conic):
     t, u = b.inputs
     g = conic.eval([t], lift=b.const)
     outs = list(g) + [b.const(0), u]
-    return b.finish(outs, chart=conic.chart,
-                    provenance={"stage": "cone-surface"})
+    return b.finish(outs, chart=conic.chart)
 
 
 def _to_field(p, fld):
@@ -585,13 +584,7 @@ def ci23_parametrize(inst, seed=0):
     s_refs = list(g) + [b.const(0), u]
     point, _ = _fiber_construction(inst.q, inst.c, s_refs, (v1, v2), plan,
                                    lift=lift)
-    slp = b.finish(point, chart=dry["chart"], provenance={
-        "stage": "ci23-fibers",
-        "seed": seed,
-        "pivots": list(plan["pivots"]),
-        "span": list(plan["span"]),
-        "drop": plan["drop"],
-    })
+    slp = b.finish(point, chart=dry["chart"])
     point = slp.eval(b0 + [dry["t"], dry["u"], dry["v"][0], dry["v"][1]])
     if [_mod_p(x) for x in point] != dry["point"]:
         raise ArithmeticError("symbolic replay diverged from the rehearsal")
@@ -769,20 +762,13 @@ def run_pass(inst, conic=None, seed=0):
     vals += [bi * vals[5] for bi in args[:len(run.params)]]
     if inst.F.evaluate(vals) != 0:
         raise ArithmeticError("a parametrized point escaped the quartic")
-    if run.params:
-        prov = dict(phi.provenance, stage="hyperplane-pencil",
-                    inputs=list(run.params) + ["t", "u", "v1", "v2"])
-    else:
-        prov = {"stage": "quartic-threefold", "seed": seed,
-                "fibers": phi.provenance}
     chart = next(i for i, x in enumerate(vals) if x != 0)
     if len(nodes) == len(phi):
         # P^5, or each b_i * y5 already in the sweep: an output slice of
         # phi, so the certificates of both sweep their points once
-        program = phi.slice(outs, chart=chart, provenance=prov)
+        program = phi.slice(outs, chart=chart)
     else:
-        program = SlpMap(phi.in_arity, len(outs), nodes, outs, provenance=prov,
-                         chart=chart)
+        program = SlpMap(phi.in_arity, nodes, outs, chart=chart)
     run.timings["sweep_s"] = time.perf_counter() - t0
     return replace(run, ci=ci, phi=phi, program=program)
 

@@ -6,9 +6,9 @@ hold for every program the format accepts.  Evaluation and forward-mode
 differentiation walk the node list once; programs stay small even when their
 expanded polynomial form would be enormous.
 
-A program's JSON document and its text are built at most once per SlpMap,
-on first use.  Every certificate, report and instance document that embeds
-the program shares that one document object, so it is read-only.
+A program's JSON document is built at most once per SlpMap, on first use.
+Every certificate, report and instance document that embeds the program
+shares that one document object, so it is read-only.
 `write_json` encodes a dict object that a document holds more than once a
 single time and splices its text in at each occurrence.
 
@@ -90,12 +90,12 @@ def _holds_documents(value):
         for v in entry.values())
 
 
-def _repeated(doc):
+def _repeated(items):
     """The ids of the dict objects that write_json meets more than once in
-    doc."""
+    the (key, value, split) items of a document."""
     seen, repeated = set(), set()
-    todo = [entry for value in doc.values()
-            for entry in (value if _holds_documents(value) else (value,))]
+    todo = [entry for _, value, split in items
+            for entry in (value if split else (value,))]
     while todo:
         value = todo.pop()
         if type(value) is dict:
@@ -121,7 +121,9 @@ def write_json(path, doc):
     spliced in at each occurrence.  A document with no such object is
     written one top-level value or entry per encoder call.  Document keys
     are strings."""
-    repeated = _repeated(doc)
+    # split: whether the writer meets the value's entries one at a time
+    items = [(key, doc[key], _holds_documents(doc[key])) for key in sorted(doc)]
+    repeated = _repeated(items)
     texts = {}
 
     def text(value):
@@ -137,10 +139,9 @@ def write_json(path, doc):
 
     with open(path, "w") as fh:
         fh.write("{")
-        for i, key in enumerate(sorted(doc)):
+        for i, (key, value, split) in enumerate(items):
             fh.write("%s%s: " % (", " if i else "", _encode(key)))
-            value = doc[key]
-            if _holds_documents(value):
+            if split:
                 fh.write("[")
                 for j, entry in enumerate(value):
                     fh.write(", " + text(entry) if j else text(entry))
@@ -158,11 +159,9 @@ class ArityMismatch(ValueError):
     pass
 
 
-def _validate(in_arity, out_arity, nodes, outputs, chart):
-    if in_arity < 0 or out_arity <= 0:
+def _validate(in_arity, nodes, outputs, chart):
+    if in_arity < 0 or not outputs:
         raise MalformedInput("arities must be positive")
-    if len(outputs) != out_arity:
-        raise MalformedInput("output count disagrees with arity")
     for idx, node in enumerate(nodes):
         op = node[0]
         if op == "input":
@@ -181,7 +180,7 @@ def _validate(in_arity, out_arity, nodes, outputs, chart):
     for o in outputs:
         if not (0 <= o < len(nodes)):
             raise MalformedInput("output index %d out of range" % o)
-    if chart is not None and not (0 <= chart < out_arity):
+    if chart is not None and not (0 <= chart < len(outputs)):
         raise MalformedInput("chart coordinate out of range")
     if all(nodes[o] == ("const", Fraction(0)) for o in outputs):
         raise MalformedInput("all outputs are literally zero")
@@ -205,14 +204,13 @@ def _degree_bounds(nodes):
 class SlpMap:
     """Immutable polynomial map given by a straight-line program."""
 
-    def __init__(self, in_arity, out_arity, nodes, outputs, chart=None, provenance=None):
-        _validate(in_arity, out_arity, nodes, outputs, chart)
+    def __init__(self, in_arity, nodes, outputs, chart=None):
+        _validate(in_arity, nodes, outputs, chart)
         self.in_arity = in_arity
-        self.out_arity = out_arity
+        self.out_arity = len(outputs)
         self.nodes = tuple(tuple(n) for n in nodes)
         self.outputs = tuple(outputs)
         self.chart = chart
-        self.provenance = dict(provenance or {})
         node_deg = _degree_bounds(self.nodes)
         self.degree_bounds = tuple(node_deg[o] for o in self.outputs)
         self._const_lcm = lcm(*(n[1].denominator for n in self.nodes
@@ -226,12 +224,11 @@ class SlpMap:
     def __len__(self):
         return len(self.nodes)
 
-    def slice(self, outputs, chart=None, provenance=None):
+    def slice(self, outputs, chart=None):
         """The map with this map's nodes and the given output nodes.  The
         two share the values eval finds at rational points, so a point at
         which either was evaluated is not swept again for the other."""
-        m = SlpMap(self.in_arity, len(outputs), self.nodes, outputs,
-                   chart=chart, provenance=provenance)
+        m = SlpMap(self.in_arity, self.nodes, outputs, chart=chart)
         m._values = self._values
         return m
 
@@ -400,7 +397,6 @@ class SlpMap:
             "nodes": nodes,
             "outputs": list(self.outputs),
             "degree_bounds": list(self.degree_bounds),
-            "provenance": self.provenance,
         }
         if self.chart is not None:
             doc["chart"] = self.chart
@@ -424,13 +420,12 @@ class SlpMap:
             except ValueError as exc:  # a MalformedInput or a bad constant
                 raise MalformedInput("node %d: %s" % (idx, exc))
             nodes.append((op, *args))
-        m = cls(read(doc, "in_arity", int), read(doc, "out_arity", int), nodes,
-                read_list(doc, "outputs", int), chart=read(doc, "chart", int, None),
-                provenance=read(doc, "provenance", dict, None))
-        # declared bounds are advisory; recomputed ones win, disagreement is
-        # a sign of a tampered file
-        declared = read_list(doc, "degree_bounds", int, None)
-        if declared is not None and declared != list(m.degree_bounds):
+        outputs = read_list(doc, "outputs", int)
+        if read(doc, "out_arity", int) != len(outputs):
+            raise MalformedInput("output count disagrees with arity")
+        m = cls(read(doc, "in_arity", int), nodes, outputs,
+                chart=read(doc, "chart", int, None))
+        if read_list(doc, "degree_bounds", int) != list(m.degree_bounds):
             raise MalformedInput("degree bounds do not match the node list")
         return m
 
@@ -448,7 +443,7 @@ def same_program(doc, known):
     ints = [doc[key] for key in ("version", "in_arity", "out_arity", "chart")
             if key in doc]
     lists = [node["args"] for node in doc["nodes"]]
-    lists += [doc["outputs"], doc.get("degree_bounds", ())]
+    lists += [doc["outputs"], doc["degree_bounds"]]
     return set(map(type, chain(ints, *lists))) <= {int}
 
 
@@ -528,7 +523,6 @@ class SlpBuilder:
     def _emit(self, op, a, b):
         return self._raw((op, a.index, b.index))
 
-    def finish(self, outputs, chart=None, provenance=None):
-        return SlpMap(self.n_inputs, len(outputs), list(self.nodes),
-                      [o.index for o in outputs], chart=chart,
-                      provenance=provenance)
+    def finish(self, outputs, chart=None):
+        return SlpMap(self.n_inputs, list(self.nodes),
+                      [o.index for o in outputs], chart=chart)

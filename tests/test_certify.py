@@ -102,7 +102,6 @@ def test_on_variety_corrupted_constant_fails():
         if node["op"] == "const" and node["value"] != "0":
             node["value"] = "31337"
             break
-    doc.pop("degree_bounds", None)  # recomputed on load
     bad = SlpMap.from_json(doc)
     with pytest.raises(IdentityFails):
         check_on_variety(bad, Y.F, seed=0)

@@ -231,6 +231,21 @@ def test_replay_accepts_then_rejects_after_tampering(p5_run, workdir, capsys):
     assert "replay rejected" in capsys.readouterr().out
 
 
+def test_replay_refuses_a_program_with_a_key_the_writer_never_writes(
+        p5_run, workdir, capsys):
+    # the sweep's on-variety certificate embeds `provenance`, as programs
+    # of the earlier format did: replay compares the stored program as a
+    # value with the one it rebuilds from it
+    doc = json.loads(p5_run[1].read_text())
+    doc["certificates"][0]["phi"]["provenance"] = {}
+    bad = workdir / "provenance.report.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["replay", "--report", str(bad)]) == 4
+    assert ("replay rejected: the stored phi is not the rebuilt one"
+            in capsys.readouterr().out)
+
+
 def test_reports_and_programs_are_compact_json_with_sorted_keys(p5_run, workdir):
     # the bytes are those of the C encoder's one-shot dumps, but writing
     # entry by entry keeps the encoded text of the whole report out of memory
@@ -250,8 +265,8 @@ def test_reports_and_programs_are_compact_json_with_sorted_keys(p5_run, workdir)
 
 # sha256 of the reverse_p5 seed-0 report with its timings emptied, and of
 # its program file
-P5_REPORT_SHA256 = "2b5708e6b29fd680c814c85bc5743c23a9cdbbf01ffeb71cf4ee3a9ebe711e66"
-P5_PROGRAM_SHA256 = "0fa15dd8d27e0c7b8de3228f1bb6701eefddafa4b25ba36d344589436cd1dd29"
+P5_REPORT_SHA256 = "04fa5dc2b03e40af4314838e15e16bf55fa07d0313f78dca17e11765b22a1d60"
+P5_PROGRAM_SHA256 = "7e44f1bb51c7c06f7f8076661c242c8e9f35d830c6c8ee999d186e40b115c8f5"
 
 
 def test_p5_report_and_program_bytes_are_pinned(p5_run):
@@ -540,7 +555,7 @@ def test_verify_and_replay_refuse_a_program_with_division(workdir, capsys):
              + [{"op": "const", "args": [], "value": "1"}]
              + [{"op": "div", "args": [i, 0]} for i in (4, 1, 2, 3)])
     prog = {"version": 1, "in_arity": 4, "out_arity": 6, "nodes": nodes,
-            "outputs": [5, 6, 7, 8, 4, 4], "chart": 4, "provenance": {}}
+            "outputs": [5, 6, 7, 8, 4, 4], "chart": 4}
     path = workdir / "div.slp.json"
     path.write_text(json.dumps(prog))
     capsys.readouterr()
@@ -944,6 +959,27 @@ def test_experiment_smoke(workdir, capsys):
     assert "predicted projective dimension: -1" in text
     doc = json.loads(rep.read_text())
     assert doc["experiment"]["matches"] == doc["experiment"]["completed"] == 2
+
+
+def test_main_builds_its_parser_once(workdir, monkeypatch):
+    # in-process calls of different commands, with usage errors between
+    # them, keep their exit codes and share one parser
+    builds = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    n8 = str(INSTANCES / "n8_cubes.json")
+    stored = str(REPO / "perfbench" / "data" / "n8_certify.json")
+    calls = [(["replay", "--report", stored], 0),
+             (["replay"], 64),
+             (["parametrize", "--instance", n8,
+               "--out", str(workdir / "once.slp.json")], 2),
+             (["certify", "--instance", n8, "--prime", "ten"], 64),
+             (["build-example", "--n", "8", "--out", str(workdir / "once.json")], 0),
+             (["no-such-command"], 64),
+             (["replay", "--report", stored], 0)]
+    assert [quiet(argv) for argv, _ in calls] == [code for _, code in calls]
+    assert builds == [1]
 
 
 def test_usage_errors(workdir, capsys):

@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 import unirat
-from unirat import pipeline
+from unirat import cli, pipeline
 from unirat.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,7 +128,9 @@ def commands(work):
     ]
 
 
-def test_every_function_runs_in_some_command(tmp_path):
+def test_every_function_runs_in_some_command(tmp_path, monkeypatch):
+    # as in a new process, the first command builds the parser
+    monkeypatch.setattr(cli, "_parser", None)
     called = set()
 
     def probe(frame, event, arg):

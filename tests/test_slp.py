@@ -29,8 +29,7 @@ INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 def conic_map():
     b = SlpBuilder(1)
     t = b.inputs[0]
-    return b.finish([b.const(1), t, t * t], chart=0,
-                    provenance={"stage": "conic"})
+    return b.finish([b.const(1), t, t * t], chart=0)
 
 
 def identity_map(n):
@@ -46,7 +45,7 @@ def stereographic_sphere(chart=4):
     q = v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3
     two_b = v3 + v3
     outs = [-(two_b * v0), -(two_b * v1), -(two_b * v2), q - two_b * v3, q]
-    return b.finish(outs, chart=chart, provenance={"stage": "stereographic"})
+    return b.finish(outs, chart=chart)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -219,8 +218,7 @@ def test_tampered_reverse_p5_program_is_disproved_at_the_oracle_point(reverse_p5
     nodes = [("const", Fraction(1, 3)) if n[0] == "const" and n[1].denominator == 2
              else n for n in program.nodes]
     assert nodes != list(program.nodes)
-    bad = SlpMap(program.in_arity, program.out_arity, nodes, program.outputs,
-                 chart=program.chart)
+    bad = SlpMap(program.in_arity, nodes, program.outputs, chart=program.chart)
     with pytest.raises(IdentityFails) as err:
         check_on_variety(bad, H.F, seed=0)
     # the first point that the seed draws, valued by the oracle
@@ -402,7 +400,7 @@ def test_cyclic_node_list_rejected():
 
 def test_self_reference_rejected():
     with pytest.raises(MalformedInput):
-        SlpMap(1, 1, [("input", 0), ("mul", 1, 1)], [1])
+        SlpMap(1, [("input", 0), ("mul", 1, 1)], [1])
 
 
 def test_tampered_degree_bounds_rejected():
@@ -420,12 +418,14 @@ def test_unknown_op_rejected():
         SlpMap.from_json(doc)
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize("path, value, message", [
     ((), ("nodes", 5), "nodes must be a list"),
     (("nodes", 0), ("args", 0), "node 0: args must be a list"),
     (("nodes", 0), ("args", None), "node 0: args must be a list"),
     (("nodes", 2), ("args", [[0], 0]), "node 2"),
-    ((), ("provenance", [1]), "provenance must be an object"),
     ((), ("degree_bounds", 3), "degree_bounds must be a list"),
     ((), ("degree_bounds", [[2], 2, 2]), "degree_bounds"),
     ((), ("chart", [0]), "chart"),
@@ -439,23 +439,30 @@ def test_unknown_op_rejected():
     ((), ("in_arity", True), "in_arity"),
     ((), ("out_arity", 3.0), "out_arity"),
     ((), ("degree_bounds", [0, 1, 2.0]), "degree_bounds"),
-], ids=["nodes", "args-int", "args-null", "arg-list", "provenance",
+    # every writer writes the bounds, so a program has one encoding
+    ((), ("degree_bounds", MISSING), "degree_bounds is missing"),
+    ((), ("out_arity", 2), "output count disagrees with arity"),
+], ids=["nodes", "args-int", "args-null", "arg-list",
         "bounds", "bound-list", "chart", "arg-float", "arg-string",
         "arg-bool", "output-string", "outputs-int", "chart-float",
-        "in-arity-bool", "out-arity-float", "bound-float"])
+        "in-arity-bool", "out-arity-float", "bound-float", "bounds-missing",
+        "out-arity-count"])
 def test_malformed_fields_rejected(path, value, message):
     doc = copy.deepcopy(conic_map().to_json())
     target = doc
     for key in path:
         target = target[key]
-    target[value[0]] = value[1]
+    if value[1] is MISSING:
+        del target[value[0]]
+    else:
+        target[value[0]] = value[1]
     with pytest.raises(MalformedInput, match=message):
         SlpMap.from_json(doc)
 
 
 def test_all_zero_outputs_rejected():
     with pytest.raises(MalformedInput):
-        SlpMap(1, 1, [("const", Fraction(0))], [0])
+        SlpMap(1, [("const", Fraction(0))], [0])
 
 
 # -- degree bound soundness -----------------------------------------------------
