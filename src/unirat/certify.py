@@ -28,8 +28,9 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
-from .exactcore import P, QQ, BadPrime, PrimeField, parse_rational, rank_mod_p
+from .exactcore import P, QQ, BadPrime, PrimeField, parse_rational, rank_mod_p, residue
 from .groebner import DegreeCeilingExceeded, buchberger, projective_dimension, projective_empty
 from .mpoly import MPoly, format_poly, monomials, parse_poly
 from .pipeline import QuarticInstance, flatten_params, solve_stage
@@ -110,8 +111,9 @@ def check_on_variety(phi, F, seed=0, points=None,
     bound D / (2M + 1) whose K-th power is below 2^-64.  Programs are
     polynomial, so F o Phi has degree at most D = deg F * max deg Phi.
     K is the smallest count that reaches 2^-64 (2 at D = 248, M = 2^40).
-    Each point is evaluated exactly in scaled integers (SlpMap.eval with
-    no lift), so a zero is a true zero.  Replay passes the stored
+    Each point is evaluated exactly on ints: F * den on the scaled
+    outputs of SlpMap.eval_scaled (see _value_on_image), so a zero is a
+    true zero.  Replay passes the stored
     `points` instead.  The certificate embeds phi.to_json(), the program's
     shared read-only document.  A count above MAX_POINTS, derived or stored, is
     refused with a ValueError, so replaying a document costs at most
@@ -147,16 +149,70 @@ def check_on_variety(phi, F, seed=0, points=None,
         raise ValueError("K = %d points at M = %d give less than %d bits"
                          % (points, coordinate_bound, CONFIDENCE_BITS))
     rng = random.Random(seed)
+    form = _integer_form(F)
     for _ in range(points):
         pt = [Fraction(rng.randint(-coordinate_bound, coordinate_bound))
               for _ in range(phi.in_arity)]
-        val = F.evaluate(phi.eval(pt))
+        val = _value_on_image(form, phi, pt)
         if val != 0:
             raise IdentityFails([str(c) for c in pt], val)
     doc.update(mode="randomized", points=points, seed=seed,
                coordinate_bound=str(coordinate_bound),
                per_point_bound=str(bound))
     return doc
+
+
+def _integer_form(F):
+    """F * den with int coefficients, den being the lcm of the denominators
+    of F's coefficients, as (den, deg F, Horner tree).  The tree of the
+    terms at variable i lists (k, subtree of the terms with x_i^k) by
+    decreasing k; past the last variable a term is (its int coefficient,
+    deg F - its degree)."""
+    den = lcm(*(c.denominator for c in F.terms.values()))
+    D = F.total_degree()
+
+    def tree(terms, i):
+        if i == F.nvars:
+            ((exp, c),) = terms
+            return int(c * den), D - sum(exp)
+        groups = {}
+        for exp, c in terms:
+            groups.setdefault(exp[i], []).append((exp, c))
+        return [(k, tree(groups[k], i + 1)) for k in sorted(groups, reverse=True)]
+
+    return den, D, tree(list(F.terms.items()), 0)
+
+
+def _horner(tree, i, M, Le):
+    """The numerator of a _integer_form tree at x = M / L^e (see
+    _value_on_image), by Horner's rule in x_i, x_i+1, ..."""
+    if i == len(M):
+        a, gap = tree
+        return a * Le ** gap if gap else a
+    acc = last = 0
+    for k, sub in tree:
+        if acc:
+            acc *= M[i] ** (last - k)
+        acc += _horner(sub, i + 1, M, Le)
+        last = k
+    return acc * M[i] ** last if last else acc
+
+
+def _value_on_image(form, phi, pt):
+    """F(phi(pt)) for the _integer_form of F, evaluated on ints.
+
+    phi.eval_scaled gives each output as N_i / L^e_i.  With e the largest
+    e_i the outputs are M_i / L^e for M_i = N_i * L^(e - e_i), so a term
+    a * x^m of F * den of degree deg F - g is a * M^m * L^(e*g) / L^(e*deg F).
+    The sum `total` of the numerators is exact integer arithmetic, and the
+    value is total / (den * L^(e * deg F)): 0 exactly when total is 0."""
+    den, D, tree = form
+    L, outs = phi.eval_scaled(pt)
+    e = max(ei for _, ei in outs)
+    M = [N * L ** (e - ei) if ei < e else N for N, ei in outs]
+    Le = L ** e
+    total = _horner(tree, 0, M, Le)
+    return Fraction(total, den * Le ** D) if total else 0
 
 
 def _nonzero_witness(poly):
@@ -181,10 +237,11 @@ def check_dominant(phi, target_dim, seed=0):
     bound, whatever the prime.  Rank is lower-semicontinuous, so full rank
     at one rational point gives full rank on a dense open set: the image
     has the dimension of the target variety and the map is dominant onto a
-    component through the witness.  A witness where the chart coordinate
-    vanishes mod p is skipped.  The disproof `rank > target` is one-sided:
-    rank_p > target proves it, but rank_p <= rank_QQ, so a QQ rank above
-    the target can go unseen mod p.
+    component through the witness.  A program with no chart is ranked in
+    the chart of its first output that is nonzero mod p at the witness.  A
+    witness where the chart coordinate vanishes mod p is skipped.  The
+    disproof `rank > target` is one-sided: rank_p > target proves it, but
+    rank_p <= rank_QQ, so a QQ rank above the target can go unseen mod p.
     """
     rng = random.Random(seed)
     best = -1
@@ -202,10 +259,19 @@ def check_dominant(phi, target_dim, seed=0):
 
 
 def _dominance_at(phi, pt, target_dim, p):
-    """The dominance document for the Jacobian rank mod p of phi at one
-    point; it embeds phi.to_json(), the program's shared read-only
-    document."""
-    r = rank_mod_p(phi.jacobian(pt, p), p)
+    """The dominance document for the Jacobian rank mod p of phi's chart
+    map at one point; it embeds phi.to_json(), the program's shared
+    read-only document.  A program with no chart is ranked in the chart of
+    its first output that is nonzero mod p at the point: the raw Jacobian
+    of homogeneous outputs ranks the affine cone over the image, one
+    dimension too many.  ChartVanishes when every output vanishes mod p."""
+    charted = phi
+    if phi.chart is None:
+        c = next((c for c, v in enumerate(phi.eval(pt)) if residue(v, p)), None)
+        if c is None:
+            raise ChartVanishes("every output vanishes at the point mod %d" % p)
+        charted = phi.slice(phi.outputs, chart=c)
+    r = rank_mod_p(charted.jacobian(pt, p), p)
     if r > target_dim:
         raise ValueError("rank %d exceeds the target dimension %d: the "
                          "image cannot lie in the claimed variety" % (r, target_dim))

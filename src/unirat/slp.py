@@ -2,9 +2,11 @@
 
 A map is a list of nodes (inputs, rational constants, add, sub and mul) plus
 a set of output node indices.  With no division the tracked degree bounds
-hold for every program the format accepts.  Evaluation and forward-mode
-differentiation walk the node list once; programs stay small even when their
-expanded polynomial form would be enormous.
+hold for every program the format accepts, and no node's bound may exceed
+MAX_NODE_DEGREE.  Evaluation and forward-mode differentiation walk the node
+list once; programs stay small even when their expanded polynomial form
+would be enormous.  SlpBuilder.finish keeps only the nodes that reach an
+output.
 
 A program's JSON document is built at most once per SlpMap, on first use.
 Every certificate, report and instance document that embeds the program
@@ -32,6 +34,15 @@ from .exactcore import format_rational, parse_rational, residue
 
 # how many args the node of each op lists in a program file
 _OPERANDS = {"input": 1, "const": 0, "add": 2, "sub": 2, "mul": 2}
+_BINARY = {op for op, count in _OPERANDS.items() if count == 2}
+
+
+# the largest degree bound a program node may have.  The programs the
+# commands write peak at node degree 56-66; the cap keeps the values that
+# the sweeps of an untrusted program compute, whose sizes grow with the
+# degree, small.  Nodes that reach no output count too, since the sweeps
+# evaluate every node.
+MAX_NODE_DEGREE = 1024
 
 
 class MalformedInput(ValueError):
@@ -159,64 +170,64 @@ class ArityMismatch(ValueError):
     pass
 
 
-def _validate(in_arity, nodes, outputs, chart):
-    if in_arity < 0 or not outputs:
-        raise MalformedInput("arities must be positive")
-    for idx, node in enumerate(nodes):
-        op = node[0]
-        if op == "input":
-            if not (0 <= node[1] < in_arity):
-                raise MalformedInput("input index out of range at node %d" % idx)
-        elif op == "const":
-            if not isinstance(node[1], Fraction):
-                raise MalformedInput("constant is not rational at node %d" % idx)
-        elif _OPERANDS.get(op) == 2:
-            a, b = node[1], node[2]
-            # acyclicity: operands always refer to strictly earlier nodes
-            if not (0 <= a < idx and 0 <= b < idx):
-                raise MalformedInput("forward or self reference at node %d" % idx)
-        else:
-            raise MalformedInput("unknown op %r at node %d" % (op, idx))
-    for o in outputs:
-        if not (0 <= o < len(nodes)):
-            raise MalformedInput("output index %d out of range" % o)
-    if chart is not None and not (0 <= chart < len(outputs)):
-        raise MalformedInput("chart coordinate out of range")
-    if all(nodes[o] == ("const", Fraction(0)) for o in outputs):
-        raise MalformedInput("all outputs are literally zero")
-
-
-def _degree_bounds(nodes):
-    deg = []
-    for node in nodes:
-        op = node[0]
-        if op == "input":
-            deg.append(1)
-        elif op == "const":
-            deg.append(0)
-        elif op in ("add", "sub"):
-            deg.append(max(deg[node[1]], deg[node[2]]))
-        else:  # mul: the degrees add; without division the bound is sound
-            deg.append(deg[node[1]] + deg[node[2]])
-    return deg
-
-
 class SlpMap:
     """Immutable polynomial map given by a straight-line program."""
 
     def __init__(self, in_arity, nodes, outputs, chart=None):
-        _validate(in_arity, nodes, outputs, chart)
+        """`nodes` is a sequence of tuples (op, *operands).  One pass over
+        it checks every input index and operand range, computes each node's
+        degree bound and refuses a node above MAX_NODE_DEGREE, so a sweep
+        never meets values of unbounded size, and takes the lcm of the
+        constants' denominators."""
+        if in_arity < 0 or not outputs:
+            raise MalformedInput("arities must be positive")
+        deg = []  # the degree bound of each node
+        const_lcm = 1
+        for idx, node in enumerate(nodes):
+            op = node[0]
+            if op == "mul" or op == "add" or op == "sub":
+                a, b = node[1], node[2]
+                # acyclicity: operands always refer to strictly earlier nodes
+                if not (0 <= a < idx and 0 <= b < idx):
+                    raise MalformedInput("forward or self reference at node %d" % idx)
+                if op != "mul":
+                    deg.append(max(deg[a], deg[b]))
+                    continue
+                # the degrees add; without division the bound is sound
+                d = deg[a] + deg[b]
+                if d > MAX_NODE_DEGREE:
+                    raise MalformedInput("node %d has degree %d, above the cap of %d"
+                                         % (idx, d, MAX_NODE_DEGREE))
+                deg.append(d)
+            elif op == "input":
+                if not (0 <= node[1] < in_arity):
+                    raise MalformedInput("input index out of range at node %d" % idx)
+                deg.append(1)
+            elif op == "const":
+                if not isinstance(node[1], Fraction):
+                    raise MalformedInput("constant is not rational at node %d" % idx)
+                if node[1].denominator != 1:
+                    const_lcm = lcm(const_lcm, node[1].denominator)
+                deg.append(0)
+            else:
+                raise MalformedInput("unknown op %r at node %d" % (op, idx))
+        for o in outputs:
+            if not (0 <= o < len(nodes)):
+                raise MalformedInput("output index %d out of range" % o)
+        if chart is not None and not (0 <= chart < len(outputs)):
+            raise MalformedInput("chart coordinate out of range")
+        if all(nodes[o] == ("const", Fraction(0)) for o in outputs):
+            raise MalformedInput("all outputs are literally zero")
         self.in_arity = in_arity
         self.out_arity = len(outputs)
-        self.nodes = tuple(tuple(n) for n in nodes)
+        self.nodes = tuple(nodes)
         self.outputs = tuple(outputs)
         self.chart = chart
-        node_deg = _degree_bounds(self.nodes)
-        self.degree_bounds = tuple(node_deg[o] for o in self.outputs)
-        self._const_lcm = lcm(*(n[1].denominator for n in self.nodes
-                                if n[0] == "const"))
-        # rational point -> {output node: value}, shared with the output
-        # slices of this map (see slice and eval)
+        self.degree_bounds = tuple(deg[o] for o in self.outputs)
+        self._const_lcm = const_lcm
+        # rational point -> (L, {output node: (N, e)}), the scaled values
+        # N / L^e of the outputs swept there; shared with the output slices
+        # of this map (see slice and eval_scaled)
         self._values = {}
         # the document, built on first use (to_json)
         self._doc = None
@@ -293,34 +304,49 @@ class SlpMap:
         """The outputs at `point`.
 
         Without `lift` the point is rational: its entries must be ints or
-        Fractions, and anything else raises TypeError.  The sweep runs over
-        plain ints: L is the lcm of the denominators of the constants and
-        of the coordinates, and each node holds an int N standing for
-        N / L^e.  An input or constant has e = 0 when it is an integer and
-        e = 1 otherwise, add and sub scale the side with the smaller e by a
-        power of L, and mul adds the e's.  No step rounds or divides, so
-        each output Fraction(N, L^e) is exactly the output's value.  The
-        values at each rational point are kept, for this map and the maps
-        sliced from it or from which it was sliced (see slice), so the
-        certificates that draw the same points sweep them once.
+        Fractions, and anything else raises TypeError.  The outputs are the
+        Fractions N / L^e of eval_scaled, each exactly the output's value.
 
         With `lift` the entries live in any ring with + - * (polynomials,
         builder nodes, sympy expressions) and `lift` carries each rational
         constant into that ring.
         """
-        self._check_arity(point)
         if lift is not None:
+            self._check_arity(point)
             vals = self._sweep(point, lift)
             return [vals[o] for o in self.outputs]
+        L, outs = self.eval_scaled(point)
+        return [Fraction(N, L ** e) for N, e in outs]
+
+    def eval_scaled(self, point):
+        """The outputs at a rational point as L and one pair (N, e) per
+        output, the output being N / L^e.
+
+        The entries of the point must be ints or Fractions, and anything
+        else raises TypeError.  The sweep runs over plain ints: L is the
+        lcm of the denominators of the constants and of the coordinates,
+        and each node holds an int N standing for N / L^e.  An input or
+        constant has e = 0 when it is an integer and e = 1 otherwise, add
+        and sub scale the side with the smaller e by a power of L, and mul
+        adds the e's.  No step rounds or divides, so each pair is exact.
+        The pairs found at each rational point are kept, for this map and
+        the maps sliced from it or from which it was sliced (see slice),
+        so the certificates that draw the same points sweep them once.
+        """
+        self._check_arity(point)
         for x in point:
             if type(x) is not int and type(x) is not Fraction:
                 raise TypeError("a rational point takes ints and Fractions, not %s"
                                 % type(x).__name__)
-        known = self._values.setdefault(tuple(point), {})
-        if not all(o in known for o in self.outputs):
+        key = tuple(point)
+        entry = self._values.get(key)
+        if entry is None or not all(o in entry[1] for o in self.outputs):
             nums, exps, L = self._scaled_sweep(point)
-            known.update((o, Fraction(nums[o], L ** exps[o])) for o in self.outputs)
-        return [known[o] for o in self.outputs]
+            if entry is None:
+                entry = self._values[key] = (L, {})
+            entry[1].update((o, (nums[o], exps[o])) for o in self.outputs)
+        L, known = entry
+        return L, [known[o] for o in self.outputs]
 
     def jacobian(self, point, p):
         """Jacobian of the affine-chart outputs at a rational point, as rows
@@ -405,14 +431,23 @@ class SlpMap:
 
     @classmethod
     def from_json(cls, doc):
+        """The program of a document.  One pass over the nodes checks each
+        node's JSON types, its operand count and its constant; the
+        constructor's pass checks the ranges and the degrees."""
         if read(doc, "version", int) != 1:
             raise MalformedInput("unsupported program version")
         nodes = []
         for idx, entry in enumerate(read(doc, "nodes", list)):
             try:
-                op = read(entry, "op", str)
+                op, args = read(entry, "op", str), read(entry, "args", list)
+                if len(args) == 2 and op in _BINARY:
+                    a, b = args
+                    if type(a) is int and type(b) is int:
+                        nodes.append((op, a, b))
+                        continue
+                # the other ops, or an operand that is not an int
                 args = read_list(entry, "args", int)
-                # an unknown op is left to _validate
+                # an unknown op is left to the constructor
                 if len(args) != _OPERANDS.get(op, len(args)):
                     raise MalformedInput("%s takes %d operands" % (op, _OPERANDS[op]))
                 if op == "const":
@@ -524,5 +559,23 @@ class SlpBuilder:
         return self._raw((op, a.index, b.index))
 
     def finish(self, outputs, chart=None):
-        return SlpMap(self.n_inputs, list(self.nodes),
-                      [o.index for o in outputs], chart=chart)
+        """The map onto the given output nodes.  It keeps the inputs and
+        the nodes that some output reaches, in their order, with the
+        operands renumbered: a node that reaches no output is never stored,
+        swept or differentiated."""
+        outs = [o.index for o in outputs]
+        live = [i < self.n_inputs for i in range(len(self.nodes))]
+        for o in outs:
+            live[o] = True
+        for idx in range(len(self.nodes) - 1, self.n_inputs - 1, -1):
+            node = self.nodes[idx]
+            if live[idx] and len(node) == 3:
+                live[node[1]] = live[node[2]] = True
+        # new[idx] is the index of the kept node idx
+        new, nodes = [], []
+        for node, keep in zip(self.nodes, live):
+            new.append(len(nodes))
+            if keep:
+                nodes.append(node if len(node) == 2 else
+                             (node[0], new[node[1]], new[node[2]]))
+        return SlpMap(self.n_inputs, nodes, [new[o] for o in outs], chart=chart)

@@ -9,7 +9,7 @@ reader let a malformed value through to code that crashed on it.
 
 runs every mutation class on every value of the six documents, except
 that a list longer than four entries is entered only at its first two,
-middle and last entries (a program's 853 nodes share four shapes), and
+middle and last entries (a program's 785 nodes share four shapes), and
 prints how many mutants each document answers with each exit code, the
 crashes, and the mutants answered like the genuine document.  pytest does
 not collect this file; `test_documents.py` draws from the same mutants.

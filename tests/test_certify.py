@@ -1,7 +1,9 @@
 import copy
 import hashlib
 import json
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,11 +31,14 @@ from unirat.pipeline import (
     QuarticInstance,
     build_real_example,
     circle_conic,
+    load_instance,
     parametrize_Y4,
     run_pass,
     sphere_form,
 )
 from unirat.slp import SlpBuilder, SlpMap
+
+INSTANCES = Path(__file__).resolve().parent.parent / "instances"
 
 
 def sphere_slp():
@@ -115,6 +120,61 @@ def test_on_variety_symbolic_disproof_carries_a_point():
     assert err.value.value != 0
 
 
+@pytest.fixture(scope="module")
+def reverse_p5_runs():
+    H = load_instance(INSTANCES / "reverse_p5.json")
+    return H, {seed: run_pass(H, seed=seed) for seed in (0, 1, 2)}
+
+
+def x(i, n=6):
+    return MPoly.variable(i, n, QQ)
+
+
+def const(c, n=6):
+    return MPoly.const(n, Fraction(c), QQ)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_values_on_integers_agree_with_fractions(reverse_p5_runs, seed):
+    # the oracle is the Fraction evaluation F.evaluate(phi.eval(pt)): at the
+    # points check_on_variety draws and at points with denominators, for
+    # the three on-variety checks of parametrize (q and c of the sweep, F of
+    # the final program), a non-homogeneous F and a tampered F
+    H, runs = reverse_p5_runs
+    run = runs[seed]
+    F = H.F
+    bump = F + x(0) ** 3 * x(5) * const(Fraction(1, 7))
+    checks = [(run.phi, run.ci.q), (run.phi, run.ci.c), (run.program, F),
+              (run.program, F * (x(0) + const(1))), (run.program, bump),
+              (run.program, bump - const(Fraction(2, 3)) * x(1) ** 2 + const(5))]
+    for phi, G in checks:
+        form = certify._integer_form(G)
+        rng = random.Random(seed)
+        points = [[Fraction(rng.randint(-2 ** 40, 2 ** 40)) for _ in range(4)]
+                  for _ in range(2)]
+        points += [[Fraction(rng.randint(-99, 99), rng.randint(1, 12))
+                    for _ in range(4)] for _ in range(2)]
+        for pt in points:
+            assert certify._value_on_image(form, phi, pt) == G.evaluate(phi.eval(pt))
+    check_on_variety(run.program, F * (x(0) + const(1)), seed=seed)
+
+
+def test_a_tampered_quartic_fails_with_the_fraction_value(reverse_p5_runs):
+    H, runs = reverse_p5_runs
+    program = runs[0].program
+    bad = H.F + x(0) ** 4 * const(Fraction(1, 3))
+    with pytest.raises(IdentityFails) as err:
+        check_on_variety(program, bad, seed=0)
+    # the first point check_on_variety draws
+    rng = random.Random(0)
+    pt = [Fraction(rng.randint(-2 ** 40, 2 ** 40)) for _ in range(4)]
+    want = bad.evaluate(program.eval(pt))
+    assert want != 0
+    assert err.value.point == [str(c) for c in pt]
+    assert type(err.value.value) is Fraction and err.value.value == want
+    assert str(err.value) == "the identity fails at %r" % ([str(c) for c in pt],)
+
+
 # -- dominance -----------------------------------------------------------------
 
 
@@ -151,6 +211,28 @@ def test_dominance_replay_names_a_vanishing_chart():
     b = SlpBuilder(1)
     x = b.inputs[0]
     doc = check_dominant(b.finish([x, x * x + 1], chart=0), 1)
+    assert replay_certificate(doc) == "dominance"
+    doc["witness"] = ["0"]
+    with pytest.raises(ReplayRejected, match="chart coordinate vanishes"):
+        replay_certificate(doc)
+
+
+def test_dominance_without_a_chart_ranks_the_first_nonzero_chart():
+    # the sphere's stereographic map with no chart: its raw Jacobian ranks
+    # the affine cone over the threefold, 4; the chart map ranks it, 3
+    _, sph = sphere_slp()
+    cone = sph.slice(sph.outputs)
+    assert cone.chart is None
+    cert = check_dominant(cone, 3, seed=0)
+    assert cert["rank"] == 3 and cert["chart"] is None
+    assert replay_certificate(roundtrip(cert)) == "dominance"
+    with pytest.raises(RankDeficient) as err:
+        check_dominant(cone, 4, seed=0)
+    assert err.value.rank == 3
+    # a witness at which every output vanishes mod p has no chart
+    b = SlpBuilder(1)
+    t = b.inputs[0]
+    doc = check_dominant(b.finish([t, t * t]), 1)
     assert replay_certificate(doc) == "dominance"
     doc["witness"] = ["0"]
     with pytest.raises(ReplayRejected, match="chart coordinate vanishes"):

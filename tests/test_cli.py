@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 from fractions import Fraction
@@ -159,13 +160,13 @@ def test_parametrize_writes_program_and_report(p5_run):
     slp_path, rep_path = p5_run
     slp = SlpMap.from_json(json.loads(slp_path.read_text()))
     assert (slp.in_arity, slp.out_arity) == (4, 6)
-    assert len(slp.nodes) == 853
+    assert len(slp.nodes) == 785
     doc = json.loads(rep_path.read_text())
     assert doc["outcome"] == "Success"
     kinds = [c["kind"] for c in doc["certificates"]]
     assert kinds == ["on-variety", "on-variety", "dominance",
                      "on-variety", "dominance"]
-    assert doc["slp"] == {"in_arity": 4, "out_arity": 6, "nodes": 853,
+    assert doc["slp"] == {"in_arity": 4, "out_arity": 6, "nodes": 785,
                           "chart": 0}
 
 
@@ -265,8 +266,8 @@ def test_reports_and_programs_are_compact_json_with_sorted_keys(p5_run, workdir)
 
 # sha256 of the reverse_p5 seed-0 report with its timings emptied, and of
 # its program file
-P5_REPORT_SHA256 = "04fa5dc2b03e40af4314838e15e16bf55fa07d0313f78dca17e11765b22a1d60"
-P5_PROGRAM_SHA256 = "7e44f1bb51c7c06f7f8076661c242c8e9f35d830c6c8ee999d186e40b115c8f5"
+P5_REPORT_SHA256 = "032e9071c5d74606a63f65bd7e2987ddb21c7fdfd414b9f3061fee21f4fc29f2"
+P5_PROGRAM_SHA256 = "3a9442c1eeb89e95a413e095fb29b31bfa491b238605458fcb4dc4cd49e7f3ab"
 
 
 def test_p5_report_and_program_bytes_are_pinned(p5_run):
@@ -574,22 +575,89 @@ def test_verify_and_replay_refuse_a_program_with_division(workdir, capsys):
             in capsys.readouterr().out)
 
 
+def probe_program(k, live):
+    """ROADMAP's probes of check work, as a program document onto P^5:
+    inputs x0..x3 and a chain of k squarings, of x3 feeding the first
+    output (live) or of x0 + x1 feeding no output (dead), beside the
+    outputs x0, x1, x2, 1, 1 (live) or x0..x3, 1, 1 (dead).  Written by
+    hand: SlpBuilder.finish drops the dead chain, and a chain past
+    slp.MAX_NODE_DEGREE cannot be built."""
+    nodes = [{"op": "input", "args": [i]} for i in range(4)]
+    nodes.append({"op": "const", "args": [], "value": "1"})
+    if live:
+        base = 3
+    else:
+        nodes.append({"op": "add", "args": [0, 1]})
+        base = 5
+    for _ in range(k):
+        nodes.append({"op": "mul", "args": [base, base]})
+        base = len(nodes) - 1
+    outputs = [base, 0, 1, 2, 4, 4] if live else [0, 1, 2, 3, 4, 4]
+    bounds = [2 ** k, 1, 1, 1, 0, 0] if live else [1, 1, 1, 1, 0, 0]
+    return {"version": 1, "in_arity": 4, "out_arity": 6, "nodes": nodes,
+            "outputs": outputs, "degree_bounds": bounds, "chart": 4}
+
+
 def test_verify_refuses_a_program_whose_degree_no_point_count_covers(
         workdir, capsys, monkeypatch):
-    # t^(2^70): the per-point bound 4 * 2^70 / (2^41 + 1) exceeds 1, so
-    # no count of at most 20 points reaches 2^-64 and nothing is sampled
-    b = SlpBuilder(4)
-    t, u, v, w = b.inputs
-    for _ in range(70):
-        t = t * t
-    one = b.const(1)
+    # t^(2^70): the per-point bound 4 * 2^70 / (2^41 + 1) exceeds 1, so no
+    # count of points reaches 2^-64; the degree cap refuses the program as
+    # it is read, so nothing is sampled
     path = workdir / "squarings.slp.json"
-    b.finish([t, u, v, w, one, one], chart=4).save(path)
-    monkeypatch.setattr(SlpMap, "eval", lambda *args, **kw: pytest.fail("sampled"))
+    path.write_text(json.dumps(probe_program(70, live=True)))
+    monkeypatch.setattr(SlpMap, "eval_scaled", lambda *args, **kw: pytest.fail("sampled"))
     capsys.readouterr()
     assert main(["verify", "--slp", str(path),
                  "--instance", str(INSTANCES / "reverse_p5.json")]) == 64
-    assert "K = 20 points" in capsys.readouterr().err
+    assert "node 15 has degree 2048, above the cap of 1024" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("live", [True, False], ids=["live-chain", "dead-chain"])
+def test_the_degree_cap_answers_each_probe_within_a_second(
+        p5_run, workdir, capsys, live):
+    # k = 40 squarings: without the cap the sweeps would not end (the
+    # live chain took 56 s at k = 18, the dead one 41 s at k = 12)
+    program = probe_program(40, live)
+    path = workdir / ("probe-%s.slp.json" % live)
+    path.write_text(json.dumps(program))
+    doc = json.loads(p5_run[1].read_text())
+    cert = doc["certificates"][3]
+    assert cert["kind"] == "on-variety"
+    cert["phi"] = program
+    report = workdir / ("probe-%s.report.json" % live)
+    report.write_text(json.dumps(doc))
+    message = "node %d has degree 2048, above the cap of 1024" % (15 if live else 16)
+    capsys.readouterr()
+    start = time.perf_counter()
+    assert main(["verify", "--slp", str(path),
+                 "--instance", str(INSTANCES / "reverse_p5.json")]) == 64
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+    start = time.perf_counter()
+    assert main(["replay", "--report", str(report)]) == 4
+    assert time.perf_counter() - start < 1.0
+    assert ("replay rejected: malformed on-variety certificate: " + message
+            in capsys.readouterr().out)
+
+
+def test_verify_ranks_a_chartless_program_in_a_chart(p5_run, workdir, capsys):
+    # s * psi(a, b, c, 1) for the written program psi maps onto psi's
+    # threefold.  Written with no chart, its raw Jacobian ranks the affine
+    # cone over that threefold (4); dominance ranks the chart map (3)
+    psi = SlpMap.from_json(json.loads(p5_run[0].read_text()))
+    b = SlpBuilder(4)
+    s, x, y, z = b.inputs
+    outs = psi.eval([x, y, z, b.const(1)], lift=b.const)
+    cone = b.finish([s * o for o in outs])
+    assert cone.chart is None
+    path = workdir / "cone.slp.json"
+    cone.save(path)
+    capsys.readouterr()
+    assert main(["verify", "--slp", str(path),
+                 "--instance", str(INSTANCES / "reverse_p5.json")]) == 4
+    text = capsys.readouterr().out
+    assert "on-variety: pass" in text
+    assert "jacobian rank 3 stayed below the target 4" in text
 
 
 def test_replay_caps_the_stored_point_count(p5_run, workdir, capsys):

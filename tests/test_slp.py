@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -190,9 +191,9 @@ def test_eval_at_an_integer_point_builds_only_the_output_fractions(reverse_p5):
     rng = random.Random(1)
     point = [Fraction(rng.randint(-2 ** 40, 2 ** 40)) for _ in range(4)]
     # the hook sees Fraction arithmetic: a Fraction sweep builds one value
-    # per add, sub and mul node, 841 of them
+    # per add, sub and mul node, 774 of them
     arithmetic = sum(node[0] != "input" and node[0] != "const" for node in program.nodes)
-    assert arithmetic > 800
+    assert arithmetic > 770
     assert fraction_constructions(lambda: oracle_eval(program, point)) >= arithmetic
     assert (fraction_constructions(lambda: program.eval(point))
             <= program.out_arity + program.in_arity)
@@ -442,11 +443,32 @@ MISSING = object()
     # every writer writes the bounds, so a program has one encoding
     ((), ("degree_bounds", MISSING), "degree_bounds is missing"),
     ((), ("out_arity", 2), "output count disagrees with arity"),
+    # whole messages, as the node reader words them; nodes: input 0,
+    # const 1, mul 0 0
+    (("nodes", 2), ("args", [True, 0]),
+     "node 2: args[0] must be an integer, not a boolean"),
+    (("nodes", 2), ("args", [1.0, 0]), "node 2: args[0] must be an integer, not a float"),
+    (("nodes", 2), ("args", ["1", 0]), "node 2: args[0] must be an integer, not a string"),
+    (("nodes", 2), ("args", [0, True]),
+     "node 2: args[1] must be an integer, not a boolean"),
+    (("nodes", 1), ("args", [0]), "node 1: const takes 0 operands"),
+    (("nodes", 1), ("value", MISSING), "node 1: value is missing"),
+    (("nodes", 1), ("value", "1/0"), "node 1: zero denominator in '1/0'"),
+    (("nodes", 2), ("args", [0, 3]), "forward or self reference at node 2"),
+    (("nodes", 2), ("args", [2, 0]), "forward or self reference at node 2"),
+    (("nodes", 2), ("args", [-1, 0]), "forward or self reference at node 2"),
+    (("nodes", 2), ("args", [0, 0, 0]), "node 2: mul takes 2 operands"),
+    (("nodes", 2), ("op", "div"), "unknown op 'div' at node 2"),
+    (("nodes", 0), ("args", [1]), "input index out of range at node 0"),
+    (("nodes", 0), ("args", [-1]), "input index out of range at node 0"),
 ], ids=["nodes", "args-int", "args-null", "arg-list",
         "bounds", "bound-list", "chart", "arg-float", "arg-string",
         "arg-bool", "output-string", "outputs-int", "chart-float",
         "in-arity-bool", "out-arity-float", "bound-float", "bounds-missing",
-        "out-arity-count"])
+        "out-arity-count", "arg-true", "arg-one-float", "arg-one-string",
+        "second-arg-true", "const-operand", "value-missing",
+        "value-zero-denominator", "forward", "self", "negative",
+        "three-operands", "unknown-op", "input-range", "input-negative"])
 def test_malformed_fields_rejected(path, value, message):
     doc = copy.deepcopy(conic_map().to_json())
     target = doc
@@ -456,7 +478,7 @@ def test_malformed_fields_rejected(path, value, message):
         del target[value[0]]
     else:
         target[value[0]] = value[1]
-    with pytest.raises(MalformedInput, match=message):
+    with pytest.raises(MalformedInput, match=re.escape(message)):
         SlpMap.from_json(doc)
 
 
@@ -499,3 +521,55 @@ def test_builder_shares_repeated_subexpressions():
     m = b.finish([s * s])
     # inputs, one add, one mul
     assert len(m) == 4
+
+
+def test_finish_keeps_only_the_nodes_an_output_reaches():
+    b = SlpBuilder(3)
+    x, y, z = b.inputs
+    dead = (x + y) * (x + y)  # reaches no output
+    half = b.const(Fraction(1, 2))
+    live = x * half - y
+    dead * z
+    m = b.finish([live, live * live], chart=0)
+    # the inputs stay, z among them, and the operands are renumbered
+    assert m.nodes == (("input", 0), ("input", 1), ("input", 2),
+                       ("const", Fraction(1, 2)), ("mul", 0, 3), ("sub", 4, 1),
+                       ("mul", 5, 5))
+    assert m.outputs == (5, 6) and m.in_arity == 3
+    assert m.eval([Fraction(4), Fraction(1), Fraction(9)]) == [1, 1]
+    assert m.degree_bounds == (1, 2)
+
+
+def test_a_slice_keeps_the_nodes_of_its_parent():
+    # slices share the values swept at a point, so they share the nodes;
+    # here the cube reaches only the dropped output
+    b = SlpBuilder(1)
+    t = b.inputs[0]
+    m = b.finish([t, t * t, t * t * t])
+    part = m.slice(m.outputs[:2], chart=0)
+    assert part.nodes == m.nodes and len(part) == 3
+    assert part.eval([Fraction(3)]) == [3, 9]
+
+
+def squarings(k):
+    """The nodes of x0 and k squarings of it."""
+    return [("input", 0)] + [("mul", i, i) for i in range(k)]
+
+
+def test_node_degree_cap():
+    assert slp.MAX_NODE_DEGREE == 1024
+    # x0^1024 is the largest power the cap admits
+    m = SlpMap(1, squarings(10), [10])
+    assert m.degree_bounds == (1024,)
+    with pytest.raises(MalformedInput,
+                       match="^node 11 has degree 1025, above the cap of 1024$"):
+        SlpMap(1, squarings(10) + [("mul", 10, 0)], [11])
+    # a node that reaches no output counts: the sweeps evaluate it
+    with pytest.raises(MalformedInput, match="node 11 has degree 2048"):
+        SlpMap(1, squarings(40), [0])
+    # the builder drops such a node before the cap sees it
+    b = SlpBuilder(1)
+    t = b.inputs[0]
+    for _ in range(40):
+        t = t * t
+    assert len(b.finish([b.inputs[0]])) == 1
