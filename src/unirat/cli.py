@@ -8,7 +8,8 @@ codes are a stable scripting contract:
 
     0   success
     2   obstruction (the parametrization question has a negative answer)
-    3   inconclusive (no good prime certified smoothness)
+    3   inconclusive (no good prime certified smoothness, or the seeded
+        construction degenerated)
     4   a certificate failed to build or to replay
     64  usage errors, malformed inputs, bad primes
     1   unexpected internal error
@@ -40,6 +41,7 @@ from .certify import (
     singular_dimension_experiment,
 )
 from .exactcore import PrimeField
+from .geom import ConstructionFailed
 from .groebner import DegreeCeilingExceeded
 from .pipeline import (
     build_real_example,
@@ -193,7 +195,12 @@ def cmd_parametrize(args):
     timings = report["timings"]
     report_path = args.report or (args.out + ".report.json")
     t0 = time.perf_counter()
-    run = run_pass(inst, conic, seed=args.seed)
+    try:
+        run = run_pass(inst, conic, seed=args.seed)
+    except ConstructionFailed as err:
+        print("inconclusive: the construction at --seed %d failed: %s: %s"
+              % (args.seed, type(err).__name__, err), file=sys.stderr)
+        return EX_INCONCLUSIVE
     timings.update((k, round(v, 3)) for k, v in run.timings.items())
     if not run.solver.feasible:
         report["outcome"] = "Obstruction"

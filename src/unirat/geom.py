@@ -21,11 +21,15 @@ from .mpoly import gram_matrix
 from .slp import SlpBuilder
 
 
-class LineInsideCubic(ArithmeticError):
+class ConstructionFailed(ArithmeticError):
+    """A seeded draw of the construction met a degenerate configuration."""
+
+
+class LineInsideCubic(ConstructionFailed):
     """The whole tangent line lies on the cubic; no residual point."""
 
 
-class TangentsCoincide(ValueError):
+class TangentsCoincide(ConstructionFailed):
     """The two tangent hyperplanes agree, so their intersection degenerates."""
 
 

@@ -28,9 +28,18 @@ others are scanned for a minimal divisor.  The degree and x_v tests run on
 every element at once, with the leading terms side by side in one integer
 (`_Ring.quotients`); only the candidates that pass them are unpacked.
 
-Reductions look their reducer up in a per-run memo: the first basis index
-whose leading term divides a monomial never changes, because the basis
-only grows and redundant elements stay reducers.
+A reduction's reducer is the first basis element whose leading term
+divides the monomial.  Each run keeps a divisor index (`_DivisorIndex`,
+after the short exponent vectors of Bachmann and Schoenemann, "Monomial
+representations for Groebner bases computations", ISSAC 1998): for each
+variable v and exponent a, the bitset of the elements whose leading term
+has an x_v exponent above a.  A leading term divides m exactly when no
+exponent of it exceeds m's, so the elements dividing m are the complement
+of the union, over v, of the bitsets at m_v, and the first of them is the
+lowest set bit: one lookup per variable, with no loop over the basis.
+A memo keeps each monomial's reducer for the run, or ~n when none of the
+first n elements divides it; an index never changes once found, because
+the basis only grows and redundant elements stay reducers.
 
 A degree is closed by its Hilbert count (Traverso, "Hilbert functions and
 the Buchberger algorithm", J. Symb. Comp. 22, 1996).  For m <= n forms of
@@ -64,7 +73,11 @@ processed, closed or discarded by Gebauer-Moller, and the reduced basis
 of a complete run and the pure powers do not depend on the order.
 
 A run stops at the minimal leading terms, which is all the readers below
-use; `GroebnerBasis.polys` inter-reduces the tails on first read.
+use; `GroebnerBasis.polys` inter-reduces the tails on first read, through
+one index and one memo over the minimal basis.  Element i's own leading
+term need not be left out of its tail's reducers: the tail and every
+monomial its reduction meets have the degree of lt_i and lie below it, and
+lt_i divides no monomial of its degree other than itself.
 
 Soundness convention used by callers: an empty projective fiber modulo one
 good prime certifies emptiness over the rationals for the screened data
@@ -181,22 +194,51 @@ def _to_internal(p: MPoly, ring: _Ring):
     return {ring.pack(e): c.r for e, c in p.terms.items() if c.r}
 
 
-def _normal_form(terms, lts, tails, ring, p, memo):
+class _DivisorIndex:
+    """The monomials added so far, numbered in order, indexed for the
+    question which of them divide a monomial m.
+
+    Row v pairs the shift of x_v's chunk with `above`, where above[a] is
+    the bitset of the monomials whose x_v exponent exceeds a.  A monomial
+    divides m exactly when it lies in no row's above[m_v], so the
+    complement of their union within the added bits is the set of divisors
+    of m (module docstring).
+    """
+
+    def __init__(self, nvars):
+        self.rows = [(CHUNK * v, [0] * (_CHUNK_MAX + 1)) for v in range(nvars)]
+        self.all = 0  # the bits of every monomial added, the lowest ones
+
+    def add(self, m):
+        bit = self.all + 1
+        for shift, above in self.rows:
+            for a in range((m >> shift) & _CHUNK_MAX):
+                above[a] |= bit
+        self.all |= bit
+
+    def divisors(self, m):
+        """The bitset of the added monomials that divide m."""
+        blocked = 0
+        for shift, above in self.rows:
+            blocked |= above[(m >> shift) & _CHUNK_MAX]
+        return self.all ^ blocked
+
+
+def _normal_form(terms, lts, tails, index, p, memo):
     """Fully reduced normal form of the homogeneous `terms` against the
-    monic basis.
+    monic basis, whose leading terms `lts` the divisor `index` holds.
 
     Every term has one degree, and within one degree a smaller packed
     exponent is a larger grevlex monomial, so a min-heap of packed ints
     pops the largest monomial first.  The reducer of a monomial is the
     first basis element whose leading term divides it.  `memo` maps a
-    monomial to that index, or to ~n once lts[:n] were scanned without a
-    divisor; it stays valid for as long as `lts` is only appended to.
+    monomial to that index, or to ~n once no element of lts[:n] divides
+    it; it stays valid for as long as `lts` is only appended to.
     """
     acc = dict(terms)
     heap = list(acc)
     heapq.heapify(heap)
     out = {}
-    guard = ring.guard
     n = len(lts)
     while heap:
         e = heapq.heappop(heap)
@@ -205,14 +247,9 @@ def _normal_form(terms, lts, tails, ring, p, memo):
             continue
         reducer = memo.get(e, -1)
         if reducer < 0:
-            eg = e | guard
-            for idx in range(~reducer, n):
-                if (eg - lts[idx]) & guard == guard:
-                    reducer = idx
-                    break
-            else:
-                reducer = ~n
-            memo[e] = reducer
+            if ~reducer < n:  # elements came since the last look-up
+                found = index.divisors(e)  # the first is the lowest bit
+                reducer = memo[e] = (found & -found).bit_length() - 1 if found else ~n
             if reducer < 0:
                 out[e] = c
                 continue
@@ -234,27 +271,21 @@ def _normal_form(terms, lts, tails, ring, p, memo):
     return out
 
 
-def _defer(sig, source, seen, lts_by_index, later_by_index, guard):
+def _defer(sig, source, seen, lt_index, mult_index, of_index):
     """Whether a pair of signature `sig` = (k, m), taken from element
     `source`, waits behind the other pairs of its degree: its signature
     was already processed in this degree (`seen`), m is divisible by the
     leading term of an element of smaller index (F5), or by the multiplier
-    of a later element of index k (rewrite).  `lts_by_index[k]` lists the
-    leading terms of the elements of index k, `later_by_index[k]` their
-    (element, multiplier) pairs, both in insertion order."""
+    of a later element of index k (rewrite).  `lt_index` and `mult_index`
+    hold the elements' leading terms and signature multipliers, and
+    `of_index[k]` is the bitset of the elements of index k."""
     if sig in seen:
         return True
     k, m = sig
-    mg = m | guard
-    for lts in lts_by_index[:k]:
-        if any((mg - lt) & guard == guard for lt in lts):
-            return True
-    for e, me in reversed(later_by_index[k]):
-        if e <= source:
-            break
-        if (mg - me) & guard == guard:
-            return True
-    return False
+    below = lt_index.divisors(m)
+    if below and any(below & bits for bits in of_index[:k]):
+        return True
+    return (mult_index.divisors(m) & of_index[k]) >> (source + 1) != 0
 
 
 def _hilbert_counts(degrees, nvars, top):
@@ -300,10 +331,15 @@ class GroebnerBasis:
         if self._polys is None:
             ring, field, lts, tails = self._ring, self.field, self._lts, self._tails
             one = field.coerce(1)
+            # one index and one memo for every tail; lt needs no exclusion
+            # (module docstring)
+            index = _DivisorIndex(self.nvars)
+            for lt in lts:
+                index.add(lt)
+            memo = {}
             self._polys = []
-            for pos, (lt, tail) in enumerate(zip(lts, tails)):
-                nf = _normal_form(dict(tail), lts[:pos] + lts[pos + 1:],
-                                  tails[:pos] + tails[pos + 1:], ring, field.p, {})
+            for lt, tail in zip(lts, tails):
+                nf = _normal_form(dict(tail), lts, tails, index, field.p, memo)
                 pairs = [(ring.unpack(lt), one)] + [
                     (ring.unpack(e), field.coerce(c)) for e, c in sorted(nf.items())]
                 self._polys.append(MPoly.from_terms(self.nvars, pairs, field))
@@ -370,8 +406,9 @@ def buchberger(
     # others are redundant but stay as reducers
     live = []
     sigs = []  # (generator index, packed multiplier) of each element
-    lts_by_index = [[] for _ in raw]  # see `_defer`
-    later_by_index = [[] for _ in raw]
+    lt_index = _DivisorIndex(nvars)  # the leading terms
+    mult_index = _DivisorIndex(nvars)  # the signature multipliers
+    of_index = [0] * len(raw)  # the elements of each signature index
     memo = {}  # reducer memo shared by every normal form of this run
 
     pure_power_vars = {}
@@ -484,12 +521,13 @@ def buchberger(
         tails.append(tail)
         live.append(idx)
         sigs.append(sig)
-        lts_by_index[sig[0]].append(lt)
-        later_by_index[sig[0]].append((idx, sig[1]))
+        lt_index.add(lt)
+        mult_index.add(sig[1])
+        of_index[sig[0]] |= 1 << idx
         note_pure_power(lt)
 
     for k, terms in enumerate(raw):
-        nf = _normal_form(terms, lts, tails, ring, p, memo)
+        nf = _normal_form(terms, lts, tails, lt_index, p, memo)
         if nf:
             insert(nf, (k, 0))
 
@@ -540,8 +578,8 @@ def buchberger(
             sig, source = (kj, mj + qj), j
         if deg != seen_deg:
             seen, seen_deg = set(), deg  # signatures processed in `deg`
-        if not deferred and _defer(sig, source, seen, lts_by_index,
-                                   later_by_index, guard):
+        if not deferred and _defer(sig, source, seen, lt_index, mult_index,
+                                   of_index):
             pending[deg][(i, j)] = l
             heapq.heappush(heap, (deg, 1, key, i, j))
             continue
@@ -558,7 +596,7 @@ def buchberger(
                 terms[e2] = v
             else:
                 terms.pop(e2, None)
-        nf = _normal_form(terms, lts, tails, ring, p, memo)
+        nf = _normal_form(terms, lts, tails, lt_index, p, memo)
         if nf:
             insert(nf, sig)
             if closable:

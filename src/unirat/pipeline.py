@@ -48,6 +48,7 @@ from typing import Optional
 from .exactcore import (QQ, BadPrime, ExactMatrix, P, det_fraction_free, kernel_basis,
                         parse_rational, rank_mod_p, residue)
 from .geom import (
+    ConstructionFailed,
     LineInsideCubic,
     TangentsCoincide,
     project_from_point,
@@ -99,7 +100,7 @@ class LambdaZero(ArithmeticError):
     """The witness quadric has no f-component, so the cone identity degenerates."""
 
 
-class SectionSingular(ArithmeticError):
+class SectionSingular(ConstructionFailed):
     """The vertex direction is a singular point of the fiber quadric."""
 
 
@@ -452,11 +453,11 @@ def _plan_fiber(q0, c0, s0):
         raise TangentsCoincide(
             "the tangent spaces of the pencil members coincide at the surface point")
     if n - 1 in pivots:
-        raise ValueError("the vertex direction escaped the common tangent space")
+        raise ConstructionFailed("the vertex direction escaped the common tangent space")
     free = [j for j in range(n) if j not in pivots]
     drop = next((j for j in free if j != n - 1 and s0[j] % P), None)
     if drop is None:
-        raise ValueError("the surface point is supported on the pivot columns only")
+        raise ConstructionFailed("the surface point is supported on the pivot columns only")
     span = tuple(j for j in free if j not in (drop, n - 1))
     plan = {"pivots": pivots, "drop": drop, "span": span}
     _, gram = _fiber_frame(q0, a0, b0, plan, lift=_mod_p)
@@ -516,7 +517,7 @@ def _dry_plan(q0, c0, conic, rng):
         s0 = [_mod_p(x) for x in conic.eval([t0])] + [0, _mod_p(u0)]
         try:
             plan = _plan_fiber(qp, cp, s0)
-        except (TangentsCoincide, SectionSingular, ValueError) as err:
+        except ConstructionFailed as err:
             last = err
             continue
         for _ in range(4):
@@ -528,7 +529,7 @@ def _dry_plan(q0, c0, conic, rng):
                 continue
             pt0 = [x % P for x in pt0]
             if not any(pt0):
-                last = ArithmeticError("the fiber construction degenerated at rehearsal")
+                last = ConstructionFailed("the fiber construction degenerated at rehearsal")
                 continue
             chart = next(i for i, x in enumerate(pt0) if x)
             return plan, {"t": t0, "u": u0, "v": v0, "point": pt0, "chart": chart}
@@ -550,8 +551,8 @@ def ci23_parametrize(inst, seed=0):
     never divides.  The built program is then evaluated exactly at the
     rehearsal's input: its value must reduce to the rehearsal's point mod P
     and must lie on the intersection over QQ.
-    Raises TangentsCoincide / SectionSingular / LineInsideCubic when the
-    instance degenerates along the whole surface, and BadPrime, without
+    Raises a ConstructionFailed, such as TangentsCoincide, SectionSingular
+    or LineInsideCubic, when every draw degenerates, and BadPrime, without
     another draw, when P divides a denominator of the rehearsal.
     """
     fld = inst.q.field
@@ -566,12 +567,7 @@ def ci23_parametrize(inst, seed=0):
         try:
             plan, dry = _dry_plan(q0, c0, inst.conic, random.Random(seed + attempt))
             break
-        except BadPrime:
-            # P divides a denominator of the instance; another b0 hides
-            # that at best
-            raise
-        except (TangentsCoincide, SectionSingular, LineInsideCubic,
-                ValueError) as err:
+        except ConstructionFailed as err:  # BadPrime is not retried
             last = err
     else:
         raise last
@@ -670,8 +666,7 @@ def reverse_build(f=None, conic=None, alpha=Fraction(1), c1=None, seed=0):
                                        "fiber_seed": seed + attempt})
         try:
             run = run_pass(quart, seed=seed + attempt)
-        except (TangentsCoincide, SectionSingular, LineInsideCubic,
-                ArithmeticError) as err:
+        except ArithmeticError as err:
             if c1 is not None:
                 raise
             last = err
@@ -758,7 +753,7 @@ def run_pass(inst, conic=None, seed=0):
         if any(x != 0 for x in vals):
             break
     else:
-        raise ArithmeticError("the projection collapsed the parametrized intersection")
+        raise ConstructionFailed("the projection collapsed the parametrized intersection")
     vals += [bi * vals[5] for bi in args[:len(run.params)]]
     if inst.F.evaluate(vals) != 0:
         raise ArithmeticError("a parametrized point escaped the quartic")

@@ -211,6 +211,15 @@ class SlpMap:
                 deg.append(0)
             else:
                 raise MalformedInput("unknown op %r at node %d" % (op, idx))
+        self._set_outputs(in_arity, tuple(nodes), deg, const_lcm, outputs, chart)
+        # rational point -> (L, {output node: (N, e)}), the scaled values
+        # N / L^e of the outputs swept there; shared with the output slices
+        # of this map (see slice and eval_scaled)
+        self._values = {}
+
+    def _set_outputs(self, in_arity, nodes, deg, const_lcm, outputs, chart):
+        """Check the outputs and the chart against checked nodes, whose
+        degree bounds are `deg`, and store the map."""
         for o in outputs:
             if not (0 <= o < len(nodes)):
                 raise MalformedInput("output index %d out of range" % o)
@@ -220,15 +229,12 @@ class SlpMap:
             raise MalformedInput("all outputs are literally zero")
         self.in_arity = in_arity
         self.out_arity = len(outputs)
-        self.nodes = tuple(nodes)
+        self.nodes = nodes
         self.outputs = tuple(outputs)
         self.chart = chart
         self.degree_bounds = tuple(deg[o] for o in self.outputs)
+        self._node_degrees = tuple(deg)
         self._const_lcm = const_lcm
-        # rational point -> (L, {output node: (N, e)}), the scaled values
-        # N / L^e of the outputs swept there; shared with the output slices
-        # of this map (see slice and eval_scaled)
-        self._values = {}
         # the document, built on first use (to_json)
         self._doc = None
 
@@ -237,9 +243,15 @@ class SlpMap:
 
     def slice(self, outputs, chart=None):
         """The map with this map's nodes and the given output nodes.  The
-        two share the values eval finds at rational points, so a point at
-        which either was evaluated is not swept again for the other."""
-        m = SlpMap(self.in_arity, self.nodes, outputs, chart=chart)
+        nodes were checked when this map was made, so only the outputs and
+        the chart are.  The two share the values eval finds at rational
+        points, so a point at which either was evaluated is not swept again
+        for the other."""
+        if not outputs:
+            raise MalformedInput("arities must be positive")
+        m = SlpMap.__new__(SlpMap)
+        m._set_outputs(self.in_arity, self.nodes, self._node_degrees,
+                       self._const_lcm, outputs, chart)
         m._values = self._values
         return m
 

@@ -22,6 +22,7 @@ from unirat.certify import (
 from unirat.cli import main
 from unirat.mpoly import MPoly, format_poly, parse_poly
 from unirat.exactcore import QQ
+from unirat.geom import TangentsCoincide
 from unirat.pipeline import QuarticInstance, save_instance, sphere_form
 from unirat.slp import SlpBuilder, SlpMap, write_json
 
@@ -863,6 +864,51 @@ def test_parametrize_and_certify_refuse_an_instance_that_is_not_an_object(
                  "--out", str(workdir / "array.slp.json")]) == 64
     assert main(["certify", "--instance", str(inst)]) == 64
     assert capsys.readouterr().err.count("unsupported instance format") == 2
+
+
+def test_parametrize_exits_3_on_a_reducible_quartic(workdir, capsys):
+    # (f + x5*l1)(f + x5*l2) over reverse_p5's f and conic: the witness
+    # search succeeds, but at every seeded surface point the vertex
+    # direction is singular on the fiber quadric, an event of the seeded
+    # construction and not an internal error
+    inst = pipeline.load_instance(INSTANCES / "reverse_p5.json")
+    f6 = inst.f.extend_variables(6)
+    x5 = MPoly.variable(5, 6, QQ)
+    l1 = parse_poly("x0 + 2*x2 - x5", nvars=6)
+    l2 = parse_poly("3*x1 - x3 + 2*x5", nvars=6)
+    path = workdir / "reducible.json"
+    save_instance(QuarticInstance(n=5, F=(f6 + x5 * l1) * (f6 + x5 * l2), f=inst.f,
+                                  alpha=inst.alpha, conic=inst.conic), path)
+    capsys.readouterr()
+    for seed in ("0", "1"):
+        assert main(["parametrize", "--instance", str(path), "--seed", seed,
+                     "--out", str(workdir / "reducible.slp.json")]) == 3
+        err = capsys.readouterr().err
+        assert err == ("inconclusive: the construction at --seed %s failed: "
+                       "SectionSingular: the vertex direction is singular on "
+                       "the fiber quadric\n" % seed)
+    assert not (workdir / "reducible.slp.json").exists()
+    assert not (workdir / "reducible.slp.json.report.json").exists()
+
+
+def test_parametrize_exits_3_when_the_tangents_coincide(workdir, capsys, monkeypatch):
+    # TangentsCoincide was a ValueError, so it exited 64 as a usage error
+    def coincide(*args):
+        raise TangentsCoincide("the tangent spaces coincide")
+
+    monkeypatch.setattr(pipeline, "_plan_fiber", coincide)
+    capsys.readouterr()
+    assert main(["parametrize", "--instance", str(INSTANCES / "reverse_p5.json"),
+                 "--seed", "2", "--out", str(workdir / "coincide.slp.json")]) == 3
+    assert capsys.readouterr().err == (
+        "inconclusive: the construction at --seed 2 failed: TangentsCoincide: "
+        "the tangent spaces coincide\n")
+    # a malformed instance file is still a usage error
+    bad = workdir / "no_f.json"
+    bad.write_text(json.dumps({"version": 1, "n": 5, "alpha": "1", "F": "x0^4"}))
+    assert main(["parametrize", "--instance", str(bad),
+                 "--out", str(workdir / "no_f.slp.json")]) == 64
+    assert capsys.readouterr().err.startswith("usage error: ")
 
 
 def test_parametrize_obstruction_on_the_pencil(workdir, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from unirat.exactcore import P, QQ, ExactMatrix, kernel_basis, rank, residue
 from unirat.geom import (
+    ConstructionFailed,
     TangentsCoincide,
     project_from_point,
     residual_formula,
@@ -215,7 +216,7 @@ def test_fiber_quadric_generatrix_is_isotropic():
 def test_fiber_quadric_rejections():
     q = parse_poly("x0*x3-x1*x2", nvars=4)
     c = parse_poly("x0^3+x1^3+x2^3+x3^3", nvars=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConstructionFailed, match="escaped the common tangent space"):
         plan_mod_p(q, c, [Fraction(v) for v in (0, 0, 0, 1)])
 
     f = sphere5()

@@ -2,14 +2,17 @@ import hashlib
 import itertools
 import math
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from unirat import groebner
-from unirat.certify import _trial_partials
+from unirat.certify import _trial_partials, certify_smooth_mod_p
 from unirat.exactcore import PrimeField
 from unirat.groebner import (
     DegreeCeilingExceeded,
+    _DivisorIndex,
     _hilbert_counts,
     _Ring,
     buchberger,
@@ -18,6 +21,7 @@ from unirat.groebner import (
     projective_empty,
 )
 from unirat.mpoly import MPoly, format_poly, grevlex_key, monomials, parse_poly
+from unirat.pipeline import load_instance
 
 F = PrimeField(10007)
 
@@ -326,13 +330,16 @@ def test_early_stop_reports_the_complete_pure_powers():
 
 @pytest.fixture
 def nf_calls(monkeypatch):
-    """Counts the normal forms `buchberger` computes."""
-    calls = [0]
+    """Counts the normal forms `buchberger` computes, and in slot 1 those
+    that are zero."""
+    calls = [0, 0]
     inner = groebner._normal_form
 
     def counted(*args):
         calls[0] += 1
-        return inner(*args)
+        out = inner(*args)
+        calls[1] += not out
+        return out
 
     monkeypatch.setattr(groebner, "_normal_form", counted)
     return calls
@@ -554,3 +561,116 @@ def test_pair_set_is_pinned(name, gens):
 def test_late_divisor_retires_a_generator():
     lts = buchberger([P(t, 3) for t in LATE_DIVISOR]).leading_exponents()
     assert (0, 2, 1) in lts and (0, 3, 2) not in lts
+
+
+# --- the divisor index, against the linear scans it replaced -------------------
+
+
+def random_monomial(rng, nvars, low, top):
+    """An exponent vector of degree between `low` and `top`."""
+    exp = [0] * nvars
+    for _ in range(rng.randint(low, top)):
+        exp[rng.randrange(nvars)] += 1
+    return exp
+
+
+def scan_divisors(lts, m, guard):
+    """The indices of the leading terms that divide m, by the guard-bit test
+    on each in turn, as `_normal_form` scanned them."""
+    mg = m | guard
+    return [idx for idx, lt in enumerate(lts) if (mg - lt) & guard == guard]
+
+
+@pytest.mark.parametrize("nvars", [5, 9])
+def test_divisor_index_finds_the_first_divisor_of_the_scan(nvars):
+    rng = random.Random(3600 + nvars)
+    ring = _Ring(nvars)
+    lts = [ring.pack(random_monomial(rng, nvars, 4, 20)) for _ in range(60)]
+    # most queries are multiples of a leading term, often of one appended
+    # later, so a memo entry ~n is resumed once its divisor comes in
+    queries = [ring.pack(random_monomial(rng, nvars, 0, 20)) for _ in range(20)]
+    for _ in range(80):
+        base = rng.choice(lts)
+        queries.append(base + ring.pack(
+            random_monomial(rng, nvars, 0, 20 - ring.degree(base))))
+    index, memo, added, tails = _DivisorIndex(nvars), {}, [], []
+    hits = resumed = 0
+    for lt in lts:
+        index.add(lt)
+        added.append(lt)
+        tails.append([])  # a reducer with no tail cancels the monomial
+        for m in queries:
+            found = scan_divisors(added, m, ring.guard)
+            want = found[0] if found else ~len(added)
+            assert index.divisors(m) == sum(1 << idx for idx in found)
+            before = memo.get(m, -1)
+            resumed += before < 0 and want >= 0 and before != -1
+            # twice: the second call finds the memo entry of the first
+            for _ in range(2):
+                out = groebner._normal_form({m: 1}, added, tails, index, 10007, memo)
+                assert memo[m] == want
+                assert out == ({} if want >= 0 else {m: 1})
+            hits += want >= 0
+    # both answers, and resumed entries, are exercised
+    assert 1000 < hits < len(lts) * len(queries) - 500 and resumed >= 40
+
+
+def scan_defer(sig, source, seen, lts_by_index, later_by_index, guard):
+    """`_defer` by the loops it ran before the indices: the reason a pair
+    waits, or None.  `lts_by_index[k]` lists the leading terms of the
+    elements of index k, `later_by_index[k]` their (element, multiplier)
+    pairs, both in insertion order."""
+    if sig in seen:
+        return "seen"
+    k, m = sig
+    mg = m | guard
+    for lts in lts_by_index[:k]:
+        if any((mg - lt) & guard == guard for lt in lts):
+            return "F5"
+    for e, me in reversed(later_by_index[k]):
+        if e <= source:
+            break
+        if (mg - me) & guard == guard:
+            return "rewrite"
+    return None
+
+
+@pytest.mark.parametrize("nvars", [5, 9])
+def test_defer_agrees_with_the_scans_it_replaced(nvars):
+    rng = random.Random(3700 + nvars)
+    ring = _Ring(nvars)
+    gens = nvars
+    lt_index, mult_index, of_index = _DivisorIndex(nvars), _DivisorIndex(nvars), [0] * gens
+    lts_by_index = [[] for _ in range(gens)]
+    later_by_index = [[] for _ in range(gens)]
+    reasons = Counter()
+    for idx in range(80):
+        k = rng.randrange(gens)
+        lt = ring.pack(random_monomial(rng, nvars, 1, 14))
+        mult = ring.pack(random_monomial(rng, nvars, 1, 8))
+        lt_index.add(lt)
+        mult_index.add(mult)
+        of_index[k] |= 1 << idx
+        lts_by_index[k].append(lt)
+        later_by_index[k].append((idx, mult))
+        for _ in range(25):
+            sig = (rng.randrange(gens), ring.pack(random_monomial(rng, nvars, 0, 20)))
+            source = rng.randrange(idx + 1)
+            seen = {sig} if rng.random() < 0.05 else set()
+            want = scan_defer(sig, source, seen, lts_by_index, later_by_index, ring.guard)
+            got = groebner._defer(sig, source, seen, lt_index, mult_index, of_index)
+            assert got == (want is not None)
+            reasons[want] += 1
+    assert min(reasons[r] for r in ("seen", "F5", "rewrite", None)) >= 40
+
+
+N8_CUBES = Path(__file__).resolve().parent.parent / "instances" / "n8_cubes.json"
+
+
+@pytest.mark.parametrize("p", [10007, 10009])
+def test_one_n8_search_forms_the_pinned_normal_forms(nf_calls, p):
+    # the machine-independent work of the search `certify` runs on the
+    # paper's line-free quartic: 2199 normal forms, 1345 of them zero
+    cert = certify_smooth_mod_p(load_instance(N8_CUBES).F, p)
+    assert cert["stats"]["s_pairs_processed"] == 6499
+    assert nf_calls == [2199, 1345]

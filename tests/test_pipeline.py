@@ -13,7 +13,7 @@ from unirat import pipeline
 from unirat.certify import (DOMINANCE_PRIME, IdentityFails, certify_obstruction,
                             check_dominant, check_on_variety)
 from unirat.exactcore import QQ, rank_mod_p, residue
-from unirat.geom import LineInsideCubic, TangentsCoincide
+from unirat.geom import ConstructionFailed, LineInsideCubic, TangentsCoincide
 from unirat.mpoly import MPoly, NotDivisible, format_poly, monomials, parse_poly
 from unirat.pipeline import (
     Ci23Instance,
@@ -730,11 +730,11 @@ def fraction_plan(q0, c0, s0):
         raise TangentsCoincide(
             "the tangent spaces of the pencil members coincide at the surface point")
     if n - 1 in pivots:
-        raise ValueError("the vertex direction escaped the common tangent space")
+        raise ConstructionFailed("the vertex direction escaped the common tangent space")
     free = [j for j in range(n) if j not in pivots]
     drop = next((j for j in free if j != n - 1 and s0[j] != 0), None)
     if drop is None:
-        raise ValueError("the surface point is supported on the pivot columns only")
+        raise ConstructionFailed("the surface point is supported on the pivot columns only")
     plan = {"pivots": pivots, "drop": drop,
             "span": tuple(j for j in free if j not in (drop, n - 1))}
     _, gram = pipeline._fiber_frame(q0, a0, b0, plan)
@@ -754,7 +754,7 @@ def fraction_rehearsal(q0, c0, conic, rng):
         s0 = list(conic.eval([t0])) + [Fraction(0), u0]
         try:
             plan = fraction_plan(q0, c0, s0)
-        except (TangentsCoincide, SectionSingular, ValueError) as err:
+        except ConstructionFailed as err:
             last = err
             continue
         for _ in range(4):
@@ -764,7 +764,7 @@ def fraction_rehearsal(q0, c0, conic, rng):
                 last = LineInsideCubic("a swept tangent line lies inside the cubic")
                 continue
             if all(v == 0 for v in pt0):
-                last = ArithmeticError("the fiber construction degenerated at rehearsal")
+                last = ConstructionFailed("the fiber construction degenerated at rehearsal")
                 continue
             assert q0.evaluate(pt0) == 0 and c0.evaluate(pt0) == 0
             chart = next(i for i, v in enumerate(pt0) if v != 0)

@@ -551,6 +551,27 @@ def test_a_slice_keeps_the_nodes_of_its_parent():
     assert part.eval([Fraction(3)]) == [3, 9]
 
 
+def test_a_slice_checks_its_outputs_as_the_constructor_does():
+    # a slice skips the node pass, so it keeps its parent's degree bounds,
+    # and refuses each bad output list or chart with the constructor's
+    # message
+    b = SlpBuilder(2)
+    x, y = b.inputs
+    m = b.finish([x * y, x * x * y, b.const(0), x - y])
+    assert m.outputs == (2, 4, 5, 6)
+    part = m.slice((2, 4, 5), chart=1)
+    assert part.nodes is m.nodes
+    assert part.degree_bounds == SlpMap(2, m.nodes, (2, 4, 5), chart=1).degree_bounds
+    assert part.degree_bounds == (2, 3, 0)
+    for outputs, chart in [((), None), ((2, 99), None), ((2, 4), 2), ((2, -1), 0),
+                           ((5, 5), None)]:
+        with pytest.raises(MalformedInput) as want:
+            SlpMap(m.in_arity, m.nodes, outputs, chart=chart)
+        with pytest.raises(MalformedInput) as got:
+            m.slice(outputs, chart=chart)
+        assert str(got.value) == str(want.value)
+
+
 def squarings(k):
     """The nodes of x0 and k squarings of it."""
     return [("input", 0)] + [("mul", i, i) for i in range(k)]
